@@ -47,6 +47,10 @@ def find_diagram_morphism(d1: Diagram, d2: Diagram, fixed=None,
     atoms2 = d2.initial_space.atoms
     if len(atoms1) != len(atoms2):
         return None
+    # weight-preserving bijections keep the canonical denominator, so masses
+    # over it compare weights exactly
+    if any(d1.spaces[o].denom != d2.spaces[o].denom for o in objects):
+        return None
     steps = 0
 
     def assign(z, w):
@@ -60,7 +64,7 @@ def find_diagram_morphism(d1: Diagram, d2: Diagram, fixed=None,
                 if cur != b:
                     break
                 continue
-            if b in bwd[o] or d1.spaces[o].weight(a) != d2.spaces[o].weight(b):
+            if b in bwd[o] or d1.spaces[o].mass(a) != d2.spaces[o].mass(b):
                 break
             fwd[o][a] = b
             bwd[o][b] = a
@@ -80,7 +84,7 @@ def find_diagram_morphism(d1: Diagram, d2: Diagram, fixed=None,
                 continue
             if fwd[obj].get(a, b) != b or bwd[obj].get(b, a) != a:
                 return None
-            if d1.spaces[obj].get(a) != d2.spaces[obj].get(b):
+            if d1.spaces[obj].mass(a) != d2.spaces[obj].mass(b):
                 return None
             fwd[obj][a] = b
             bwd[obj][b] = a
@@ -89,7 +93,7 @@ def find_diagram_morphism(d1: Diagram, d2: Diagram, fixed=None,
                 continue
             if fwd[init].get(a) == b:
                 continue
-            if d1.initial_space.get(a) != d2.initial_space.get(b):
+            if d1.initial_space.mass(a) != d2.initial_space.mass(b):
                 return None
             if assign(a, b) is None:
                 return None
@@ -101,9 +105,9 @@ def find_diagram_morphism(d1: Diagram, d2: Diagram, fixed=None,
         if idx == len(atoms1):
             return True
         z = atoms1[idx]
-        weight = d1.initial_space.weight(z)
+        mass = d1.initial_space.mass(z)
         for w in atoms2:
-            if w in bwd[init] or d2.initial_space.weight(w) != weight:
+            if w in bwd[init] or d2.initial_space.mass(w) != mass:
                 continue
             steps += 1
             if steps > step_cap:
@@ -130,12 +134,12 @@ def verify_explicit_iso(d1: Diagram, d2: Diagram, maps: dict) -> bool:
     for o in d1.category.objects:
         m = maps[o]
         sp1, sp2 = d1.spaces[o], d2.spaces[o]
-        if len(sp1) != len(sp2):
+        if len(sp1) != len(sp2) or sp1.denom != sp2.denom:
             return False
         seen = set()
-        for a in sp1.atoms:
+        for a, mass in zip(sp1.atoms, sp1.masses):
             b = m.get(a)
-            if b is None or b in seen or sp2.get(b) != sp1.weight(a):
+            if b is None or b in seen or sp2.mass(b) != mass:
                 return False
             seen.add(b)
     for (i, j) in d1.category.covers:
@@ -155,7 +159,8 @@ def diagram_isomorphic(d1: Diagram, d2: Diagram, *, support_cap: int = DEFAULT_S
     if max(d1.total_support(), d2.total_support()) > support_cap:
         raise TooLargeError("supports exceed the isomorphism search cap")
     for o in d1.category.objects:
-        if sorted(d1.spaces[o].weights) != sorted(d2.spaces[o].weights):
+        sp1, sp2 = d1.spaces[o], d2.spaces[o]
+        if sp1.denom != sp2.denom or sorted(sp1.masses) != sorted(sp2.masses):
             return False, None
     iso = find_diagram_morphism(d1, d2, step_cap=step_cap)
     return (iso is not None), iso
@@ -212,9 +217,9 @@ def _automorphism_order(diagram: Diagram, step_cap: int) -> int:
     fixed: dict = {}
     for k, a in enumerate(atoms):
         orbit = 0
-        weight = diagram.initial_space.weight(a)
+        mass = diagram.initial_space.mass(a)
         for b in atoms:
-            if diagram.initial_space.weight(b) != weight:
+            if diagram.initial_space.mass(b) != mass:
                 continue
             trial = dict(fixed)
             trial[(init, a)] = b

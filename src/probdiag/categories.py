@@ -119,9 +119,6 @@ class IndexingCategory:
     def is_cover(self, i: str, j: str) -> bool:
         return (i, j) in self.covers
 
-    def prime_morphisms(self) -> tuple[tuple[str, str], ...]:
-        return self.covers
-
     def morphisms(self) -> tuple[tuple[str, str], ...]:
         """All non-identity morphisms (reachability pairs)."""
         return tuple(

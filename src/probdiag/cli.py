@@ -182,12 +182,14 @@ def _contract_row(index: int, run) -> dict:
 def cmd_contract(config: dict) -> int:
     _check_keys(config, {"command", "input", "fixture", "l", "I", "J", "U", "fan",
                          "N", "t", "seeds", "seed", "output", "format", "workers"})
+    n_runs = int(config.get("seeds", 1))
+    if n_runs < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {n_runs}")
     diagram, fan = _load_input(config)
     if fan is None:
         raise ConfigError("contract needs a designated fan")
     ext = extend_admissible_fan(diagram, fan)
     root_seed = int(config.get("seed", 0))
-    n_runs = int(config.get("seeds", 1))
     if config.get("N") and config.get("t"):
         n_override, t_override = int(config["N"]), float(config["t"])
     else:
@@ -248,6 +250,9 @@ def cmd_tails(config: dict) -> int:
     trials = int(config.get("trials", 10000))
     checks = []
     if config.get("kind"):
+        missing = [f"--{k}" for k in ("t", "N", "rho") if config.get(k) is None]
+        if missing:
+            raise ConfigError(f"--kind needs --t, --N and --rho; missing {', '.join(missing)}")
         checks.append(monte_carlo_tails(
             config["kind"], t=float(config["t"]), trials=trials, seed=seed,
             n=int(config["N"]), rho=Fraction(str(config["rho"]))))

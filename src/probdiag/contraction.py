@@ -101,7 +101,7 @@ class ExtendedFan:
         cached = self._fiber_iso_cache.get(("diagram", u_atom))
         if cached is None:
             fiber = self.fibers[u_atom]
-            measure = ProbSpace(fiber, [Fraction(1, len(fiber))] * len(fiber))
+            measure = ProbSpace(fiber, [1] * len(fiber), denom=len(fiber))
             cached = _from_initial_measure(self.xdiag, measure)
             self._fiber_iso_cache[("diagram", u_atom)] = cached
         return cached
@@ -213,8 +213,6 @@ class ContractionRun:
     params: ContractionParams
     u_bar: tuple
     counts: dict          # x0 atom -> sample count, positive entries only
-    nu: dict              # x0 atom -> exact multiplicity count / N
-    p_b0: dict            # x0 atom -> exact conditioned weight
     alpha: Fraction       # half total variation against the uniform law
     height: float         # mean log fiber count of the conditioned fan
     coverage: bool
@@ -230,12 +228,24 @@ class ContractionRun:
     size_g: int
 
     @property
+    def nu(self) -> dict:
+        """x0 atom -> exact multiplicity count / N."""
+        n = self.params.N
+        return {x: Fraction(c, n) for x, c in self.counts.items()}
+
+    @property
+    def p_b0(self) -> dict:
+        """x0 atom -> exact conditioned weight count / (N f)."""
+        nf = self.params.N * self.fiber_size
+        return {x: Fraction(c, nf) for x, c in self.counts.items()}
+
+    @property
     def sum_nu(self) -> Fraction:
-        return sum(self.nu.values(), Fraction(0))
+        return Fraction(sum(self.counts.values()), self.params.N)
 
     @property
     def total_mass(self) -> Fraction:
-        return sum(self.p_b0.values(), Fraction(0))
+        return Fraction(sum(self.counts.values()), self.params.N * self.fiber_size)
 
     def height_two_ways(self) -> tuple[float, float]:
         """Mean log fiber count vs the entropy difference of the fan arrow."""
@@ -293,12 +303,11 @@ def contract_once(ext: ExtendedFan, params: ContractionParams, *,
     assert total == n * f, "fiber counting identity failed"
 
     x0_atoms = ext.x0_space.atoms
-    nu = {x: Fraction(c, n) for x, c in counts.items()}
-    p_b0 = {x: Fraction(c, n * f) for x, c in counts.items()}
     coverage = len(counts) == card
 
-    # alpha over the full x0 set, zero-count atoms included
-    deviation = sum(abs(counts.get(x, 0) * card - n * f) for x in x0_atoms)
+    # alpha over the full x0 set; each uncovered atom deviates by N f
+    deviation = (sum(abs(c * card - n * f) for c in counts.values())
+                 + (card - len(counts)) * n * f)
     alpha = Fraction(deviation, 2 * n * f * card)
 
     log_cache: dict[int, float] = {}
@@ -310,10 +319,11 @@ def contract_once(ext: ExtendedFan, params: ContractionParams, *,
             log_cache[c] = log_c
         height += (c / (n * f)) * log_c
 
+    # the conditioned x0 law counts / (N f), in x0 order
     covered = [x for x in x0_atoms if x in counts]
-    measure = ProbSpace(covered, [p_b0[x] for x in covered])
+    measure = ProbSpace(covered, [counts[x] for x in covered], denom=n * f)
     xprime = _from_initial_measure(ext.xdiag, measure)
-    vspace = ProbSpace(range(1, n + 1), [Fraction(1, n)] * n)
+    vspace = ProbSpace(range(1, n + 1), [1] * n, denom=n)
 
     # conditioned-fiber isomorphism against the reference atom of u; the
     # verdicts are run-independent and cached on the fan
@@ -331,8 +341,8 @@ def contract_once(ext: ExtendedFan, params: ContractionParams, *,
     if n * f <= materialize_cap:
         fan_prime = _materialize_fan(ext, u_bar, xprime, vspace)
 
-    return ContractionRun(params=params, u_bar=u_bar, counts=counts, nu=nu,
-                          p_b0=p_b0, alpha=alpha, height=height,
+    return ContractionRun(params=params, u_bar=u_bar, counts=counts,
+                          alpha=alpha, height=height,
                           coverage=coverage, fiber_iso_ok=fiber_iso_ok,
                           ikd_upper=ikd_upper, rough_bound_used=rough,
                           xprime=xprime, vspace=vspace, fan_prime=fan_prime,
@@ -346,20 +356,14 @@ def _materialize_fan(ext: ExtendedFan, u_bar: tuple, xprime: Diagram,
     shape = ext.shape
     n = len(u_bar)
     y0_atoms = [(x, idx + 1) for idx, u in enumerate(u_bar) for x in ext.fibers[u]]
-    weight = Fraction(1, len(y0_atoms))
     spaces = {}
     comp = {o: ext.xdiag.composite_mapping(shape.initial, o) for o in shape.objects}
     for obj in shape.objects:
         acc: dict = {}
-        order = []
         for (x, idx) in y0_atoms:
             atom = (comp[obj][x], idx)
-            if atom in acc:
-                acc[atom] += weight
-            else:
-                acc[atom] = weight
-                order.append(atom)
-        spaces[obj] = ProbSpace(order, [acc[a] for a in order])
+            acc[atom] = acc.get(atom, 0) + 1
+        spaces[obj] = ProbSpace(acc, acc.values(), denom=len(y0_atoms))
     maps = {}
     for (i, j) in shape.covers:
         chi = ext.xdiag.prime_maps[(i, j)].mapping
@@ -578,7 +582,7 @@ def monte_carlo_tails(kind: str, *, t: float, trials: int, seed: int,
         for row, u in enumerate(u_atoms):
             for x in ext.fibers[u]:
                 mask[row, index[x]] = 1
-        pvals = np.array([float(w) for w in ext.u_space.weights])
+        pvals = np.array([m / ext.u_space.denom for m in ext.u_space.masses])
         pvals = pvals / pvals.sum()
         gen = np_rng_for(seed, f"tails|{kind}|{n}|{rho_f}|{t}", 0)
         hits = 0

@@ -9,7 +9,6 @@ joints) are commutative by construction and skip re-validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .categories import (
@@ -220,7 +219,7 @@ def coordinate_diagram(category: IndexingCategory, coord_sets: Mapping[str, Iter
     spaces = {}
     for obj, cs in coords.items():
         n = 1 << len(cs)
-        spaces[obj] = ProbSpace(range(n), [Fraction(1, n)] * n)
+        spaces[obj] = ProbSpace(range(n), [1] * n, denom=n)
     maps = {}
     for (i, j) in category.covers:
         positions = tuple(coords[i].index(c) for c in coords[j])
@@ -279,9 +278,10 @@ def condition_diagram(diagram: Diagram, obj: str, atom) -> Diagram:
     if atom not in space:
         raise UnknownAtomError(f"atom {atom!r} not in the space at {obj!r}")
     comp = diagram.composite_mapping(diagram.initial, obj)
-    mass = space.weight(atom)
-    fiber = [z for z in diagram.initial_space.atoms if comp[z] == atom]
-    measure = ProbSpace(fiber, [diagram.initial_space.weight(z) / mass for z in fiber])
+    init = diagram.initial_space
+    fiber = [z for z in init.atoms if comp[z] == atom]
+    masses = [init.mass(z) for z in fiber]
+    measure = ProbSpace(fiber, masses, denom=sum(masses))
     return _from_initial_measure(diagram, measure)
 
 

@@ -34,6 +34,7 @@ from .spaces import (
     LAMBDA_LIGHT,
     ProbSpace,
     as_fraction,
+    entropy_of_masses,
     lambda_space,
     pushforward,
 )
@@ -70,11 +71,6 @@ class CouplingWitness:
 
 
 # -- exact minimum-entropy coupling for single spaces ------------------------
-
-
-def _scaled_masses(space: ProbSpace) -> tuple[list[int], int]:
-    denom = math.lcm(*[w.denominator for w in space.weights])
-    return [w.numerator * (denom // w.denominator) for w in space.weights], denom
 
 
 def _spanning_trees(m: int, n: int):
@@ -152,17 +148,16 @@ def _solve_tree(tree, rows: list[int], cols: list[int]):
 
 
 def _coupling_vertices(x: ProbSpace, y: ProbSpace):
-    """Distinct vertices of the transportation polytope of (x, y).
+    """Distinct vertices of the transportation polytope of (x, y), as
+    positive integer flows {(row, col): mass} over lcm(x.denom, y.denom).
 
     Entropy is concave, so the minimum of the fan distance is attained at a
     vertex; vertices are exactly the feasible spanning-tree solutions, and
     degenerate ones are deduplicated by their positive support.
     """
-    rows, dx = _scaled_masses(x)
-    cols, dy = _scaled_masses(y)
-    denom = math.lcm(dx, dy)
-    rows = [r * (denom // dx) for r in rows]
-    cols = [c * (denom // dy) for c in cols]
+    denom = math.lcm(x.denom, y.denom)
+    rows = [m * (denom // x.denom) for m in x.masses]
+    cols = [m * (denom // y.denom) for m in y.masses]
     seen: set[frozenset] = set()
     for tree in _spanning_trees(len(rows), len(cols)):
         flows = _solve_tree(tree, list(rows), list(cols))
@@ -172,12 +167,12 @@ def _coupling_vertices(x: ProbSpace, y: ProbSpace):
         if support in seen:
             continue
         seen.add(support)
-        yield {e: Fraction(f, denom) for e, f in flows.items() if f > 0}
+        yield {e: f for e, f in flows.items() if f > 0}
 
 
-def _coupling_space(x: ProbSpace, y: ProbSpace, cells: Mapping) -> ProbSpace:
+def _coupling_space(x: ProbSpace, y: ProbSpace, cells: Mapping, denom: int) -> ProbSpace:
     atoms = [(x.atoms[r], y.atoms[c]) for (r, c) in cells]
-    return ProbSpace(atoms, list(cells.values()))
+    return ProbSpace(atoms, cells.values(), denom=denom)
 
 
 def _greedy_coupling(x: ProbSpace, y: ProbSpace) -> ProbSpace:
@@ -225,14 +220,14 @@ def min_entropy_coupling(x: ProbSpace, y: ProbSpace, *,
     best_cells = None
     best_value = None
     base = x.entropy + y.entropy
+    denom = math.lcm(x.denom, y.denom)
     for cells in _coupling_vertices(x, y):
-        h = ProbSpace([str(e) for e in cells], list(cells.values())).entropy
-        value = 2.0 * h - base
+        value = 2.0 * entropy_of_masses(cells.values(), denom) - base
         if best_value is None or value < best_value:
             best_value = value
             best_cells = cells
     assert best_cells is not None
-    coupling = _coupling_space(x, y, best_cells)
+    coupling = _coupling_space(x, y, best_cells, denom)
     fan = coupling_fan(left, right, coupling)
     return CouplingWitness(fan, kd_of_fan(fan), exact=True, method="vertex-enumeration")
 

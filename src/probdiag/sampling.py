@@ -4,14 +4,14 @@ Sub-seeds are derived from a root seed by hashing a versioned label and a
 counter, so independent units of work (runs in a sweep, cells in a tail
 grid) get reproducible streams regardless of execution order or thread
 schedule.  Categorical draws use integer rejection sampling on the exact
-rational weights, so the sampled law is exact, not a float approximation.
+integer masses, so the sampled law is exact, not a float approximation.
 """
 from __future__ import annotations
 
 import hashlib
 import random
-from fractions import Fraction
-from math import lcm
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -49,35 +49,21 @@ def _randbelow(rng: random.Random, n: int) -> int:
 class CategoricalSampler:
     """Exact sampler for a finite probability space.
 
-    Weights k_i / D over a common denominator D partition [0, D); a uniform
-    integer below D selects an atom by binary search, so every atom is drawn
-    with exactly its rational probability.
+    The space's integer masses over its denominator D partition [0, D); a
+    uniform integer below D selects an atom by binary search, so every atom
+    is drawn with exactly its rational probability.
     """
 
     __slots__ = ("space", "_denominator", "_cumulative")
 
     def __init__(self, space: ProbSpace):
         self.space = space
-        d = lcm(*[w.denominator for w in space.weights])
-        cumulative = []
-        acc = 0
-        for w in space.weights:
-            acc += w.numerator * (d // w.denominator)
-            cumulative.append(acc)
-        assert acc == d
-        self._denominator = d
-        self._cumulative = cumulative
+        self._denominator = space.denom
+        self._cumulative = list(accumulate(space.masses))
 
     def draw(self, rng: random.Random):
         point = _randbelow(rng, self._denominator)
-        lo, hi = 0, len(self._cumulative) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if point < self._cumulative[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return self.space.atoms[lo]
+        return self.space.atoms[bisect_right(self._cumulative, point)]
 
     def draw_many(self, rng: random.Random, n: int) -> list:
         return [self.draw(rng) for _ in range(n)]
@@ -85,12 +71,3 @@ class CategoricalSampler:
 
 def sample_atoms(space: ProbSpace, rng: random.Random, n: int) -> list:
     return CategoricalSampler(space).draw_many(rng, n)
-
-
-def float_weights(space: ProbSpace) -> np.ndarray:
-    """Float view of the weights for bulk Monte-Carlo work (not exact)."""
-    return np.array([float(w) for w in space.weights])
-
-
-def exact_mean(values: list[Fraction]) -> Fraction:
-    return sum(values, Fraction(0)) / len(values)

@@ -1,8 +1,13 @@
 """Finite probability spaces with exact rational weights.
 
-All measure bookkeeping (pushforward, conditioning, mixtures) is done with
-`fractions.Fraction`, so mass conservation is exact and assertable with zero
-tolerance.  Floating point enters only at the entropy/log boundary.  Entropy
+A space stores its atoms and one integer mass per atom over a single
+denominator: the weight of an atom is its mass divided by `denom`.  The
+denominator is canonical, the lcm of the reduced weight denominators, so the
+masses share no common factor with it and two spaces are equal exactly when
+their denominators and atom-to-mass tables are.  Pushforward, products and
+conditioning are integer operations, so mass conservation is exact and
+assertable with zero tolerance; `fractions.Fraction` weights are views built
+on demand.  Floating point enters only at the entropy/log boundary.  Entropy
 is measured in nats.
 """
 from __future__ import annotations
@@ -20,8 +25,6 @@ from .errors import (
     UnknownKindError,
     WeightSumError,
 )
-
-ONE = Fraction(1)
 
 # Atom labels of the two-point space returned by special_space("lambda", a).
 # The light atom carries weight 1 - a, the heavy atom weight a.
@@ -42,52 +45,80 @@ def as_fraction(value) -> Fraction:
 class ProbSpace:
     """A finite probability space: atoms with positive rational weights.
 
-    Atoms of zero weight are dropped at construction, so every atom in the
+    Built from rational weights, or from integer masses over `denom`.  Atoms
+    of zero weight are dropped at construction, so every atom in the
     support has strictly positive weight and the weights sum exactly to 1.
     Atom labels are opaque hashable values; construction order is preserved
     and used wherever deterministic iteration matters.
     """
 
-    __slots__ = ("atoms", "weights", "_index", "_entropy")
+    __slots__ = ("atoms", "masses", "denom", "_index", "_fractions", "_entropy", "_hash")
 
-    def __init__(self, atoms: Iterable, weights: Iterable):
+    def __init__(self, atoms: Iterable, weights: Iterable, denom: int | None = None):
         atoms = list(atoms)
-        weights = [as_fraction(w) for w in weights]
-        if len(atoms) != len(weights):
+        if denom is None:
+            fractions = [as_fraction(w) for w in weights]
+            denom = math.lcm(*[w.denominator for w in fractions])
+            masses = [w.numerator * (denom // w.denominator) for w in fractions]
+        else:
+            masses = list(weights)
+            if not isinstance(denom, int) or denom < 1:
+                raise BadParamError(f"denominator must be a positive int, got {denom!r}")
+        if len(atoms) != len(masses):
             raise BadParamError("atoms and weights must have equal length")
-        index: dict = {}
-        kept_atoms = []
-        kept_weights = []
-        for atom, weight in zip(atoms, weights):
-            if weight < 0:
-                raise NegativeWeightError(f"atom {atom!r} has weight {weight}")
-            if atom in index:
-                raise DuplicateAtomError(f"atom {atom!r} declared twice")
-            index[atom] = weight
-            if weight > 0:
-                kept_atoms.append(atom)
-                kept_weights.append(weight)
-        total = sum(kept_weights, Fraction(0))
-        if total != 1:
-            raise WeightSumError(f"weights sum to {total}, not 1")
-        self.atoms = tuple(kept_atoms)
-        self.weights = tuple(kept_weights)
-        self._index = {a: w for a, w in zip(kept_atoms, kept_weights)}
+        index = dict(zip(atoms, masses))
+        if len(index) != len(atoms) or (masses and min(masses) < 0):
+            _reject_atom(atoms, masses, denom)
+        total = sum(masses)
+        if not isinstance(total, int):
+            raise BadParamError("masses over a denominator must be integers")
+        if total != denom:
+            raise WeightSumError(f"weights sum to {Fraction(total, denom)}, not 1")
+        if not all(masses):
+            atoms = [a for a, m in zip(atoms, masses) if m]
+            masses = [m for m in masses if m]
+            index = dict(zip(atoms, masses))
+        common = math.gcd(denom, *masses)
+        if common > 1:
+            masses = [m // common for m in masses]
+            denom //= common
+            index = dict(zip(atoms, masses))
+        self.atoms = tuple(atoms)
+        self.masses = tuple(masses)
+        self.denom = denom
+        self._index = index
+        self._fractions = None
         self._entropy = None
+        self._hash = None
 
     # -- basic queries ------------------------------------------------------
 
+    def _weight_view(self) -> dict:
+        """Atom -> exact Fraction weight, built on first use."""
+        if self._fractions is None:
+            d = self.denom
+            self._fractions = {a: Fraction(m, d) for a, m in self._index.items()}
+        return self._fractions
+
+    @property
+    def weights(self) -> tuple:
+        return tuple(self._weight_view().values())
+
     def weight(self, atom) -> Fraction:
         try:
-            return self._index[atom]
+            return self._weight_view()[atom]
         except KeyError:
             raise UnknownAtomError(f"atom {atom!r} not in support") from None
 
     def get(self, atom, default=Fraction(0)) -> Fraction:
-        return self._index.get(atom, default)
+        return self._weight_view().get(atom, default)
 
     def items(self):
-        return zip(self.atoms, self.weights)
+        return self._weight_view().items()
+
+    def mass(self, atom) -> int:
+        """Integer mass of an atom over `denom`; 0 outside the support."""
+        return self._index.get(atom, 0)
 
     def __contains__(self, atom) -> bool:
         return atom in self._index
@@ -99,12 +130,16 @@ class ProbSpace:
         return iter(self.atoms)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, ProbSpace):
             return NotImplemented
-        return self._index == other._index
+        return self.denom == other.denom and self._index == other._index
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._index.items()))
+        if self._hash is None:
+            self._hash = hash((self.denom, frozenset(self._index.items())))
+        return self._hash
 
     def __repr__(self) -> str:
         inside = ", ".join(f"{a!r}: {w}" for a, w in self.items())
@@ -116,20 +151,47 @@ class ProbSpace:
         return len(self.atoms) == 1
 
     def is_uniform(self) -> bool:
-        return len(set(self.weights)) <= 1
+        return len(set(self.masses)) <= 1
 
     @property
     def entropy(self) -> float:
         """Shannon entropy in nats, computed from the exact weights."""
         if self._entropy is None:
-            total = 0.0
-            for w in self.weights:
-                if w != 1:
-                    # log via numerator/denominator keeps precision for
-                    # rationals whose float conversion would be extreme
-                    total -= float(w) * (math.log(w.numerator) - math.log(w.denominator))
-            self._entropy = total
+            self._entropy = entropy_of_masses(self.masses, self.denom)
         return self._entropy
+
+
+def _reject_atom(atoms: list, masses: list, denom: int) -> None:
+    """Raise for the first atom that is negative or declared twice."""
+    seen: set = set()
+    for atom, mass in zip(atoms, masses):
+        if mass < 0:
+            raise NegativeWeightError(f"atom {atom!r} has weight {Fraction(mass, denom)}")
+        if atom in seen:
+            raise DuplicateAtomError(f"atom {atom!r} declared twice")
+        seen.add(atom)
+
+
+def entropy_of_masses(masses: Iterable[int], denom: int) -> float:
+    """Shannon entropy in nats of integer masses over denom (summing to it).
+
+    Each term is taken from the reduced weight, as float(w) times
+    log(numerator) - log(denominator), which keeps precision for rationals
+    whose float conversion would be extreme; terms are summed in order.
+    """
+    terms: dict[int, float] = {}
+    total = 0.0
+    for m in masses:
+        if m == denom:
+            continue
+        term = terms.get(m)
+        if term is None:
+            common = math.gcd(m, denom)
+            num, den = m // common, denom // common
+            term = (num / den) * (math.log(num) - math.log(den))
+            terms[m] = term
+        total -= term
+    return total
 
 
 def make_space(atoms: Iterable, weights: Iterable) -> ProbSpace:
@@ -147,7 +209,7 @@ def special_space(kind: str, param=None) -> ProbSpace:
         n = param
         if not isinstance(n, int) or n < 1:
             raise BadParamError(f"uniform size must be a positive int, got {param!r}")
-        return ProbSpace([f"u{i}" for i in range(n)], [Fraction(1, n)] * n)
+        return ProbSpace([f"u{i}" for i in range(n)], [1] * n, denom=n)
     if kind == "lambda":
         alpha = as_fraction(param)
         if alpha < 0 or alpha > 1:
@@ -155,7 +217,7 @@ def special_space(kind: str, param=None) -> ProbSpace:
         return ProbSpace([LAMBDA_LIGHT, LAMBDA_HEAVY], [1 - alpha, alpha])
     if kind == "dirac":
         atom = DIRAC_ATOM if param is None else param
-        return ProbSpace([atom], [ONE])
+        return ProbSpace([atom], [1], denom=1)
     raise UnknownKindError(f"unknown space kind {kind!r}")
 
 
@@ -177,13 +239,9 @@ def entropy(space: ProbSpace) -> float:
 
 def tensor_spaces(x: ProbSpace, y: ProbSpace) -> ProbSpace:
     """Independent product; atoms are (a, b) pairs, entropy is additive."""
-    atoms = []
-    weights = []
-    for a, wa in x.items():
-        for b, wb in y.items():
-            atoms.append((a, b))
-            weights.append(wa * wb)
-    return ProbSpace(atoms, weights)
+    atoms = [(a, b) for a in x.atoms for b in y.atoms]
+    masses = [ma * mb for ma in x.masses for mb in y.masses]
+    return ProbSpace(atoms, masses, denom=x.denom * y.denom)
 
 
 def pushforward(space: ProbSpace, mapping: Mapping) -> ProbSpace:
@@ -193,18 +251,13 @@ def pushforward(space: ProbSpace, mapping: Mapping) -> ProbSpace:
     domain, which keeps downstream iteration deterministic.
     """
     acc: dict = {}
-    order = []
-    for atom, weight in space.items():
+    for atom, mass in zip(space.atoms, space.masses):
         try:
             image = mapping[atom]
         except KeyError:
             raise UnknownAtomError(f"map undefined on atom {atom!r}") from None
-        if image in acc:
-            acc[image] += weight
-        else:
-            acc[image] = weight
-            order.append(image)
-    return ProbSpace(order, [acc[a] for a in order])
+        acc[image] = acc.get(image, 0) + mass
+    return ProbSpace(acc, acc.values(), denom=space.denom)
 
 
 class Reduction:
@@ -265,10 +318,11 @@ class Reduction:
         return tuple(a for a in self.domain.atoms if self.mapping[a] == atom)
 
     def fiber(self, atom) -> ProbSpace:
-        """The conditioned space over a target atom, renormalized exactly."""
-        mass = self.target.weight(atom)
+        """The conditioned space over a target atom, renormalized exactly:
+        the domain masses of the fiber over their sum."""
         fiber_atoms = self.preimage(atom)
-        return ProbSpace(fiber_atoms, [self.domain.weight(a) / mass for a in fiber_atoms])
+        masses = [self.domain.mass(a) for a in fiber_atoms]
+        return ProbSpace(fiber_atoms, masses, denom=sum(masses))
 
     def is_isomorphism(self) -> bool:
         return len(self.domain) == len(self.target)
@@ -304,7 +358,7 @@ def condition_fiber(reduction: Reduction, atom) -> ProbSpace:
 
 def _weight_table(dist) -> Mapping:
     if isinstance(dist, ProbSpace):
-        return dist._index
+        return dist._weight_view()
     return {a: as_fraction(w) for a, w in dist.items()}
 
 

@@ -4,10 +4,12 @@ These deliberately avoid the library's own algorithms: reachability by raw
 closure, least common ancestors by ancestor-set intersection, transport
 vertices by solving every candidate support with exact Gaussian
 elimination, minimality by enumerating all partitions, automorphism counts
-by checking every weight-class permutation."""
+by checking every weight-class permutation, finite measures as plain
+atom -> Fraction dicts."""
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -116,6 +118,34 @@ def min_coupling_entropy_distance(x_weights, y_weights) -> float:
         value = 2.0 * entropy(list(vertex.values())) - hx - hy
         best = value if best is None else min(best, value)
     return best
+
+
+def fraction_pushforward(weights: dict, mapping) -> dict:
+    """Image of an atom -> Fraction measure, in order of first appearance."""
+    out: dict = {}
+    for atom, w in weights.items():
+        out[mapping[atom]] = out.get(mapping[atom], Fraction(0)) + w
+    return out
+
+
+def fraction_tensor(left: dict, right: dict) -> dict:
+    return {(a, b): wa * wb for a, wa in left.items() for b, wb in right.items()}
+
+
+def fraction_fiber(weights: dict, mapping, target) -> dict:
+    """The measure conditioned on the preimage of target, renormalized."""
+    fiber = {a: w for a, w in weights.items() if mapping[a] == target}
+    mass = sum(fiber.values(), Fraction(0))
+    return {a: w / mass for a, w in fiber.items()}
+
+
+def fraction_entropy(weights: dict) -> float:
+    """Entropy in nats, term by term from each reduced weight in order."""
+    total = 0.0
+    for w in weights.values():
+        if w != 1:
+            total -= float(w) * (math.log(w.numerator) - math.log(w.denominator))
+    return total
 
 
 def all_partitions(items):

@@ -80,6 +80,19 @@ def test_tails_single_cell(tmp_path):
     assert "pass" in out.read_text().splitlines()[1]
 
 
+def test_contract_rejects_nonpositive_seeds(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert main(["contract", "--fixture", "coord", "--l", "7", "--I", "1..5",
+                 "--J", "5..7", "--seeds", "-1", "--output", str(out)]) == 1
+    assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tails_kind_without_t_is_config_error(capsys):
+    assert main(["tails", "--kind", "binomial_i", "--N", "100", "--rho", "1/2"]) == 1
+    assert "--t" in capsys.readouterr().err
+
+
 def test_expand_command(capsys):
     assert main(["expand", "--fixture", "two_fan", "--l", "4", "--J", "3..4",
                  "--m", "4"]) == 0

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from probdiag import (
+    ProbSpace,
+    Reduction,
     condition_fiber,
     dirac,
     lambda_space,
@@ -209,3 +212,67 @@ def test_pushforward_preserves_mass_exactly():
         x = random_space(rng)
         mapping = {a: i % 3 for i, a in enumerate(x.atoms)}
         assert sum(pushforward(x, mapping).weights, Fraction(0)) == 1
+
+
+@st.composite
+def measures_with_maps(draw):
+    """Random rational weights (some zero), plus a random map of the atoms
+    onto up to four classes."""
+    size = draw(st.integers(1, 7))
+    raw = draw(st.lists(st.integers(0, 40), min_size=size, max_size=size).filter(any))
+    scale = draw(st.integers(1, 6))
+    total = sum(raw) * scale
+    weights = {f"a{i}": Fraction(m * scale, total) for i, m in enumerate(raw)}
+    images = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    mapping = {f"a{i}": f"t{k}" for i, k in enumerate(images)}
+    return weights, mapping
+
+
+@settings(max_examples=300, deadline=None)
+@given(measures_with_maps(), measures_with_maps())
+def test_integer_core_matches_fraction_oracle(first, second):
+    weights, mapping = first
+    other, _ = second
+    positive = {a: w for a, w in weights.items() if w > 0}
+    x = ProbSpace(weights, weights.values())
+    y = ProbSpace(other, other.values())
+
+    # weights, and the integer form over an unreduced denominator
+    assert dict(x.items()) == positive
+    assert math.lcm(*[w.denominator for w in positive.values()]) == x.denom
+    scale = 6 * x.denom
+    x_masses = ProbSpace(weights, [int(w * scale) for w in weights.values()], denom=scale)
+    assert x_masses == x and hash(x_masses) == hash(x)
+    backwards = dict(reversed(weights.items()))
+    x_reversed = ProbSpace(backwards, backwards.values())
+    assert x_reversed == x and hash(x_reversed) == hash(x)
+    assert x.entropy == oracles.fraction_entropy(positive)
+
+    # pushforward
+    image = pushforward(x, mapping)
+    expected = oracles.fraction_pushforward(positive, mapping)
+    assert dict(image.items()) == expected
+    assert list(image.atoms) == list(expected)
+    rebuilt = ProbSpace(expected, expected.values())
+    assert image == rebuilt and hash(image) == hash(rebuilt)
+    assert image.entropy == oracles.fraction_entropy(expected)
+
+    # == agrees with equality of the weight tables
+    y_positive = {a: w for a, w in other.items() if w > 0}
+    assert (x == y) == (positive == y_positive)
+    if x == y:
+        assert hash(x) == hash(y)
+
+    # tensor
+    product = tensor_spaces(x, y)
+    expected = oracles.fraction_tensor(positive, y_positive)
+    assert dict(product.items()) == expected
+    assert product.entropy == oracles.fraction_entropy(expected)
+
+    # Reduction.fiber
+    reduction = Reduction.from_map(x, mapping)
+    for target in reduction.target.atoms:
+        fiber = reduction.fiber(target)
+        expected = oracles.fraction_fiber(positive, mapping, target)
+        assert dict(fiber.items()) == expected
+        assert fiber.entropy == oracles.fraction_entropy(expected)
