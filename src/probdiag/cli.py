@@ -83,18 +83,61 @@ def _check_keys(config: dict, allowed: set) -> None:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _number(config: dict, key: str, kind, default=None):
+    """config[key] as an int, float or Fraction (`kind`), or `default` when
+    the key is absent or None.  Values of another type, non-integral ints
+    among them, raise ConfigError naming the flag."""
+    value = config.get(key)
+    if value is None:
+        return default
+    try:
+        if isinstance(value, bool):
+            raise TypeError(value)
+        number = kind(str(value)) if kind is Fraction else kind(value)
+        if kind is int and not isinstance(value, str) and number != value:
+            raise ValueError(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        name = {int: "an integer", float: "a number", Fraction: "a rational"}[kind]
+        raise ConfigError(f"{_flag(key)} must be {name}, got {value!r}") from None
+    return number
+
+
+def _positive(config: dict, key: str, kind, default=None):
+    """`_number`, further required to be >= 1 (ints) or finite and > 0
+    (floats) when given."""
+    number = _number(config, key, kind, default)
+    if number is not None and not (math.isfinite(number) and number > 0):
+        rule = ">= 1" if kind is int else "a finite number > 0"
+        raise ConfigError(f"{_flag(key)} must be {rule}, got {config[key]!r}")
+    return number
+
+
+def _coords(config: dict, key: str, default: str) -> tuple[int, ...]:
+    """Coordinates of config[key] ("a..b" or "1,3,5"); ConfigError naming
+    the flag when they do not parse."""
+    try:
+        return parse_coords(str(config.get(key, default)))
+    except ValueError:
+        raise ConfigError(f"{_flag(key)} must be a range a..b or a list like 1,3,5, "
+                          f"got {config[key]!r}") from None
+
+
 def _fixture(config: dict):
     name = config.get("fixture", "coord")
     if name in ("coord", "two_fan"):
-        ell = int(config.get("l", 6))
-        left = parse_coords(str(config.get("I", "1..4")))
-        right = parse_coords(str(config.get("J", "3..6")))
+        ell = _number(config, "l", int, 6)
+        left = _coords(config, "I", "1..4")
+        right = _coords(config, "J", "3..6")
         return coord_two_fan(ell, left, right)
     if name == "lambda3":
-        left = parse_coords(str(config.get("I", "1,2")))
-        right = parse_coords(str(config.get("J", "2,3")))
-        u = parse_coords(str(config.get("U", "3,4,5")))
-        ell = int(config["l"]) if "l" in config else None
+        left = _coords(config, "I", "1,2")
+        right = _coords(config, "J", "2,3")
+        u = _coords(config, "U", "3,4,5")
+        ell = _number(config, "l", int)
         return coord_lambda3(left, right, u, ell=ell)
     raise ConfigError(f"unknown fixture {name!r}")
 
@@ -131,11 +174,11 @@ def cmd_validate(config: dict) -> int:
 def cmd_entropy(config: dict) -> int:
     _check_keys(config, {"command", "input", "fixture", "l", "I", "J", "U", "fan",
                          "output", "format", "seed"})
+    seed = _number(config, "seed", int, 0)
     diagram, _ = _load_input(config)
     vec = entropy_vector(diagram)
     rows = [{"object": o, "entropy_nats": h} for o, h in vec.items()]
-    emit_results(rows, config.get("format", "csv"), config.get("output"),
-                 seed=config.get("seed", 0))
+    emit_results(rows, config.get("format", "csv"), config.get("output"), seed=seed)
     return 0
 
 
@@ -143,13 +186,13 @@ def cmd_distance(config: dict) -> int:
     _check_keys(config, {"command", "input", "input2", "output", "format", "seed"})
     if "input" not in config or "input2" not in config:
         raise ConfigError("distance needs input and input2")
+    seed = _number(config, "seed", int, 0)
     left = load_diagram(config["input"])
     right = load_diagram(config["input2"])
     bounds = ikd_bounds(left, right)
     rows = [{"lower": bounds.lower, "upper": bounds.upper,
              "witness_method": bounds.witness.method, "witness_exact": bounds.witness.exact}]
-    emit_results(rows, config.get("format", "csv"), config.get("output"),
-                 seed=config.get("seed", 0))
+    emit_results(rows, config.get("format", "csv"), config.get("output"), seed=seed)
     return 0
 
 
@@ -182,27 +225,25 @@ def _contract_row(index: int, run) -> dict:
 def cmd_contract(config: dict) -> int:
     _check_keys(config, {"command", "input", "fixture", "l", "I", "J", "U", "fan",
                          "N", "t", "seeds", "seed", "output", "format", "workers"})
-    n_runs = int(config.get("seeds", 1))
-    if n_runs < 1:
-        raise ConfigError(f"--seeds must be >= 1, got {n_runs}")
+    n_runs = _positive(config, "seeds", int, 1)
+    n_override = _positive(config, "N", int)
+    t_override = _positive(config, "t", float)
+    root_seed = _number(config, "seed", int, 0)
+    workers = _number(config, "workers", int, 1)
     diagram, fan = _load_input(config)
     if fan is None:
         raise ConfigError("contract needs a designated fan")
     ext = extend_admissible_fan(diagram, fan)
-    root_seed = int(config.get("seed", 0))
-    if config.get("N") and config.get("t"):
-        n_override, t_override = int(config["N"]), float(config["t"])
-    else:
+    if n_override is None or t_override is None:
         base = default_parameters(ext, seed=0)
-        n_override = int(config["N"]) if config.get("N") else base.N
-        t_override = float(config["t"]) if config.get("t") else base.t
+        n_override = base.N if n_override is None else n_override
+        t_override = base.t if t_override is None else t_override
 
     def one(index: int):
         params = ContractionParams(N=n_override, t=t_override, rho=ext.rho,
                                    seed=subseed(root_seed, "run", index))
         return _contract_row(index, contract_once(ext, params))
 
-    workers = int(config.get("workers", 1))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(one, range(n_runs)))
@@ -217,16 +258,16 @@ def cmd_expand(config: dict) -> int:
     _check_keys(config, {"command", "fixture", "l", "split", "J", "m",
                          "output", "format", "seed"})
     name = config.get("fixture", "two_fan")
-    ell = int(config.get("l", 4))
-    u_coords = parse_coords(str(config.get("J", "3..4")))
+    ell = _number(config, "l", int, 4)
+    u_coords = _coords(config, "J", "3..4")
     if name == "two_fan":
         diagram, fan = reduced_two_fan(ell, u_coords)
     elif name == "lambda3":
-        split = int(config.get("split", ell // 2))
+        split = _number(config, "split", int, ell // 2)
         diagram, fan = reduced_lambda3(split, ell, u_coords)
     else:
         raise ConfigError(f"unknown expand fixture {name!r}")
-    m = int(config.get("m", 2))
+    m = _number(config, "m", int, 2)
     spec = ExpansionSpec(diagram, fan, m)
     expanded = expand_diagram(spec)
     try:
@@ -246,16 +287,16 @@ def cmd_expand(config: dict) -> int:
 def cmd_tails(config: dict) -> int:
     _check_keys(config, {"command", "grid", "kind", "N", "rho", "t", "trials",
                          "seed", "output", "format"})
-    seed = int(config.get("seed", 0))
-    trials = int(config.get("trials", 10000))
+    seed = _number(config, "seed", int, 0)
+    trials = _number(config, "trials", int, 10000)
     checks = []
     if config.get("kind"):
         missing = [f"--{k}" for k in ("t", "N", "rho") if config.get(k) is None]
         if missing:
             raise ConfigError(f"--kind needs --t, --N and --rho; missing {', '.join(missing)}")
         checks.append(monte_carlo_tails(
-            config["kind"], t=float(config["t"]), trials=trials, seed=seed,
-            n=int(config["N"]), rho=Fraction(str(config["rho"]))))
+            config["kind"], t=_positive(config, "t", float), trials=trials, seed=seed,
+            n=_positive(config, "N", int), rho=_number(config, "rho", Fraction)))
     else:
         grid = DEFAULT_TAIL_GRID
         for kind, axes in grid.items():
@@ -292,27 +333,28 @@ def cmd_epsilons(config: dict) -> int:
     _check_keys(config, {"command", "C", "D_phi", "size_g", "log_card", "target",
                          "n", "output", "format", "seed"})
     params = TropicalBoundParams(
-        c=float(config.get("C", 1.0)), d_phi=float(config.get("D_phi", 1.0)),
-        size_g=int(config.get("size_g", 3)), log_card=float(config.get("log_card", 1.0)))
+        c=_number(config, "C", float, 1.0), d_phi=_number(config, "D_phi", float, 1.0),
+        size_g=_number(config, "size_g", int, 3), log_card=_number(config, "log_card", float, 1.0))
+    n = _number(config, "n", int)
+    target = _number(config, "target", float)
+    seed = _number(config, "seed", int, 0)
     rows = []
-    if config.get("n"):
-        schedule = contraction_epsilons(params, int(config["n"]))
-        rows.append({"n": int(config["n"]), "eps_conditional": schedule.conditional,
+    if n is not None:
+        schedule = contraction_epsilons(params, n)
+        rows.append({"n": n, "eps_conditional": schedule.conditional,
                      "eps_x": schedule.x_side, "eps_height": schedule.height})
-    if config.get("target"):
-        n_min = min_n_for_epsilon(params, float(config["target"]))
-        rows.append({"target": float(config["target"]), "min_n": n_min})
+    if target is not None:
+        rows.append({"target": target, "min_n": min_n_for_epsilon(params, target)})
     if not rows:
         raise ConfigError("epsilons needs n and/or target")
     print("schedule constants are exploration defaults, not normative values")
-    emit_results(rows, config.get("format", "csv"), config.get("output"),
-                 seed=config.get("seed", 0))
+    emit_results(rows, config.get("format", "csv"), config.get("output"), seed=seed)
     return 0
 
 
 def cmd_demo(config: dict) -> int:
     _check_keys(config, {"command", "seed", "output"})
-    seed = int(config.get("seed", 0))
+    seed = _number(config, "seed", int, 0)
     out_dir = Path(config["output"]) if config.get("output") else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)

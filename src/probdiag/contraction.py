@@ -52,8 +52,9 @@ class ExtendedFan:
     """The x-side ideal coupled objectwise with u: a two-fan of diagrams over
     the ideal's shape, with natural projections onto the x-side and onto u.
 
-    Conditioned-fiber diagrams and their isomorphism verdicts are cached per
-    u atom; they depend only on the fan, not on any sampled run.  Cache
+    The fiber isomorphism verdict of each u atom, and the conditioned x-side
+    diagram of the reference atom they compare against, are cached; they
+    depend only on the fan, not on any sampled run.  Cache
     writes are idempotent, so sharing one instance across threads is safe."""
 
     shape: IndexingCategory
@@ -97,13 +98,18 @@ class ExtendedFan:
         return self.base.category.size
 
     def conditioned_x_side(self, u_atom) -> Diagram:
-        """The x-side ideal conditioned on a u atom (uniform on its fiber)."""
+        """The x-side ideal conditioned on a u atom (uniform on its fiber).
+
+        Only the reference atom's diagram is cached: every isomorphism
+        verdict compares against it, while any other atom's diagram is read
+        once, before its verdict is cached."""
         cached = self._fiber_iso_cache.get(("diagram", u_atom))
         if cached is None:
             fiber = self.fibers[u_atom]
             measure = ProbSpace(fiber, [1] * len(fiber), denom=len(fiber))
             cached = _from_initial_measure(self.xdiag, measure)
-            self._fiber_iso_cache[("diagram", u_atom)] = cached
+            if u_atom == self.u_space.atoms[0]:
+                self._fiber_iso_cache[("diagram", u_atom)] = cached
         return cached
 
     def fiber_isomorphic_to_reference(self, u_atom) -> bool:

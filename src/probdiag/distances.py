@@ -2,6 +2,10 @@
 intrinsic distance, exact minimum-entropy coupling for single spaces, and the
 local total-variation estimate with an explicit witness coupling.
 
+The exact coupling is a branch-and-bound search over the vertices of the
+transportation polytope by leaf elimination on integer masses, bounded by
+the entropy of the majorization meet of the residual marginals.
+
 Exact intrinsic distance for multi-object diagrams is not computed; the
 functions here return certified lower/upper bounds with witnesses, which is
 all the downstream contraction analysis needs.
@@ -73,101 +77,197 @@ class CouplingWitness:
 # -- exact minimum-entropy coupling for single spaces ------------------------
 
 
-def _spanning_trees(m: int, n: int):
-    """All spanning trees of the complete bipartite graph on m + n nodes,
-    as tuples of (row, col) edges.  Count is m^(n-1) * n^(m-1)."""
-    edges = [(r, c) for r in range(m) for c in range(n)]
-    need = m + n - 1
-    parent = list(range(m + n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    chosen: list[tuple[int, int]] = []
-
-    def rec(pos: int):
-        if len(chosen) == need:
-            yield tuple(chosen)
-            return
-        if len(edges) - pos < need - len(chosen):
-            return
-        r, c = edges[pos]
-        ra, rb = find(r), find(m + c)
-        if ra != rb:
-            saved = parent[:]
-            parent[ra] = rb
-            chosen.append((r, c))
-            yield from rec(pos + 1)
-            chosen.pop()
-            parent[:] = saved
-        yield from rec(pos + 1)
-
-    yield from rec(0)
+# A branch is pruned only when its bound exceeds the incumbent by more than
+# this many nats, so float rounding in the bound never cuts off a vertex that
+# ties the optimum.
+_PRUNE_SLACK = 1e-12
 
 
-def _solve_tree(tree, rows: list[int], cols: list[int]):
-    """Integer flows on a spanning tree matching the scaled marginals, or
-    None when some flow goes negative.  Leaf-stripping, exact."""
-    m, n = len(rows), len(cols)
-    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {v: [] for v in range(m + n)}
-    for (r, c) in tree:
-        adj[r].append((m + c, (r, c)))
-        adj[m + c].append((r, (r, c)))
-    balance = rows + cols
-    degree = {v: len(adj[v]) for v in adj}
-    removed: set[tuple[int, int]] = set()
-    flows: dict[tuple[int, int], int] = {}
-    stack = [v for v in adj if degree[v] == 1]
-    while stack:
-        leaf = stack.pop()
-        edge = None
-        for other, e in adj[leaf]:
-            if e not in removed:
-                edge = (other, e)
-                break
-        if edge is None:
-            continue
-        other, e = edge
-        flow = balance[leaf]
-        if flow < 0:
-            return None
-        flows[e] = flow
-        balance[leaf] = 0
-        balance[other] -= flow
-        removed.add(e)
-        degree[leaf] -= 1
-        degree[other] -= 1
-        if degree[other] == 1:
-            stack.append(other)
-    if any(balance):
-        return None
-    return flows
+def _meet_slog(a: list[int], b: list[int]) -> float:
+    """Sum of g log g over the majorization meet of two nonnegative integer
+    vectors with equal sums.
+
+    The meet is the vector whose prefix sums are min(A_k, B_k), with A and B
+    the prefix sums of the vectors sorted in decreasing order (Cicalese,
+    Gargano, Vaccaro, Minimum-entropy couplings and their applications,
+    IEEE Trans. Inf. Theory 2019).  Every coupling of the two is majorized by
+    it, so no coupling has a larger sum of g log g: that makes the sum an
+    entropy lower bound for the coupling that completes a partial one.
+    """
+    a = sorted(a, reverse=True)
+    b = sorted(b, reverse=True)
+    total = 0.0
+    sum_a = sum_b = previous = 0
+    for k in range(max(len(a), len(b))):
+        if k < len(a):
+            sum_a += a[k]
+        if k < len(b):
+            sum_b += b[k]
+        current = min(sum_a, sum_b)
+        if current - previous > 1:
+            total += (current - previous) * math.log(current - previous)
+        previous = current
+    return total
 
 
-def _coupling_vertices(x: ProbSpace, y: ProbSpace):
+def _vertex_value(masses, denom: int, x: ProbSpace, y: ProbSpace) -> float:
+    """Fan distance 2 H(coupling) - H(x) - H(y) of a coupling given by its
+    integer masses over denom.  The masses are summed in sorted order, so
+    the value depends only on their multiset, not on the search order."""
+    return 2.0 * entropy_of_masses(sorted(masses), denom) - x.entropy - y.entropy
+
+
+def _coupling_vertices(x: ProbSpace, y: ProbSpace, *, prune: bool = False):
     """Distinct vertices of the transportation polytope of (x, y), as
     positive integer flows {(row, col): mass} over lcm(x.denom, y.denom).
 
     Entropy is concave, so the minimum of the fan distance is attained at a
-    vertex; vertices are exactly the feasible spanning-tree solutions, and
-    degenerate ones are deduplicated by their positive support.
+    vertex.  A vertex is a feasible flow whose support is a forest, found by
+    leaf elimination.  Rows are the lines of the shorter space, columns the
+    other's.  Each column in turn, largest first, is either a leaf, sent
+    whole to one row that can still absorb it, or deferred.  A forest on m
+    rows has at most m - 1 columns of degree two or more, so fewer columns
+    than live rows are deferred.  The deferred columns are then finished
+    the same way with the roles swapped: each live row is sent whole to one
+    deferred column or deferred itself, and so on until nothing is
+    deferred.  A deferred line must get at least two cells after its
+    deferral, or the path is dropped: the same vertex is reached with that
+    line as a leaf.  So each vertex is yielded exactly once.
+
+    With prune=True (used by `min_entropy_coupling`) the search keeps the
+    best value seen, starting from the greedy coupling's, and yields only
+    the vertices it reaches.  It drops a branch when the entropy of its
+    cells plus that of the meet of the residual marginals (`_meet_slog`)
+    puts it more than `_PRUNE_SLACK` above the best, and when a residual
+    problem equal to one already searched without result cannot beat the
+    best either.  Two kinds of branch are mirror images of kept ones with
+    the same masses and a support that sorts later, and are skipped:
+    sending a line to any but the first of several lines with equal
+    residuals and cells owed, while every line of the pass with a smaller
+    index is already a leaf; and sending a leaf to a line below the one that
+    the previous leaf of equal residual in the pass went to.  So every
+    vertex of minimal value with the smallest sorted support is reached.
     """
     denom = math.lcm(x.denom, y.denom)
     rows = [m * (denom // x.denom) for m in x.masses]
     cols = [m * (denom // y.denom) for m in y.masses]
-    seen: set[frozenset] = set()
-    for tree in _spanning_trees(len(rows), len(cols)):
-        flows = _solve_tree(tree, list(rows), list(cols))
-        if flows is None:
-            continue
-        support = frozenset(e for e, f in flows.items() if f > 0)
-        if support in seen:
-            continue
-        seen.add(support)
-        yield {e: f for e, f in flows.items() if f > 0}
+    swap = len(rows) > len(cols)
+    if swap:
+        rows, cols = cols, rows
+    m = len(rows)
+    res = rows + cols            # residual mass per line: rows 0..m-1, then columns
+    deg = [0] * len(res)         # cells on each line so far
+    since = [None] * len(res)    # deg of a line when it was last deferred
+    cells: list[tuple[int, int, int]] = []
+    if prune:
+        best = _vertex_value(_greedy_coupling(x, y, denom).values(), denom, x, y)
+        log_denom = math.log(denom)
+        # residual problem -> bound on the sum of f log f of its completions,
+        # stored once its search found nothing within the slack of the best
+        searched: dict[tuple, float] = {}
+        yielded = 0
+
+    def owed(line: int) -> int:
+        """Cells a deferred line still needs."""
+        return 0 if since[line] is None else max(0, 2 + since[line] - deg[line])
+
+    def value_of(slog: float) -> float:
+        """Fan distance of a coupling whose masses have sum of f log f slog."""
+        return 2.0 * (log_denom - slog / denom) - x.entropy - y.entropy
+
+    def slog_of(value: float) -> float:
+        """The inverse of value_of."""
+        return denom * (log_denom - (value + x.entropy + y.entropy) / 2)
+
+    def residual_problem() -> tuple:
+        """(mass, cells owed) of the live lines, as multisets of both sides:
+        the completions of two paths with equal residual problems have the
+        same values."""
+        sides = (tuple(sorted((res[i], owed(i)) for i in span if res[i]))
+                 for span in (range(m), range(m, len(res))))
+        return tuple(sorted(sides))
+
+    def start(lines, others):
+        """A pass over `lines`, largest first, with `others` in index order.
+        `mirror` marks the positions whose line comes after every line of
+        the pass with a smaller index; `twin` those whose line has the same
+        residual as the one before it."""
+        lines = sorted(lines, key=lambda line: (-res[line], line))
+        mirror = [all(k in lines[:p] for k in lines if k < line) for p, line in enumerate(lines)]
+        twin = [p > 0 and res[line] == res[lines[p - 1]] for p, line in enumerate(lines)]
+        return lines, sorted(others), mirror, twin
+
+    def search(level, pos, deferred, live, slog, floor=-1):
+        # slog: sum of f log f over the cells committed on this path; floor:
+        # the least line the current one may be sent to.  A residual problem
+        # is remembered only where no floor applies: the floor cuts paths
+        # whose mirror images lie outside this subtree.
+        nonlocal yielded
+        if not prune:
+            yield from branch(level, pos, deferred, live, slog, floor)
+            return
+        meet = _meet_slog([r for r in res[:m] if r], [c for c in res[m:] if c])
+        if value_of(slog + meet) > best + _PRUNE_SLACK:
+            return
+        key = residual_problem()
+        known = searched.get(key)
+        if known is not None and value_of(slog + known) >= best + _PRUNE_SLACK:
+            return
+        before = yielded
+        yield from branch(level, pos, deferred, live, slog, floor)
+        if yielded == before and floor < 0:
+            searched[key] = slog_of(best + _PRUNE_SLACK) - slog
+
+    def branch(level, pos, deferred, live, slog, floor):
+        nonlocal best, yielded
+        lines, others, mirror, twin = level
+        if pos == len(lines):
+            if deferred:
+                yield from search(start([o for o in others if res[o]], deferred), 0, [],
+                                  len(deferred), slog)
+                return
+            flows = {}
+            for a, b, flow in cells:
+                flows[(b - m, a) if swap else (a, b - m)] = flow
+            if prune:
+                best = min(best, _vertex_value(flows.values(), denom, x, y))
+                yielded += 1
+            yield flows
+            return
+        line = lines[pos]
+        need = res[line]
+        skip_mirrors = prune and mirror[pos] and all(d > line for d in deferred)
+        follows = prune and pos + 1 < len(lines) and twin[pos + 1]
+        tried = set()
+        for other in others:
+            have = res[other]
+            if have < need or other < floor:
+                continue
+            if skip_mirrors:
+                if (have, owed(other)) in tried:
+                    continue
+                tried.add((have, owed(other)))
+            res[line], res[other] = 0, have - need
+            deg[line] += 1
+            deg[other] += 1
+            left = live - (have == need)
+            if (owed(line) == 0 and (have > need or owed(other) == 0)
+                    and (not deferred or len(deferred) < left)):
+                cells.append((min(line, other), max(line, other), need))
+                yield from search(level, pos + 1, deferred, left,
+                                  slog + need * math.log(need), other if follows else -1)
+                cells.pop()
+            res[line], res[other] = need, have
+            deg[line] -= 1
+            deg[other] -= 1
+        if len(deferred) + 1 < live:
+            saved = since[line]
+            since[line] = deg[line]
+            yield from search(level, pos + 1, deferred + [line], live, slog,
+                              floor if follows else -1)
+            since[line] = saved
+
+    yield from search(start(range(m, len(res)), range(m)), 0, [], m, 0.0)
 
 
 def _coupling_space(x: ProbSpace, y: ProbSpace, cells: Mapping, denom: int) -> ProbSpace:
@@ -175,23 +275,28 @@ def _coupling_space(x: ProbSpace, y: ProbSpace, cells: Mapping, denom: int) -> P
     return ProbSpace(atoms, cells.values(), denom=denom)
 
 
-def _greedy_coupling(x: ProbSpace, y: ProbSpace) -> ProbSpace:
-    """Largest-mass-first matching; a cheap upper-bound coupling."""
-    rem_x = {a: w for a, w in x.items()}
-    rem_y = {b: w for b, w in y.items()}
+def _greedy_coupling(x: ProbSpace, y: ProbSpace, denom: int) -> dict:
+    """Largest-mass-first matching, a cheap upper-bound coupling, on integer
+    masses over denom: saturate the cell of the largest residual row and
+    column, ties broken by str(atom), until no mass is left.
+    {(row, col): mass} in the order cells are used."""
+    rem_x = {r: m * (denom // x.denom) for r, m in enumerate(x.masses)}
+    rem_y = {c: m * (denom // y.denom) for c, m in enumerate(y.masses)}
+    label_x = [str(a) for a in x.atoms]
+    label_y = [str(b) for b in y.atoms]
     cells = {}
     while rem_x:
-        a = max(rem_x, key=lambda k: (rem_x[k], str(k)))
-        b = max(rem_y, key=lambda k: (rem_y[k], str(k)))
-        move = min(rem_x[a], rem_y[b])
-        cells[(a, b)] = cells.get((a, b), Fraction(0)) + move
-        rem_x[a] -= move
-        rem_y[b] -= move
-        if rem_x[a] == 0:
-            del rem_x[a]
-        if rem_y[b] == 0:
-            del rem_y[b]
-    return ProbSpace(list(cells), list(cells.values()))
+        r = max(rem_x, key=lambda k: (rem_x[k], label_x[k]))
+        c = max(rem_y, key=lambda k: (rem_y[k], label_y[k]))
+        move = min(rem_x[r], rem_y[c])
+        cells[(r, c)] = move  # one of the two lines runs out, so no cell repeats
+        rem_x[r] -= move
+        rem_y[c] -= move
+        if rem_x[r] == 0:
+            del rem_x[r]
+        if rem_y[c] == 0:
+            del rem_y[c]
+    return cells
 
 
 def single_space_diagram(space: ProbSpace, obj: str = "1") -> Diagram:
@@ -204,30 +309,26 @@ def min_entropy_coupling(x: ProbSpace, y: ProbSpace, *,
                          require_exact: bool = False) -> CouplingWitness:
     """Minimum-entropy coupling of two single spaces.
 
-    Exact below the cap (|x| * |y| cells) by enumerating the vertices of the
-    transportation polytope; beyond the cap a greedy coupling is returned
-    with exact=False, unless exactness is required.
+    Exact up to the cap (|x| * |y| cells): the optimum is a vertex of the
+    transportation polytope, found by the branch-and-bound leaf-elimination
+    search of `_coupling_vertices`.  Among vertices of equal value the one
+    with the smallest sorted (row, col) support is returned, so the answer
+    does not depend on the search order.  Beyond the cap a greedy coupling
+    is returned with exact=False, unless exactness is required.
     """
     left = single_space_diagram(x)
     right = single_space_diagram(y)
+    denom = math.lcm(x.denom, y.denom)
     if len(x) * len(y) > cap:
         if require_exact:
             raise CapExceededError(
                 f"{len(x)}x{len(y)} coupling exceeds the exact-mode cap {cap}")
-        coupling = _greedy_coupling(x, y)
+        coupling = _coupling_space(x, y, _greedy_coupling(x, y, denom), denom)
         fan = coupling_fan(left, right, coupling)
         return CouplingWitness(fan, kd_of_fan(fan), exact=False, method="greedy")
-    best_cells = None
-    best_value = None
-    base = x.entropy + y.entropy
-    denom = math.lcm(x.denom, y.denom)
-    for cells in _coupling_vertices(x, y):
-        value = 2.0 * entropy_of_masses(cells.values(), denom) - base
-        if best_value is None or value < best_value:
-            best_value = value
-            best_cells = cells
-    assert best_cells is not None
-    coupling = _coupling_space(x, y, best_cells, denom)
+    best = min(_coupling_vertices(x, y, prune=True),
+               key=lambda cells: (_vertex_value(cells.values(), denom, x, y), sorted(cells)))
+    coupling = _coupling_space(x, y, dict(sorted(best.items())), denom)
     fan = coupling_fan(left, right, coupling)
     return CouplingWitness(fan, kd_of_fan(fan), exact=True, method="vertex-enumeration")
 

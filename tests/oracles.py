@@ -120,6 +120,32 @@ def min_coupling_entropy_distance(x_weights, y_weights) -> float:
     return best
 
 
+def min_coupling_argmin(x_weights, y_weights):
+    """(value, sorted support) of the subset-enumerated vertex minimizing
+    2 H(coupling) - H(x) - H(y), ties broken by the sorted support.  The
+    coupling's entropy is summed over its sorted weights."""
+    hx = fraction_entropy(dict(enumerate(x_weights)))
+    hy = fraction_entropy(dict(enumerate(y_weights)))
+    return min((2.0 * fraction_entropy(dict(enumerate(sorted(v.values())))) - hx - hy, sorted(v))
+               for v in transport_vertices(list(x_weights), list(y_weights)))
+
+
+def majorization_meet(p, q) -> list:
+    """Greatest lower bound of two distributions in the majorization order:
+    the vector whose prefix sums are the smaller of the two prefix sums of
+    the decreasingly sorted inputs."""
+    p, q = sorted(p, reverse=True), sorted(q, reverse=True)
+    size = max(len(p), len(q))
+    p += [Fraction(0)] * (size - len(p))
+    q += [Fraction(0)] * (size - len(q))
+    meet, sum_p, sum_q, previous = [], Fraction(0), Fraction(0), Fraction(0)
+    for a, b in zip(p, q):
+        sum_p, sum_q = sum_p + a, sum_q + b
+        meet.append(min(sum_p, sum_q) - previous)
+        previous = min(sum_p, sum_q)
+    return [w for w in meet if w > 0]
+
+
 def fraction_pushforward(weights: dict, mapping) -> dict:
     """Image of an atom -> Fraction measure, in order of first appearance."""
     out: dict = {}

@@ -88,6 +88,43 @@ def test_contract_rejects_nonpositive_seeds(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--N", "0"), ("--N", "-5"), ("--t", "0"),
+                                         ("--t", "-0.5"), ("--t", "nan"), ("--t", "inf")])
+def test_contract_rejects_nonpositive_n_and_t(tmp_path, capsys, flag, value):
+    out = tmp_path / "r.csv"
+    assert main(["contract", "--l", "6", "--seeds", "2", flag, value,
+                 "--output", str(out)]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, flag", [
+    ({"command": "tails", "kind": "binomial_i", "N": "x", "rho": "1/2", "t": 0.5}, "--N"),
+    ({"command": "tails", "kind": "binomial_i", "N": 50, "rho": "1/x", "t": 0.5}, "--rho"),
+    ({"command": "tails", "kind": "binomial_i", "N": 50, "rho": "1/2", "t": "soon"}, "--t"),
+    ({"command": "tails", "trials": [1]}, "--trials"),
+    ({"command": "contract", "l": 6, "seeds": "two"}, "--seeds"),
+    ({"command": "contract", "l": 6, "N": 2.5}, "--N"),
+    ({"command": "contract", "l": "six"}, "--l"),
+    ({"command": "contract", "l": 6, "I": "1..x"}, "--I"),
+    ({"command": "contract", "l": 6, "workers": True}, "--workers"),
+    ({"command": "expand", "m": "many"}, "--m"),
+    ({"command": "expand", "fixture": "lambda3", "split": "half"}, "--split"),
+    ({"command": "epsilons", "n": "ten"}, "--n"),
+    ({"command": "epsilons", "target": 0.5, "D_phi": "one"}, "--D-phi"),
+    ({"command": "demo", "seed": "0x"}, "--seed"),
+    ({"command": "entropy", "seed": "abc"}, "--seed"),
+    ({"command": "epsilons", "n": 10, "seed": 1.5}, "--seed"),
+])
+def test_bad_numeric_config_value_is_config_error(tmp_path, capsys, config, flag):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and flag in err
+    assert "Traceback" not in err
+
+
 def test_tails_kind_without_t_is_config_error(capsys):
     assert main(["tails", "--kind", "binomial_i", "--N", "100", "--rho", "1/2"]) == 1
     assert "--t" in capsys.readouterr().err

@@ -102,6 +102,16 @@ class TestContractOnce:
         assert run.height == pytest.approx(math.log(20))
         assert run.xprime.spaces["left"] == d.spaces["left"]
 
+    def test_fiber_cache_keeps_only_reference_diagram(self):
+        d, fi = coord_two_fan(13, range(1, 12), range(10, 14))
+        ext = extend_admissible_fan(d, fi)
+        run = contract_once(ext, quiet_default_parameters(ext, seed=0))
+        assert run.fiber_iso_ok
+        diagrams = [key for key in ext._fiber_iso_cache if key[0] == "diagram"]
+        verdicts = [key for key in ext._fiber_iso_cache if key[0] == "verdict"]
+        assert diagrams == [("diagram", ext.u_space.atoms[0])]
+        assert len(verdicts) == len(ext.u_space)
+
     def test_exact_identities_over_seeds(self):
         d, fi = coord_two_fan(7, range(1, 6), range(5, 8))
         ext = extend_admissible_fan(d, fi)

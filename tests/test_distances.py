@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,13 +24,21 @@ from probdiag import (
     local_estimate_bound,
     local_estimate_witness,
     min_entropy_coupling,
+    ProbSpace,
+    pushforward,
     slicing_rhs,
     tv_distance,
     standard_category,
     tensor_fan,
     uniform,
 )
-from probdiag.distances import random_coupling, single_space_diagram
+from probdiag.distances import (
+    _coupling_vertices,
+    _meet_slog,
+    _vertex_value,
+    random_coupling,
+    single_space_diagram,
+)
 from probdiag.errors import CapExceededError, ShapeMismatchError, SliceMismatchError
 from probdiag.spaces import LAMBDA_HEAVY, LAMBDA_LIGHT
 from conftest import random_distribution, random_set_diagram, random_space
@@ -362,6 +371,109 @@ def test_vertex_enumeration_matches_oracle_counts():
         got = {signature(v) for v in ours}
         expected = {signature(v) for v in theirs}
         assert got == expected
+
+
+def _space(masses, prefix):
+    total = sum(masses)
+    return ProbSpace([f"{prefix}{i}" for i in range(len(masses))],
+                     [Fraction(k, total) for k in masses])
+
+
+def _random_pair(seed, m, n):
+    rng = random.Random(seed)
+    return (_space([rng.randint(1, 16) for _ in range(m)], "a"),
+            _space([rng.randint(1, 16) for _ in range(n)], "b"))
+
+
+def _support(witness, x, y):
+    """The coupling's cells as (row, col) indices into x and y, in the
+    coupling's atom order."""
+    top = witness.fan.top.spaces[witness.fan.top.category.objects[0]]
+    return [(x.atoms.index(a), y.atoms.index(b)) for a, b in top.atoms]
+
+
+class TestExactSearch:
+    """The pruned leaf-elimination search against independent checks."""
+
+    @staticmethod
+    def _pairs(rng, max_side, max_cells, count, top):
+        """`count` random pairs of at most max_side atoms a side and
+        max_cells cells, with integer masses in 1..top."""
+        pairs = []
+        while len(pairs) < count:
+            m, n = rng.randint(1, max_side), rng.randint(1, max_side)
+            if m * n <= max_cells:
+                pairs.append((_space([rng.randint(1, top) for _ in range(m)], "a"),
+                               _space([rng.randint(1, top) for _ in range(n)], "b")))
+        return pairs
+
+    def test_pruned_optimum_is_oracle_argmin(self):
+        rng = random.Random(36)
+        pairs = self._pairs(rng, 3, 9, 10, 16)           # random shapes
+        pairs += self._pairs(rng, 3, 9, 10, 2)           # duplicated masses
+        pairs += [(_space([3, 1, 2], "a"), _space([2, 5, 1, 2], "b")),
+                  (_space([2, 2, 1, 1], "a"), _space([1, 2, 3], "b")),
+                  (_space([1, 1, 2], "a"), _space([1, 1, 1, 1], "b")),
+                  (_space([4], "a"), _space([1, 2, 1, 3], "b")),          # 1 x n
+                  (_space([1, 2, 1, 3, 1], "a"), _space([1], "b")),       # n x 1
+                  (_space([1, 3, 1], "a"), _space([2, 1, 2], "b")),
+                  (_space([2, 3, 2], "a"), _space([3, 2, 2], "b")),       # equal spaces
+                  (uniform(3), uniform(3)), (uniform(2), uniform(4))]
+        for x, y in pairs:
+            value, support = oracles.min_coupling_argmin(list(x.weights), list(y.weights))
+            witness = min_entropy_coupling(x, y)
+            assert witness.exact
+            assert _support(witness, x, y) == support
+            assert witness.kd_value == pytest.approx(value, abs=1e-12)
+
+    def test_meet_bound_matches_oracle(self):
+        rng = random.Random(40)
+        for _ in range(30):
+            a = [rng.randint(1, 9) for _ in range(rng.randint(1, 6))]
+            b = [rng.randint(1, 9) for _ in range(rng.randint(1, 6))]
+            b[0] += sum(a) - sum(b)
+            if b[0] < 1:
+                continue
+            meet = oracles.majorization_meet([Fraction(k) for k in a], [Fraction(k) for k in b])
+            expected = sum(float(g) * math.log(g) for g in meet)
+            assert _meet_slog(a, b) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_each_vertex_once(self):
+        rng = random.Random(37)
+        pairs = self._pairs(rng, 4, 9, 20, 3) + [(_space([2, 3, 3], "a"), _space([2, 3, 3], "b"))]
+        for x, y in pairs:
+            ours = [frozenset(v) for v in _coupling_vertices(x, y)]
+            theirs = oracles.transport_vertices(list(x.weights), list(y.weights))
+            assert len(ours) == len(set(ours)) == len(theirs)
+
+    def test_pruned_optimum_is_enumeration_argmin(self):
+        # shapes past the subset oracle's reach, with many ties; the full
+        # enumeration is checked against the oracle above
+        rng = random.Random(38)
+        pairs = self._pairs(rng, 5, 16, 40, 3) + [
+            (uniform(4), uniform(4)), (uniform(2), uniform(6)), (uniform(5), uniform(2)),
+            (_space([2, 1, 1, 1], "a"), _space([2, 1, 2, 2], "b")),
+            (_space([2, 2, 1], "a"), _space([3, 3, 3, 1], "b"))]
+        for x, y in pairs:
+            denom = math.lcm(x.denom, y.denom)
+            best = min((_vertex_value(v.values(), denom, x, y), sorted(v))
+                       for v in _coupling_vertices(x, y))
+            assert _support(min_entropy_coupling(x, y), x, y) == best[1]
+
+    @pytest.mark.parametrize("x, y", [(uniform(5), uniform(6)), _random_pair(39, 5, 5)])
+    def test_at_the_cap(self, x, y):
+        start = time.perf_counter()
+        witness = min_entropy_coupling(x, y)
+        elapsed = time.perf_counter() - start
+        assert witness.exact and elapsed < 1.0
+        top = witness.fan.top.spaces["1"]
+        assert pushforward(top, {(a, b): a for a, b in top.atoms}) == x
+        assert pushforward(top, {(a, b): b for a, b in top.atoms}) == y
+        meet = oracles.majorization_meet(list(x.weights), list(y.weights))
+        lower = 2.0 * oracles.fraction_entropy(dict(enumerate(meet))) - x.entropy - y.entropy
+        greedy = min_entropy_coupling(x, y, cap=0)
+        assert lower <= witness.kd_value + 1e-12
+        assert witness.kd_value <= greedy.kd_value + 1e-12
 
 
 def test_distribution_on_set_diagram_marginal_consistency():
