@@ -163,6 +163,8 @@ def cmd_validate(config: dict) -> int:
     _check_keys(config, {"command", "input", "fixture", "l", "I", "J", "U", "fan"})
     try:
         diagram, _ = _load_input(config)
+    except ConfigError:
+        raise  # malformed input: exit 1 like unreadable JSON
     except ProbdiagError as exc:
         print(f"invalid: {exc}")
         return 2

@@ -11,11 +11,13 @@ conditioned slices.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +47,8 @@ from .sampling import CategoricalSampler, np_rng_for
 from .spaces import ProbSpace
 
 DEFAULT_MATERIALIZE_CAP = 500_000
+# cap on the bytes of int64 sample and count rows in one Monte-Carlo batch
+MC_BATCH_BYTES = 64 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,10 @@ class ExtendedFan:
 
     The fiber isomorphism verdict of each u atom, and the conditioned x-side
     diagram of the reference atom they compare against, are cached; they
-    depend only on the fan, not on any sampled run.  Cache
-    writes are idempotent, so sharing one instance across threads is safe."""
+    depend only on the fan, not on any sampled run.  So are the fiber
+    patterns the Monte-Carlo tails group x0 by, computed on first use.
+    Cache writes are idempotent, so sharing one instance across threads is
+    safe."""
 
     shape: IndexingCategory
     xdiag: Diagram
@@ -88,6 +94,26 @@ class ExtendedFan:
     def rho(self) -> Fraction:
         """Fiber density |x0 fiber| / |x0|; equals exp(-mutual information)."""
         return Fraction(self.fiber_size, self.x0_card)
+
+    @cached_property
+    def fiber_patterns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The x0 atoms grouped by which u fibers hold them.
+
+        Returns a |u| x P 0/1 int64 matrix with one column per distinct
+        pattern, in order of first appearance over the x0 atoms, and the
+        int64 size of each pattern group.  Under any sample of u an atom's
+        fiber count depends only on its pattern, so P columns stand for
+        all |x0| atoms."""
+        holders: dict = {x: [] for x in self.x0_space.atoms}
+        for row, u in enumerate(self.u_space.atoms):
+            for x in self.fibers[u]:
+                holders[x].append(row)
+        groups = Counter(tuple(rows) for rows in holders.values())
+        pattern = np.zeros((len(self.u_space), len(groups)), dtype=np.int64)
+        for col, rows in enumerate(groups):
+            pattern[list(rows), col] = 1
+        sizes = np.fromiter(groups.values(), dtype=np.int64, count=len(groups))
+        return pattern, sizes
 
     @property
     def size_h(self) -> int:
@@ -545,6 +571,20 @@ def _finish_check(kind, n, rho, t, trials, hits, tb: TailBound) -> TailCheck:
                      tb.bound, tb.threshold, slack, passed)
 
 
+def _require_positive_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise OutOfRangeError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _check_deviation_fits(n: int, f: int, card: int) -> None:
+    """One trial's integer deviation sum is at most 2 N f |x0|; refuse sizes
+    at which it could wrap int64 instead of miscounting silently."""
+    if 2 * n * f * card >= 2 ** 62:
+        raise TooLargeError(
+            f"N = {n} and |x0| = {card} (fiber size {f}): the deviation sum "
+            f"can reach 2 N f |x0| = {2 * n * f * card}, not below 2^62")
+
+
 def monte_carlo_tails(kind: str, *, t: float, trials: int, seed: int,
                       n: int | None = None, rho=None,
                       ext: ExtendedFan | None = None,
@@ -556,12 +596,22 @@ def monte_carlo_tails(kind: str, *, t: float, trials: int, seed: int,
     whole contraction samples of the given extended fan.  Each (kind, N,
     rho, t) cell draws from its own derived stream, so grids are
     reproducible regardless of evaluation order.
+
+    Fan kinds work per fiber pattern (`ExtendedFan.fiber_patterns`): the
+    atoms of a group share one count, so total variation and the ikd
+    witness come from the exact integer sum of w_p |c_p |x0| - N f| over
+    the groups, divided once by N f |x0|, and the height from
+    sum_p w_p c_p ln c_p / (N f).  Samples are drawn `chunk` rows at a time,
+    fewer when the rows would exceed MC_BATCH_BYTES; the rows are drawn in
+    sequence, so neither changes the result.  trials, chunk and N (n for
+    binomial kinds, params.N for fan kinds) must be positive integers.
     """
-    if trials < 1:
-        raise OutOfRangeError("trials must be positive")
+    _require_positive_int("trials", trials)
+    _require_positive_int("chunk", chunk)
     if kind in ("binomial_i", "binomial_ii"):
         if n is None or rho is None:
             raise OutOfRangeError("binomial kinds need n and rho")
+        _require_positive_int("n", n)
         rho_f = float(Fraction(rho))
         tb = tail_bounds(kind, n, rho_f, t)
         gen = np_rng_for(seed, f"tails|{kind}|{n}|{rho_f}", 0)
@@ -579,15 +629,15 @@ def monte_carlo_tails(kind: str, *, t: float, trials: int, seed: int,
         if ext is None or params is None:
             raise OutOfRangeError("fan kinds need ext and params")
         n = params.N
+        _require_positive_int("N", n)
         rho_f = float(params.rho)
         card, f = ext.x0_card, ext.fiber_size
         tb = tail_bounds(kind, n, rho_f, t, x0_card=card, size=ext.size_h)
-        u_atoms = ext.u_space.atoms
-        mask = np.zeros((len(u_atoms), card), dtype=np.int64)
-        index = {x: k for k, x in enumerate(ext.x0_space.atoms)}
-        for row, u in enumerate(u_atoms):
-            for x in ext.fibers[u]:
-                mask[row, index[x]] = 1
+        _check_deviation_fits(n, f, card)
+        pattern, sizes = ext.fiber_patterns
+        weights = sizes.astype(np.float64)
+        nf = n * f
+        rows_cap = max(1, MC_BATCH_BYTES // (8 * (pattern.shape[0] + pattern.shape[1])))
         pvals = np.array([m / ext.u_space.denom for m in ext.u_space.masses])
         pvals = pvals / pvals.sum()
         gen = np_rng_for(seed, f"tails|{kind}|{n}|{rho_f}|{t}", 0)
@@ -595,24 +645,23 @@ def monte_carlo_tails(kind: str, *, t: float, trials: int, seed: int,
         done = 0
         log_card = math.log(card)
         while done < trials:
-            batch = min(chunk, trials - done)
+            batch = min(chunk, rows_cap, trials - done)
             mult = gen.multinomial(n, pvals, size=batch)
-            counts = mult @ mask
-            p = counts / float(n * f)
-            if kind == "totalvar":
-                stat = np.abs(p - 1.0 / card).sum(axis=1)
-                hits += int(np.count_nonzero(stat > t))
-            elif kind == "height":
+            counts = mult @ pattern
+            if kind == "height":
                 safe = np.where(counts > 0, counts, 1)
-                stat = (counts * np.log(safe)).sum(axis=1) / float(n * f)
+                stat = ((counts * np.log(safe)) @ weights) / float(nf)
                 hits += int(np.count_nonzero(stat > tb.threshold))
-            else:  # ikd: measured through the witness-bound value
-                two_alpha = np.abs(p - 1.0 / card).sum(axis=1)
-                a = np.clip(two_alpha / 2.0, 1e-15, 1.0 - 1e-15)
-                ent = -(a * np.log(a) + (1 - a) * np.log(1 - a))
-                ent = np.where(two_alpha <= 0, 0.0, ent)
-                stat = a * log_card + ent
-                hits += int(np.count_nonzero(stat > t * log_card))
+            else:
+                two_alpha = (np.abs(counts * card - nf) @ sizes) / float(nf * card)
+                if kind == "totalvar":
+                    hits += int(np.count_nonzero(two_alpha > t))
+                else:  # ikd: measured through the witness-bound value
+                    a = np.clip(two_alpha / 2.0, 1e-15, 1.0 - 1e-15)
+                    ent = -(a * np.log(a) + (1 - a) * np.log(1 - a))
+                    ent = np.where(two_alpha <= 0, 0.0, ent)
+                    stat = a * log_card + ent
+                    hits += int(np.count_nonzero(stat > t * log_card))
             done += batch
         return _finish_check(kind, n, rho_f, t, trials, hits, tb)
 

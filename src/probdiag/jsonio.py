@@ -3,7 +3,11 @@
 Rationals serialize as "num/den" strings; atoms may be strings, ints or
 (nested) tuples, which round-trip through JSON lists.  Map keys use a
 canonical compact JSON encoding of the atom.  Object ids must not contain
-the cover separator "->"."""
+the cover separator "->".
+
+Loading checks the JSON shape before building anything: a malformed field
+raises ConfigError naming its path, such as `spaces.a.weights[0]` or
+`maps["a->b"]`."""
 from __future__ import annotations
 
 import json
@@ -27,6 +31,8 @@ def encode_atom(atom):
 def decode_atom(value):
     if isinstance(value, list):
         return tuple(decode_atom(v) for v in value)
+    if isinstance(value, dict):
+        raise ConfigError(f"atom {value!r} is a JSON object; atoms are scalars or lists")
     return value
 
 
@@ -35,15 +41,57 @@ def atom_key(atom) -> str:
 
 
 def atom_from_key(key: str):
-    return decode_atom(json.loads(key))
+    try:
+        value = json.loads(key)
+    except json.JSONDecodeError:
+        raise ConfigError(f"map key {key!r} is not a JSON-encoded atom") from None
+    return decode_atom(value)
+
+
+_JSON_TYPES = {dict: "object", list: "list", str: "string"}
+
+
+def _field(obj, key: str, kind: type, path: str = ""):
+    """obj[key], required to be a JSON value of the given kind; ConfigError
+    naming the field path otherwise."""
+    where = f"{path}.{key}" if path else key
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path or 'the document'} must be a JSON object, "
+                          f"got {type(obj).__name__}")
+    if key not in obj:
+        raise ConfigError(f"{where} is missing")
+    if not isinstance(obj[key], kind):
+        raise ConfigError(f"{where} must be a JSON {_JSON_TYPES[kind]}, "
+                          f"got {type(obj[key]).__name__}")
+    return obj[key]
+
+
+def _each(path: str, convert, values: list) -> list:
+    """convert applied to each value; the first value it rejects (with a
+    ConfigError or a bad-literal error) is reported as path[k]."""
+    out = []
+    for k, value in enumerate(values):
+        try:
+            out.append(convert(value))
+        except (ConfigError, ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+            raise ConfigError(f"{path}[{k}]: {exc}") from None
+    return out
 
 
 def category_to_obj(cat: IndexingCategory) -> dict:
     return {"objects": list(cat.objects), "covers": [[i, j] for (i, j) in cat.covers]}
 
 
-def category_from_obj(obj: dict) -> IndexingCategory:
-    return IndexingCategory(obj["objects"], [tuple(c) for c in obj["covers"]])
+def category_from_obj(obj: dict, path: str = "category") -> IndexingCategory:
+    objects = _field(obj, "objects", list, path)
+    for k, o in enumerate(objects):
+        if not isinstance(o, str):
+            raise ConfigError(f"{path}.objects[{k}] must be a string, got {o!r}")
+    covers = _field(obj, "covers", list, path)
+    for k, c in enumerate(covers):
+        if not (isinstance(c, list) and len(c) == 2 and all(isinstance(o, str) for o in c)):
+            raise ConfigError(f"{path}.covers[{k}] must be a pair of object ids, got {c!r}")
+    return IndexingCategory(objects, [tuple(c) for c in covers])
 
 
 def space_to_obj(space: ProbSpace) -> dict:
@@ -51,17 +99,28 @@ def space_to_obj(space: ProbSpace) -> dict:
             "weights": [str(w) for w in space.weights]}
 
 
-def space_from_obj(obj: dict) -> ProbSpace:
-    return ProbSpace([decode_atom(a) for a in obj["atoms"]],
-                     [Fraction(w) for w in obj["weights"]])
+def space_from_obj(obj: dict, path: str = "space") -> ProbSpace:
+    atoms = _field(obj, "atoms", list, path)
+    weights = _field(obj, "weights", list, path)
+    return ProbSpace(_each(f"{path}.atoms", decode_atom, atoms),
+                     _each(f"{path}.weights", Fraction, weights))
 
 
 def _mapping_to_obj(mapping: dict) -> dict:
     return {atom_key(a): encode_atom(b) for a, b in mapping.items()}
 
 
-def _mapping_from_obj(obj: dict) -> dict:
-    return {atom_from_key(k): decode_atom(v) for k, v in obj.items()}
+def _reduction_from_obj(obj, domain: ProbSpace, target: ProbSpace, path: str) -> Reduction:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path} must be a JSON object, got {type(obj).__name__}")
+    try:
+        mapping = {atom_from_key(k): decode_atom(v) for k, v in obj.items()}
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    missing = [a for a in domain.atoms if a not in mapping]
+    if missing:
+        raise ConfigError(f"{path} does not map atom {missing[0]!r}")
+    return Reduction(domain, target, mapping)
 
 
 def diagram_to_obj(diagram: Diagram) -> dict:
@@ -73,15 +132,21 @@ def diagram_to_obj(diagram: Diagram) -> dict:
     }
 
 
-def diagram_from_obj(obj: dict) -> Diagram:
-    cat = category_from_obj(obj["category"])
-    spaces = {o: space_from_obj(s) for o, s in obj["spaces"].items()}
+def diagram_from_obj(obj: dict, path: str = "") -> Diagram:
+    at = f"{path}." if path else ""
+    cat = category_from_obj(_field(obj, "category", dict, path), f"{at}category")
+    spaces = {o: space_from_obj(s, f"{at}spaces.{o}")
+              for o, s in _field(obj, "spaces", dict, path).items()}
     maps = {}
-    for key, m in obj["maps"].items():
+    for key, m in _field(obj, "maps", dict, path).items():
+        where = f"{at}maps[{json.dumps(key)}]"
         i, sep, j = key.partition("->")
         if not sep:
-            raise ConfigError(f"bad cover key {key!r}")
-        maps[(i, j)] = Reduction(spaces[i], spaces[j], _mapping_from_obj(m))
+            raise ConfigError(f"{where}: bad cover key, expected \"a->b\"")
+        for o in (i, j):
+            if o not in spaces:
+                raise ConfigError(f"{where}: object {o!r} has no space in {at}spaces")
+        maps[(i, j)] = _reduction_from_obj(m, spaces[i], spaces[j], where)
     return Diagram(cat, spaces, maps, validate=True)
 
 
@@ -96,14 +161,17 @@ def fan_to_obj(fan: FanOfDiagrams) -> dict:
 
 
 def fan_from_obj(obj: dict) -> FanOfDiagrams:
-    top = diagram_from_obj(obj["top"])
-    left = diagram_from_obj(obj["left"])
-    right = diagram_from_obj(obj["right"])
-    proj_left = {o: Reduction(top.spaces[o], left.spaces[o], _mapping_from_obj(m))
-                 for o, m in obj["proj_left"].items()}
-    proj_right = {o: Reduction(top.spaces[o], right.spaces[o], _mapping_from_obj(m))
-                  for o, m in obj["proj_right"].items()}
-    return FanOfDiagrams(top, left, right, proj_left, proj_right, validate=True)
+    top, left, right = (diagram_from_obj(_field(obj, k, dict), k)
+                        for k in ("top", "left", "right"))
+    projs = []
+    for key, foot in (("proj_left", left), ("proj_right", right)):
+        proj = {}
+        for o, m in _field(obj, key, dict).items():
+            if o not in top.spaces or o not in foot.spaces:
+                raise ConfigError(f"{key}.{o}: object {o!r} is not in both diagrams")
+            proj[o] = _reduction_from_obj(m, top.spaces[o], foot.spaces[o], f"{key}.{o}")
+        projs.append(proj)
+    return FanOfDiagrams(top, left, right, *projs, validate=True)
 
 
 def load_diagram(path) -> Diagram:

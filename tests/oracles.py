@@ -5,12 +5,15 @@ closure, least common ancestors by ancestor-set intersection, transport
 vertices by solving every candidate support with exact Gaussian
 elimination, minimality by enumerating all partitions, automorphism counts
 by checking every weight-class permutation, finite measures as plain
-atom -> Fraction dicts."""
+atom -> Fraction dicts, Monte-Carlo tail statistics atom by atom over dense
+sample x |x0| count arrays."""
 from __future__ import annotations
 
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def closure_pairs(objects, covers) -> set:
@@ -233,3 +236,35 @@ def brute_automorphism_count(diagram) -> int:
         if consistent(sigma0):
             count += 1
     return count
+
+
+def dense_fan_tail_hits(ext, kind: str, t: float, mult) -> int:
+    """Number of samples whose fan statistic exceeds its threshold, counted
+    per x0 atom: each row of mult holds the multiplicities of the u atoms
+    (in u_space order) in one sample of N draws, and an atom's count is the
+    sum over the u fibers holding it, read from ext.fibers alone."""
+    x0_atoms = sorted({x for fiber in ext.fibers.values() for x in fiber}, key=str)
+    index = {x: k for k, x in enumerate(x0_atoms)}
+    mask = np.zeros((len(ext.fibers), len(x0_atoms)), dtype=np.int64)
+    for row, u in enumerate(ext.u_space.atoms):
+        for x in ext.fibers[u]:
+            mask[row, index[x]] = 1
+    card = len(x0_atoms)
+    n = int(mult[0].sum())
+    f = len(next(iter(ext.fibers.values())))
+    counts = mult @ mask
+    p = counts / float(n * f)
+    two_alpha = np.abs(p - 1.0 / card).sum(axis=1)
+    if kind == "totalvar":
+        return int(np.count_nonzero(two_alpha > t))
+    if kind == "height":
+        safe = np.where(counts > 0, counts, 1)
+        stat = (counts * np.log(safe)).sum(axis=1) / float(n * f)
+        return int(np.count_nonzero(stat > math.log(n * f / card) + t))
+    if kind == "ikd":
+        log_card = math.log(card)
+        a = np.clip(two_alpha / 2.0, 1e-15, 1.0 - 1e-15)
+        ent = -(a * np.log(a) + (1 - a) * np.log(1 - a))
+        stat = a * log_card + np.where(two_alpha <= 0, 0.0, ent)
+        return int(np.count_nonzero(stat > t * log_card))
+    raise ValueError(kind)

@@ -5,7 +5,7 @@ import pytest
 from probdiag.cli import main, run_config
 from probdiag.errors import ConfigError
 from probdiag.fixtures import coord_two_fan
-from probdiag.jsonio import save_diagram
+from probdiag.jsonio import diagram_to_obj, save_diagram
 
 
 def test_validate_fixture_ok(capsys):
@@ -175,6 +175,37 @@ def test_malformed_input_file_is_input_error(tmp_path):
     bad.write_text("{not json")
     assert main(["validate", "--input", str(bad)]) == 1
     assert main(["entropy", "--input", str(tmp_path / "missing.json")]) == 1
+
+
+def _malformed(edit):
+    obj = json.loads(json.dumps(diagram_to_obj(coord_two_fan(3, [1, 2], [2, 3])[0])))
+    return edit(obj)
+
+
+def _undeclared_map_target(obj):
+    obj["maps"]["top->zz"] = obj["maps"].pop("top->left")
+    return obj
+
+
+def _bad_weight(obj):
+    obj["spaces"]["left"]["weights"][0] = "x"
+    return obj
+
+
+@pytest.mark.parametrize("payload, path", [
+    (_malformed(_undeclared_map_target), 'maps["top->zz"]'),
+    (_malformed(_bad_weight), "spaces.left.weights[0]"),
+    ([1, 2], "the document"),
+    (_malformed(lambda o: {**o, "spaces": []}), "spaces"),
+    (_malformed(lambda o: {**o, "maps": {"top->left": {"{": 0}}}), 'maps["top->left"]'),
+])
+def test_malformed_diagram_json_is_config_error(tmp_path, capsys, payload, path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["validate", "--input", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and path in err
+    assert "Traceback" not in err
 
 
 def test_emit_results_empty_rows(tmp_path):

@@ -1,9 +1,12 @@
+import json
 import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import oracles
 from probdiag import (
     ContractionParams,
     FanIndices,
@@ -16,13 +19,17 @@ from probdiag import (
     recover_collapsed_diagram,
     tail_bounds,
 )
+from probdiag import contraction
 from probdiag.errors import (
     NotAdmissibleError,
     NotFanGeneratedError,
     OutOfRangeError,
+    TooLargeError,
     UnknownKindError,
 )
-from probdiag.fixtures import coord_lambda3, coord_two_fan
+from probdiag.fixtures import coord_lambda3, coord_two_fan, reduced_lambda3
+from probdiag.jsonio import diagram_from_obj, diagram_to_obj
+from probdiag.sampling import np_rng_for
 
 LN2 = math.log(2)
 
@@ -265,6 +272,154 @@ class TestMonteCarloTails:
         b = monte_carlo_tails("binomial_i", t=0.3, trials=5000, seed=7,
                               n=50, rho=Fraction(1, 2))
         assert a.empirical == b.empirical
+
+
+def _small_fans():
+    """One fan per shape: a coordinate two-fan, the three-feet fixture and a
+    JSON-reloaded reduced three-feet fan (no coordinate certificate)."""
+    reduced, fi = reduced_lambda3(3, 7, range(6, 8))
+    reloaded = diagram_from_obj(json.loads(json.dumps(diagram_to_obj(reduced))))
+    return {"two_fan": coord_two_fan(7, range(1, 7), range(6, 8)),
+            "lambda3": coord_lambda3(),
+            "reduced_lambda3": (reloaded, fi)}
+
+
+@pytest.fixture(scope="module")
+def small_exts():
+    return {name: extend_admissible_fan(d, fi) for name, (d, fi) in _small_fans().items()}
+
+
+# t per kind puts the N = 40 cells strictly inside (0, 1) on every small fan;
+# off the lattice of total-variation values, where float sums break ties
+INTERIOR_T = {"totalvar": 0.2113, "height": 0.0517, "ikd": 0.2071}
+
+
+def _cell_draws(ext, kind, params, t, seed, trials):
+    """The multiplicity rows a fan cell draws: its derived stream, u order."""
+    pvals = np.array([m / ext.u_space.denom for m in ext.u_space.masses])
+    gen = np_rng_for(seed, f"tails|{kind}|{params.N}|{float(params.rho)}|{t}", 0)
+    return gen.multinomial(params.N, pvals / pvals.sum(), size=trials)
+
+
+class TestFanTailsByPattern:
+    def test_fiber_patterns_group_atoms_by_fiber_membership(self, small_exts):
+        for ext in small_exts.values():
+            pattern, sizes = ext.fiber_patterns
+            assert pattern.dtype == np.int64 and sizes.dtype == np.int64
+            assert int(sizes.sum()) == ext.x0_card
+            # an atom's pattern: which u fibers hold it, from ext.fibers alone
+            member = {x: tuple(int(x in ext.fibers[u]) for u in ext.u_space.atoms)
+                      for x in ext.x0_space.atoms}
+            columns = [tuple(col) for col in pattern.T.tolist()]
+            assert columns == list(dict.fromkeys(member.values()))  # first appearance
+            assert sizes.tolist() == [list(member.values()).count(c) for c in columns]
+            # so each atom's fiber count is its column's count
+            mult = np.arange(1, len(ext.u_space) + 1, dtype=np.int64)
+            by_column = dict(zip(columns, (mult @ pattern).tolist()))
+            for x, m in member.items():
+                assert by_column[m] == sum(k * held for k, held in zip(mult.tolist(), m))
+            assert ext.fiber_patterns is ext.fiber_patterns  # cached
+
+    @pytest.mark.parametrize("name", ["two_fan", "lambda3", "reduced_lambda3"])
+    @pytest.mark.parametrize("kind", ["totalvar", "height", "ikd"])
+    def test_hits_match_dense_oracle(self, small_exts, name, kind):
+        ext = small_exts[name]
+        t, trials, seed = INTERIOR_T[kind], 1500, 11
+        params = ContractionParams(N=40, t=0.5, rho=ext.rho, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            check = monte_carlo_tails(kind, t=t, trials=trials, seed=seed,
+                                      ext=ext, params=params, chunk=400)
+        mult = _cell_draws(ext, kind, params, t, seed, trials)
+        hits = oracles.dense_fan_tail_hits(ext, kind, t, mult)
+        assert 0 < hits < trials
+        assert check.empirical == hits / trials
+
+    def test_totalvar_is_exact_at_the_threshold(self, small_exts):
+        # t = 1/5 is a total-variation value of this fan at N = 40, where
+        # a float sum over atoms lands on either side of t
+        ext = small_exts["reduced_lambda3"]
+        t, trials, seed = 0.2, 1500, 11
+        params = ContractionParams(N=40, t=0.5, rho=ext.rho, seed=0)
+        check = monte_carlo_tails("totalvar", t=t, trials=trials, seed=seed,
+                                  ext=ext, params=params)
+        card, nf = ext.x0_card, params.N * ext.fiber_size
+        hits = ties = 0
+        for row in _cell_draws(ext, "totalvar", params, t, seed, trials).tolist():
+            counts = dict.fromkeys(ext.x0_space.atoms, 0)
+            for m, u in zip(row, ext.u_space.atoms):
+                for x in ext.fibers[u]:
+                    counts[x] += m
+            two_alpha = Fraction(sum(abs(c * card - nf) for c in counts.values()), nf * card)
+            hits += two_alpha > Fraction(t)
+            ties += two_alpha == Fraction(1, 5)
+        assert ties > 0
+        assert check.empirical == hits / trials
+
+    @pytest.mark.parametrize("kind", ["totalvar", "height", "ikd"])
+    def test_batch_size_does_not_change_the_check(self, small_exts, kind, monkeypatch):
+        ext = small_exts["reduced_lambda3"]
+        params = ContractionParams(N=40, t=0.5, rho=ext.rho, seed=0)
+        trials = 3000
+
+        def cell(**kw):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                return monte_carlo_tails(kind, t=INTERIOR_T[kind], trials=trials, seed=5,
+                                         ext=ext, params=params, **kw)
+
+        default = cell()
+        assert 0 < default.empirical < 1
+        assert cell(chunk=trials) == default
+        assert cell(chunk=7) == default
+        # a byte budget smaller than one row still draws one row per batch
+        monkeypatch.setattr(contraction, "MC_BATCH_BYTES", 1)
+        assert cell() == default
+
+    def test_overflow_guard(self):
+        d, fi = coord_two_fan(7, range(1, 7), range(6, 8))
+        ext = extend_admissible_fan(d, fi)
+        huge = ContractionParams(N=2 ** 60, t=0.5, rho=ext.rho, seed=0)
+        with pytest.raises(TooLargeError, match=r"N = 1152921504606846976 and \|x0\| = 64"):
+            monte_carlo_tails("totalvar", t=0.5, trials=10, seed=0, ext=ext, params=huge)
+        # 2 N f |x0| must stay below 2^62
+        contraction._check_deviation_fits(2 ** 30, 2 ** 15, 2 ** 16 - 1)
+        with pytest.raises(TooLargeError):
+            contraction._check_deviation_fits(2 ** 30, 2 ** 15, 2 ** 16)
+
+    def test_regime_scale_totalvar_cell(self):
+        d, fi = coord_two_fan(17, range(1, 16), range(14, 18))
+        ext = extend_admissible_fan(d, fi)
+        params = default_parameters(ext, seed=0)
+        pattern, sizes = ext.fiber_patterns
+        assert pattern.shape[1] == 4 and list(sizes) == [2 ** 13] * 4
+        check = monte_carlo_tails("totalvar", t=params.t, trials=10_000, seed=0,
+                                  ext=ext, params=params)
+        assert check.trials == 10_000 and check.passed
+
+
+@pytest.mark.parametrize("kw, name", [
+    ({"chunk": 0}, "chunk"),
+    ({"chunk": -1}, "chunk"),
+    ({"chunk": 2.5}, "chunk"),
+    ({"n": 0}, "n"),
+    ({"n": -3}, "n"),
+    ({"trials": 0}, "trials"),
+])
+def test_monte_carlo_tails_rejects_bad_sizes(kw, name):
+    args = {"t": 0.5, "trials": 100, "seed": 0, "n": 50, "rho": Fraction(1, 2)}
+    args.update(kw)
+    with pytest.raises(OutOfRangeError, match=name):
+        monte_carlo_tails("binomial_i", **args)
+
+
+@pytest.mark.parametrize("N, chunk", [(0, 2000), (-3, 2000), (40, 0)])
+def test_fan_tails_reject_bad_sizes(small_exts, N, chunk):
+    ext = small_exts["two_fan"]
+    params = ContractionParams(N=N, t=0.5, rho=ext.rho, seed=0)
+    with pytest.raises(OutOfRangeError):
+        monte_carlo_tails("totalvar", t=0.5, trials=100, seed=0, ext=ext,
+                          params=params, chunk=chunk)
 
 
 def test_extend_rejects_inhomogeneous():

@@ -1,8 +1,12 @@
 import json
 import random
+import re
+
+import pytest
 
 from probdiag import standard_category, tensor_fan, uniform
 from probdiag.distances import single_space_diagram
+from probdiag.errors import ConfigError
 from probdiag.fixtures import coord_lambda3, coord_two_fan
 from probdiag.jsonio import (
     atom_from_key,
@@ -68,3 +72,17 @@ def test_file_roundtrip(tmp_path):
     payload = json.loads(path.read_text())
     assert set(payload) == {"category", "spaces", "maps"}
     assert set(payload["category"]) == {"objects", "covers"}
+
+
+@pytest.mark.parametrize("edit, path", [
+    (lambda o: o["proj_left"].update(zz=o["proj_left"].pop("1")), "proj_left.zz"),
+    (lambda o: o["right"]["spaces"]["1"]["weights"].__setitem__(0, "1/x"),
+     "right.spaces.1.weights[0]"),
+    (lambda o: o.pop("top"), "top is missing"),
+])
+def test_malformed_fan_names_the_field(edit, path):
+    fan = tensor_fan(single_space_diagram(uniform(2)), single_space_diagram(uniform(3)))
+    obj = json.loads(json.dumps(fan_to_obj(fan)))
+    edit(obj)
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        fan_from_obj(obj)
