@@ -160,6 +160,11 @@ def _load_input(config: dict):
 
 
 def cmd_validate(config: dict) -> int:
+    """Build the input diagram with every check.  Exit 0 when it is valid,
+    1 when the input is malformed (unreadable JSON, a missing field, a map
+    that skips an atom) and 2 when it is well-formed but fails validation,
+    such as a map that does not preserve measure or paths that do not
+    commute: a verification failure."""
     _check_keys(config, {"command", "input", "fixture", "l", "I", "J", "U", "fan"})
     try:
         diagram, _ = _load_input(config)

@@ -471,24 +471,23 @@ def recover_collapsed_diagram(diagram: Diagram, fi: FanIndices, run: Contraction
             d = dmax[obj]
             spaces[obj] = run.vspace if d is None else yprime.spaces[d]
 
-    def route(p: str, q: str) -> dict:
+    # Every map is one the run already built and checked: a composite of the
+    # conditioned x-side or of y', or a projection of y' onto V or x'.  On a
+    # cover p -> q into the x-side, q is dmax(p) itself, since anything else
+    # would lie strictly between p and q.
+    def reduction(p: str, q: str) -> Reduction:
         if p in x_side:
-            return run.xprime.composite_mapping(p, q)
+            return run.xprime.composite_reduction(p, q)
         dp = dmax.get(p)
         if q == fi.u_obj or (q in u_side and dmax.get(q) is None):
             if dp is None:
-                return {idx: idx for idx in spaces[p].atoms}
-            return {(x, idx): idx for (x, idx) in spaces[p].atoms}
+                return Reduction.identity(run.vspace)
+            return run.fan_prime.proj_right[dp]
         if q in x_side:
-            chi = run.xprime.composite_mapping(dp, q)
-            return {(x, idx): chi[x] for (x, idx) in spaces[p].atoms}
-        dq = dmax[q]
-        chi = run.xprime.composite_mapping(dp, dq)
-        return {(x, idx): (chi[x], idx) for (x, idx) in spaces[p].atoms}
+            return run.fan_prime.proj_left[dp]
+        return yprime.composite_reduction(dp, dmax[q])
 
-    maps = {}
-    for (p, q) in cat.covers:
-        maps[(p, q)] = Reduction(spaces[p], spaces[q], route(p, q))
+    maps = {(p, q): reduction(p, q) for (p, q) in cat.covers}
     return Diagram(cat, spaces, maps, validate=True)
 
 

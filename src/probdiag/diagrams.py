@@ -84,38 +84,56 @@ class Diagram:
     # -- composites -----------------------------------------------------
 
     def composite_mapping(self, src: str, dst: str) -> dict:
-        """The composed atom map src -> dst (path independence is validated)."""
+        """The composed atom map src -> dst (path independence is validated).
+
+        The result is cached and shared; on a cover it is the prime map's
+        own mapping.  Callers must not mutate it."""
         key = (src, dst)
         cached = self._composites.get(key)
         if cached is not None:
             return cached
-        if not self.category.reaches(src, dst):
+        prime = self.prime_maps.get(key)
+        if prime is not None:
+            mapping = prime.mapping
+        elif not self.category.reaches(src, dst):
             raise MapError(f"no morphism {src!r} -> {dst!r}")
-        if src == dst:
+        elif src == dst:
             mapping = {a: a for a in self.spaces[src].atoms}
         else:
-            step = None
-            for (i, j) in self.category.covers:
-                if i == src and self.category.reaches(j, dst):
-                    step = (i, j)
-                    break
-            assert step is not None
-            first = self.prime_maps[step].mapping
-            rest = self.composite_mapping(step[1], dst)
-            mapping = {a: rest[b] for a, b in first.items()}
+            step = self._first_step(src, dst)
+            rest = self.composite_mapping(step, dst)
+            mapping = {a: rest[b] for a, b in self.prime_maps[(src, step)].mapping.items()}
         self._composites[key] = mapping
         return mapping
 
+    def _first_step(self, src: str, dst: str) -> str:
+        """Where the canonical path src -> dst (src != dst) goes first: the
+        target of the first cover out of src, in cover order, that reaches
+        dst.  A cover (src, dst) is its own canonical path."""
+        for (i, j) in self.category.covers:
+            if i == src and self.category.reaches(j, dst):
+                return j
+        raise MapError(f"no morphism {src!r} -> {dst!r}")
+
     def composite_reduction(self, src: str, dst: str) -> Reduction:
+        """The composite src -> dst as a Reduction; on a cover it is the
+        prime map itself."""
+        prime = self.prime_maps.get((src, dst))
+        if prime is not None:
+            return prime
         return Reduction(self.spaces[src], self.spaces[dst], self.composite_mapping(src, dst))
 
     def _check_commutativity(self) -> None:
         # Canonical composites follow the first cover on some path; every
         # other cover must induce the same composite.  This local condition
         # implies agreement of all cover paths by induction on path length.
+        # Where the canonical composite i -> dst itself steps through j it
+        # is rest after via, so that comparison is skipped.
         for (i, j) in self.category.covers:
             via = self.prime_maps[(i, j)].mapping
             for dst in self.category.descendants(j):
+                if self._first_step(i, dst) == j:
+                    continue
                 canonical = self.composite_mapping(i, dst)
                 rest = self.composite_mapping(j, dst)
                 for atom, b in via.items():
@@ -223,7 +241,12 @@ def coordinate_diagram(category: IndexingCategory, coord_sets: Mapping[str, Iter
     maps = {}
     for (i, j) in category.covers:
         positions = tuple(coords[i].index(c) for c in coords[j])
-        mapping = {a: _project_bits(a, positions) for a in spaces[i].atoms}
+        # images are the target's own atom objects, not one fresh int per
+        # atom: a composite on a cover is this very mapping, and the joint
+        # spaces and fibers built from it are then keyed by the same objects
+        # as the spaces they are looked up in
+        target = spaces[j].atoms
+        mapping = {a: target[_project_bits(a, positions)] for a in spaces[i].atoms}
         maps[(i, j)] = Reduction(spaces[i], spaces[j], mapping)
     return Diagram(category, spaces, maps, validate=False,
                    coord_meta=CoordMeta(ell, coords), certified_homogeneous=True)

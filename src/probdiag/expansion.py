@@ -144,10 +144,14 @@ def verify_expansion(original: Diagram, expanded: Diagram,
 
     x_ideal = original.category.descendants(fan.x_obj)
     slices_equal = True
+    old_slices: dict = {}  # base atom -> its conditioned x-side, built once
     for atom in expanded.spaces[fan.u_obj].atoms:
         cond_new = sub_diagram(condition_diagram(expanded, fan.u_obj, atom), x_ideal)
         base_atom = atom[0] if spec.m > 1 else atom
-        cond_old = sub_diagram(condition_diagram(original, fan.u_obj, base_atom), x_ideal)
+        cond_old = old_slices.get(base_atom)
+        if cond_old is None:
+            cond_old = sub_diagram(condition_diagram(original, fan.u_obj, base_atom), x_ideal)
+            old_slices[base_atom] = cond_old
         if cond_new != cond_old:
             slices_equal = False
             raise VerificationError(f"conditioned x-side changed at u-atom {atom!r}")

@@ -265,20 +265,40 @@ class Reduction:
 
     The map is stored as an atom-to-atom assignment on the domain support;
     the pushforward of the domain weights must equal the target weights
-    exactly.
+    exactly.  `mapping` is the reduction's own copy and is shared, unchanged,
+    by everything that reads it (diagram composites among them): treat it as
+    read-only.
     """
 
     __slots__ = ("domain", "target", "mapping")
 
     def __init__(self, domain: ProbSpace, target: ProbSpace, mapping: Mapping):
-        image = pushforward(domain, mapping)
-        if image != target:
+        # One pass copies the map and sums the image masses over the
+        # domain's denominator.  The image equals the target exactly when
+        # both have the same atoms and every image mass is the target mass
+        # scaled by domain.denom / target.denom, which must be an integer:
+        # the target's denominator is canonical, so it divides that of any
+        # measure equal to it.
+        own: dict = {}
+        image: dict = {}
+        for atom, mass in zip(domain.atoms, domain.masses):
+            try:
+                b = mapping[atom]
+            except KeyError:
+                raise UnknownAtomError(f"map undefined on atom {atom!r}") from None
+            own[atom] = b
+            image[b] = image.get(b, 0) + mass
+        scale, remainder = divmod(domain.denom, target.denom)
+        expected = target._index
+        if scale != 1 and not remainder:
+            expected = {b: m * scale for b, m in expected.items()}
+        if remainder or image != expected:
             raise NotSurjectiveError(
                 "pushforward of the domain does not equal the declared target"
             )
         self.domain = domain
         self.target = target
-        self.mapping = {a: mapping[a] for a in domain.atoms}
+        self.mapping = own
 
     @classmethod
     def from_map(cls, domain: ProbSpace, mapping: Mapping, target_atoms=None) -> "Reduction":

@@ -4,9 +4,9 @@ These deliberately avoid the library's own algorithms: reachability by raw
 closure, least common ancestors by ancestor-set intersection, transport
 vertices by solving every candidate support with exact Gaussian
 elimination, minimality by enumerating all partitions, automorphism counts
-by checking every weight-class permutation, finite measures as plain
-atom -> Fraction dicts, Monte-Carlo tail statistics atom by atom over dense
-sample x |x0| count arrays."""
+by checking every weight-class permutation, finite measures and the
+measure-preserving check as plain atom -> Fraction dicts, Monte-Carlo tail
+statistics atom by atom over dense sample x |x0| count arrays."""
 from __future__ import annotations
 
 import itertools
@@ -155,6 +155,13 @@ def fraction_pushforward(weights: dict, mapping) -> dict:
     for atom, w in weights.items():
         out[mapping[atom]] = out.get(mapping[atom], Fraction(0)) + w
     return out
+
+
+def reduction_accepts(domain: dict, target: dict, mapping) -> bool:
+    """Whether mapping pushes the domain measure forward exactly onto the
+    target, both given as atom -> positive Fraction dicts.  Raises KeyError
+    naming the first domain atom, in order, that mapping leaves undefined."""
+    return fraction_pushforward(domain, mapping) == target
 
 
 def fraction_tensor(left: dict, right: dict) -> dict:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from probdiag import constant_diagram, standard_category, uniform
 from probdiag.cli import main, run_config
 from probdiag.errors import ConfigError
 from probdiag.fixtures import coord_two_fan
@@ -206,6 +207,34 @@ def test_malformed_diagram_json_is_config_error(tmp_path, capsys, payload, path)
     err = capsys.readouterr().err
     assert "config error" in err and path in err
     assert "Traceback" not in err
+
+
+def _non_commuting(obj):
+    # swap the two atoms on one side of a diamond of uniform bits: every map
+    # still preserves measure, but the two paths top -> bottom disagree
+    obj["maps"]["right->bottom"] = {'"u0"': "u1", '"u1"': "u0"}
+    return obj
+
+
+def _not_measure_preserving(obj):
+    first = next(iter(obj["maps"]["top->left"].values()))
+    obj["maps"]["top->left"] = {k: first for k in obj["maps"]["top->left"]}
+    return obj
+
+
+@pytest.mark.parametrize("payload, message", [
+    (_non_commuting(diagram_to_obj(constant_diagram(standard_category("diamond"),
+                                                    uniform(2)))),
+     "paths 'top'->'bottom' via 'right' disagree"),
+    (_malformed(_not_measure_preserving), "does not equal the declared target"),
+])
+def test_invalid_diagram_is_verification_failure(tmp_path, capsys, payload, message):
+    bad = tmp_path / "invalid.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["validate", "--input", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("invalid: ") and message in captured.out
+    assert "Traceback" not in captured.err
 
 
 def test_emit_results_empty_rows(tmp_path):

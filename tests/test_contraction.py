@@ -15,6 +15,7 @@ from probdiag import (
     coordinate_diagram,
     default_parameters,
     extend_admissible_fan,
+    make_diagram,
     monte_carlo_tails,
     recover_collapsed_diagram,
     tail_bounds,
@@ -193,6 +194,28 @@ class TestRecover:
         assert len(out.spaces["u"]) == 18
         vec_x1 = out.spaces["x1"]
         assert len(vec_x1) == len(d.spaces["x1"])
+
+    def test_recovery_reuses_the_runs_maps(self):
+        d, fi = coord_lambda3()
+        ext = extend_admissible_fan(d, fi)
+        run = contract_once(ext, ContractionParams(N=18, t=0.5, rho=ext.rho, seed=6))
+        out = recover_collapsed_diagram(d, fi, run)
+        fan, xprime = run.fan_prime, run.xprime
+        # z, z1 and z2 carry the conditioned joints over x, x1 and x2
+        expected = {("z", "x"): fan.proj_left["x"],
+                    ("z", "z1"): fan.top.prime_maps[("x", "x1")],
+                    ("z", "z2"): fan.top.prime_maps[("x", "x2")],
+                    ("z1", "x1"): fan.proj_left["x1"],
+                    ("z1", "u"): fan.proj_right["x1"],
+                    ("z2", "x2"): fan.proj_left["x2"],
+                    ("z2", "u"): fan.proj_right["x2"],
+                    ("x", "x1"): xprime.prime_maps[("x", "x1")],
+                    ("x", "x2"): xprime.prime_maps[("x", "x2")]}
+        assert set(out.prime_maps) == set(expected)
+        for cover, reduction in expected.items():
+            assert out.prime_maps[cover] is reduction
+        plain = {cover: dict(r.mapping) for cover, r in out.prime_maps.items()}
+        assert make_diagram(out.category, out.spaces, plain) == out
 
     def test_not_fan_generated(self):
         cat = build_category(["z", "x", "w", "u"],

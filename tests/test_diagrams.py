@@ -89,8 +89,53 @@ class TestMakeDiagram:
                 },
             )
 
+    @pytest.mark.parametrize("objects, covers, via", [
+        # the canonical path top -> bottom steps through a, the long side
+        # disagrees; then the canonical path is the long side itself
+        (["top", "a", "b", "c", "bottom"],
+         [("top", "a"), ("a", "bottom"), ("top", "b"), ("b", "c"), ("c", "bottom")], "b"),
+        (["top", "b", "c", "a", "bottom"],
+         [("top", "b"), ("b", "c"), ("c", "bottom"), ("top", "a"), ("a", "bottom")], "a"),
+    ])
+    def test_disagreement_off_the_canonical_path(self, objects, covers, via):
+        # a diamond with a two-step side chain that swaps the bottom atoms
+        cat = build_category(objects, covers)
+        top = uniform(4)
+        u = top.atoms
+        half = ["1/2", "1/2"]
+        spaces = {"top": top, "bottom": make_space(["d0", "d1"], half)}
+        for obj in ("a", "b", "c"):
+            spaces[obj] = make_space([f"{obj}0", f"{obj}1"], half)
+        maps = {("top", "a"): {u[0]: "a0", u[1]: "a0", u[2]: "a1", u[3]: "a1"},
+                ("a", "bottom"): {"a0": "d0", "a1": "d1"},
+                ("top", "b"): {u[0]: "b0", u[1]: "b0", u[2]: "b1", u[3]: "b1"},
+                ("b", "c"): {"b0": "c0", "b1": "c1"},
+                ("c", "bottom"): {"c0": "d1", "c1": "d0"}}
+        message = f"paths 'top'->'bottom' via '{via}' disagree at atom {u[0]!r}"
+        with pytest.raises(CommutativityError) as caught:
+            make_diagram(cat, spaces, maps)
+        assert str(caught.value) == message
+
+
+    def test_composites_on_covers_are_the_prime_maps(self):
+        d = independent_bits_two_fan()
+        for cover, prime in d.prime_maps.items():
+            assert d.composite_reduction(*cover) is prime
+            assert d.composite_mapping(*cover) is prime.mapping
+        chain = constant_diagram(standard_category("chain", 3), uniform(2))
+        src, dst = chain.initial, chain.category.objects[-1]
+        assert not chain.category.is_cover(src, dst)
+        assert chain.composite_reduction(src, dst).mapping == {a: a for a in uniform(2).atoms}
+
 
 class TestCoordinateDiagrams:
+    def test_map_images_are_the_target_atoms(self):
+        # 2^9 atoms on the left foot: past the small ints Python shares anyway
+        d, _ = coord_two_fan(10, range(1, 10), range(8, 11))
+        for (i, j), reduction in d.prime_maps.items():
+            target = {id(a) for a in d.spaces[j].atoms}
+            assert all(id(b) in target for b in reduction.mapping.values())
+
     def test_reference_two_fan(self):
         d, fi = coord_two_fan(6, range(1, 5), range(3, 7))
         vec = entropy_vector(d)

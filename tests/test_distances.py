@@ -149,6 +149,18 @@ class TestIkdBounds:
             b = ikd_bounds(single_space_diagram(x), single_space_diagram(y))
             assert b.lower <= b.upper + 1e-9
 
+    def test_lower_never_above_upper_where_they_meet(self):
+        # the entropy gap and the exact optimum agree here up to rounding;
+        # unclamped, the gap came out one ulp above the witness
+        x = ProbSpace(["a0", "a1"], [Fraction(2, 3), Fraction(1, 3)])
+        y = ProbSpace([f"b{k}" for k in range(7)],
+                      [Fraction(4, 21), Fraction(1, 14), Fraction(2, 7), Fraction(1, 7),
+                       Fraction(5, 42), Fraction(1, 7), Fraction(1, 21)])
+        left, right = single_space_diagram(x), single_space_diagram(y)
+        b = ikd_bounds(left, right)
+        assert b.lower <= b.upper
+        assert b.lower == pytest.approx(entropy_gap(left, right), abs=1e-15)
+
     def test_triangle_inequality_small_pool(self):
         rng = random.Random(27)
         pool = [random_space(rng, 3, prefix=f"p{k}") for k in range(6)]

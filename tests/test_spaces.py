@@ -276,3 +276,96 @@ def test_integer_core_matches_fraction_oracle(first, second):
         expected = oracles.fraction_fiber(positive, mapping, target)
         assert dict(fiber.items()) == expected
         assert fiber.entropy == oracles.fraction_entropy(expected)
+
+
+# How the declared target of a drawn map relates to its true image.
+TARGET_KINDS = ("image", "scaled", "undefined", "missing", "extra",
+                "moved", "foreign_denominator")
+
+
+@st.composite
+def reductions_to_check(draw):
+    """A domain, a map and a declared target of one of TARGET_KINDS:
+    the image itself, the image given by masses scaled by a constant over a
+    scaled denominator, the image with the map undefined on a domain atom,
+    the image missing one of its atoms or carrying an extra one, unit mass
+    moved between image atoms, and the image perturbed by one unit over a
+    prime multiple of the domain's denominator, so that the target's
+    denominator does not divide the domain's."""
+    size = draw(st.integers(1, 6))
+    raw = draw(st.lists(st.integers(1, 12), min_size=size, max_size=size))
+    domain = ProbSpace([f"a{i}" for i in range(size)], raw, denom=sum(raw))
+    images = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    mapping = {f"a{i}": f"t{k}" for i, k in enumerate(images)}
+    if draw(st.booleans()):
+        mapping["unrelated"] = "t0"  # keys outside the domain are ignored
+    image: dict = {}
+    for atom, mass in zip(domain.atoms, domain.masses):
+        image[mapping[atom]] = image.get(mapping[atom], 0) + mass
+    atoms, masses = list(image), list(image.values())
+    kind = draw(st.sampled_from(TARGET_KINDS))
+    target_denom = domain.denom
+    if kind == "image":
+        pass
+    elif kind == "scaled":
+        k = draw(st.integers(2, 5))
+        masses, target_denom = [k * m for m in masses], k * domain.denom
+    elif kind == "undefined":
+        del mapping[draw(st.sampled_from(domain.atoms))]
+    elif kind == "missing" and len(atoms) > 1:
+        drop = draw(st.integers(0, len(atoms) - 1))
+        target_denom -= masses[drop]
+        del atoms[drop], masses[drop]
+    elif kind == "moved" and len(atoms) > 1 and masses[1] > 1:
+        masses[0] += 1
+        masses[1] -= 1
+    elif kind == "foreign_denominator" and len(atoms) > 1:
+        p = draw(st.sampled_from([2, 3, 5, 7]))
+        masses = [p * m for m in masses]
+        masses[0] += 1
+        masses[1] -= 1
+        target_denom *= p
+    else:  # "extra", and the kinds above that need more image atoms
+        kind = "extra"
+        atoms.append("t_extra")
+        masses.append(draw(st.integers(1, 5)))
+        target_denom += masses[-1]
+    return kind, domain, ProbSpace(atoms, masses, denom=target_denom), mapping
+
+
+@settings(max_examples=500, deadline=None)
+@given(reductions_to_check())
+def test_reduction_check_matches_fraction_oracle(case):
+    kind, domain, target, mapping = case
+    if kind == "foreign_denominator":
+        assert domain.denom % target.denom != 0
+    try:
+        accepts = oracles.reduction_accepts(dict(domain.items()), dict(target.items()), mapping)
+    except KeyError as exc:
+        with pytest.raises(UnknownAtomError, match=f"map undefined on atom {exc.args[0]!r}"):
+            Reduction(domain, target, mapping)
+        return
+    if kind in ("image", "scaled"):
+        assert accepts
+    if not accepts:
+        with pytest.raises(NotSurjectiveError, match="does not equal the declared target"):
+            Reduction(domain, target, mapping)
+        return
+    reduction = Reduction(domain, target, mapping)
+    assert reduction.domain is domain and reduction.target is target
+    assert list(reduction.mapping.items()) == [(a, mapping[a]) for a in domain.atoms]
+
+
+def test_reduction_names_first_undefined_atom_in_domain_order():
+    x = uniform(4)
+    mapping = {x.atoms[0]: "t", x.atoms[3]: "t"}
+    with pytest.raises(UnknownAtomError, match=repr(x.atoms[1])):
+        Reduction(x, dirac("t"), mapping)
+
+
+def test_reduction_rejects_target_denominator_not_dividing_domain():
+    # image (1/2, 1/2) against (2/3, 1/3): same atoms, 3 does not divide 2
+    x = uniform(2)
+    target = ProbSpace(["t0", "t1"], [Fraction(2, 3), Fraction(1, 3)])
+    with pytest.raises(NotSurjectiveError):
+        Reduction(x, target, {x.atoms[0]: "t0", x.atoms[1]: "t1"})
