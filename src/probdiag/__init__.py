@@ -17,12 +17,9 @@ from .categories import (
 from .spaces import (
     ProbSpace,
     Reduction,
-    condition_fiber,
     dirac,
     entropy,
     lambda_space,
-    make_reduction,
-    make_space,
     pushforward,
     special_space,
     tensor_spaces,

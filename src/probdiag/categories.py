@@ -266,23 +266,8 @@ def collapse_object_pair(
 
     # quotient reachability, then close transitively: a path may now pass
     # through the merged node
-    reach = {(mapping[a], d_) for a in cat.objects for d in cat._desc[a]
-             for d_ in [mapping[d]]}
-    adj: dict[str, set] = {o: set() for o in new_objects}
-    for a, b in reach:
-        if a != b:
-            adj[a].add(b)
-    closed = {}
-    for obj in new_objects:
-        seen = {obj}
-        stack = [obj]
-        while stack:
-            cur = stack.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        closed[obj] = frozenset(seen)
+    closed = _reachability(new_objects, {(mapping[a], mapping[d])
+                                         for a in cat.objects for d in cat._desc[a]})
     for a in new_objects:
         for b in closed[a]:
             if a != b and a in closed[b]:

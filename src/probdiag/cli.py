@@ -12,7 +12,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -236,7 +235,9 @@ def cmd_contract(config: dict) -> int:
     n_override = _positive(config, "N", int)
     t_override = _positive(config, "t", float)
     root_seed = _number(config, "seed", int, 0)
-    workers = _number(config, "workers", int, 1)
+    # accepted and checked for older configs; runs are computed serially,
+    # since threads would only take turns on the interpreter lock
+    _number(config, "workers", int, 1)
     diagram, fan = _load_input(config)
     if fan is None:
         raise ConfigError("contract needs a designated fan")
@@ -246,16 +247,11 @@ def cmd_contract(config: dict) -> int:
         n_override = base.N if n_override is None else n_override
         t_override = base.t if t_override is None else t_override
 
-    def one(index: int):
+    rows = []
+    for index in range(n_runs):
         params = ContractionParams(N=n_override, t=t_override, rho=ext.rho,
                                    seed=subseed(root_seed, "run", index))
-        return _contract_row(index, contract_once(ext, params))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(n_runs)))
-    else:
-        rows = [one(i) for i in range(n_runs)]
+        rows.append(_contract_row(index, contract_once(ext, params)))
     emit_results(rows, config.get("format", "csv"), config.get("output"), seed=root_seed)
     ok = all(r["sum_nu_ok"] and r["mass_ok"] and r["fiber_iso_ok"] for r in rows)
     return 0 if ok else 2
@@ -473,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=None, help="override the default sample size")
     p.add_argument("--t", type=float, default=None, help="override the default threshold")
     p.add_argument("--seeds", type=int, default=1, help="number of independent runs")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; runs are computed serially")
     _add_io(p)
 
     p = sub.add_parser("expand", help="arrow expansion with verification")

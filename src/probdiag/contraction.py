@@ -30,9 +30,11 @@ from .diagrams import (
     Reduction,
     classify_fan,
     constant_diagram,
-    joint_space,
     sub_diagram,
     _from_initial_measure,
+    _initial_lifts,
+    _pair_fan,
+    _projections,
 )
 from .distances import local_estimate_bound
 from .errors import (
@@ -59,9 +61,7 @@ class ExtendedFan:
     The fiber isomorphism verdict of each u atom, and the conditioned x-side
     diagram of the reference atom they compare against, are cached; they
     depend only on the fan, not on any sampled run.  So are the fiber
-    patterns the Monte-Carlo tails group x0 by, computed on first use.
-    Cache writes are idempotent, so sharing one instance across threads is
-    safe."""
+    patterns the Monte-Carlo tails group x0 by, computed on first use."""
 
     shape: IndexingCategory
     xdiag: Diagram
@@ -133,7 +133,7 @@ class ExtendedFan:
         if cached is None:
             fiber = self.fibers[u_atom]
             measure = ProbSpace(fiber, [1] * len(fiber), denom=len(fiber))
-            cached = _from_initial_measure(self.xdiag, measure)
+            cached = _from_initial_measure(self.shape, measure, _initial_lifts(self.xdiag))
             if u_atom == self.u_space.atoms[0]:
                 self._fiber_iso_cache[("diagram", u_atom)] = cached
         return cached
@@ -178,23 +178,18 @@ def extend_admissible_fan(diagram: Diagram, fi: FanIndices) -> ExtendedFan:
     shape = xdiag.category
     u_space = diagram.spaces[fi.u_obj]
 
-    spaces = {}
-    proj_x = {}
-    proj_u = {}
+    # y_i is the initial measure pushed to pairs (x_i, u)
+    cu = diagram.composite_mapping(diagram.initial, fi.u_obj)
+    lifts = {}
     for obj in shape.objects:
-        joint, to_x, to_u = joint_space(diagram, obj, fi.u_obj)
-        spaces[obj] = joint
-        proj_x[obj] = to_x
-        proj_u[obj] = to_u
-    maps = {}
-    for (i, j) in shape.covers:
-        chi = xdiag.prime_maps[(i, j)].mapping
-        mapping = {(x, u): (chi[x], u) for (x, u) in spaces[i].atoms}
-        maps[(i, j)] = Reduction(spaces[i], spaces[j], mapping)
-    ydiag = Diagram(shape, spaces, maps, validate=False)
+        ci = diagram.composite_mapping(diagram.initial, obj)
+        lifts[obj] = {z: (ci[z], cu[z]) for z in diagram.initial_space.atoms}
+    ydiag = _from_initial_measure(shape, diagram.initial_space, lifts)
+    proj_x = _projections(ydiag, xdiag, 0)
+    proj_u = _projections(ydiag, constant_diagram(shape, u_space), 1)
 
     fibers: dict = {u: [] for u in u_space.atoms}
-    for (x, u) in spaces[shape.initial].atoms:
+    for (x, u) in ydiag.initial_space.atoms:
         fibers[u].append(x)
     fibers = {u: tuple(xs) for u, xs in fibers.items()}
     sizes = {len(xs) for xs in fibers.values()}
@@ -243,7 +238,6 @@ class ContractionRun:
     """
 
     params: ContractionParams
-    u_bar: tuple
     counts: dict          # x0 atom -> sample count, positive entries only
     alpha: Fraction       # half total variation against the uniform law
     height: float         # mean log fiber count of the conditioned fan
@@ -354,7 +348,7 @@ def contract_once(ext: ExtendedFan, params: ContractionParams, *,
     # the conditioned x0 law counts / (N f), in x0 order
     covered = [x for x in x0_atoms if x in counts]
     measure = ProbSpace(covered, [counts[x] for x in covered], denom=n * f)
-    xprime = _from_initial_measure(ext.xdiag, measure)
+    xprime = _from_initial_measure(ext.shape, measure, _initial_lifts(ext.xdiag))
     vspace = ProbSpace(range(1, n + 1), [1] * n, denom=n)
 
     # conditioned-fiber isomorphism against the reference atom of u; the
@@ -373,7 +367,7 @@ def contract_once(ext: ExtendedFan, params: ContractionParams, *,
     if n * f <= materialize_cap:
         fan_prime = _materialize_fan(ext, u_bar, xprime, vspace)
 
-    return ContractionRun(params=params, u_bar=u_bar, counts=counts,
+    return ContractionRun(params=params, counts=counts,
                           alpha=alpha, height=height,
                           coverage=coverage, fiber_iso_ok=fiber_iso_ok,
                           ikd_upper=ikd_upper, rough_bound_used=rough,
@@ -384,33 +378,12 @@ def contract_once(ext: ExtendedFan, params: ContractionParams, *,
 
 def _materialize_fan(ext: ExtendedFan, u_bar: tuple, xprime: Diagram,
                      vspace: ProbSpace) -> FanOfDiagrams:
-    """The conditioned two-fan (x' <- y' -> V) with y' built explicitly."""
-    shape = ext.shape
-    n = len(u_bar)
-    y0_atoms = [(x, idx + 1) for idx, u in enumerate(u_bar) for x in ext.fibers[u]]
-    spaces = {}
-    comp = {o: ext.xdiag.composite_mapping(shape.initial, o) for o in shape.objects}
-    for obj in shape.objects:
-        acc: dict = {}
-        for (x, idx) in y0_atoms:
-            atom = (comp[obj][x], idx)
-            acc[atom] = acc.get(atom, 0) + 1
-        spaces[obj] = ProbSpace(acc, acc.values(), denom=len(y0_atoms))
-    maps = {}
-    for (i, j) in shape.covers:
-        chi = ext.xdiag.prime_maps[(i, j)].mapping
-        mapping = {(x, idx): (chi[x], idx) for (x, idx) in spaces[i].atoms}
-        maps[(i, j)] = Reduction(spaces[i], spaces[j], mapping)
-    top = Diagram(shape, spaces, maps, validate=False)
-    vdiag = constant_diagram(shape, vspace)
-    proj_x = {o: Reduction(spaces[o], xprime.spaces[o],
-                           {(x, idx): x for (x, idx) in spaces[o].atoms})
-              for o in shape.objects}
-    proj_v = {o: Reduction(spaces[o], vspace,
-                           {(x, idx): idx for (x, idx) in spaces[o].atoms})
-              for o in shape.objects}
-    assert n == len(vspace)
-    return FanOfDiagrams(top, xprime, vdiag, proj_x, proj_v, validate=False)
+    """The conditioned two-fan (x' <- y' -> V) with y' built explicitly:
+    y'0 is uniform on the pairs (x, k) with x in the fiber over the k-th
+    sampled u atom, a coupling of x'0 and V."""
+    y0_atoms = [(x, k) for k, u in enumerate(u_bar, 1) for x in ext.fibers[u]]
+    y0 = ProbSpace(y0_atoms, [1] * len(y0_atoms), denom=len(y0_atoms))
+    return _pair_fan(y0, xprime, constant_diagram(ext.shape, vspace))
 
 
 def recover_collapsed_diagram(diagram: Diagram, fi: FanIndices, run: ContractionRun,
@@ -488,7 +461,7 @@ def recover_collapsed_diagram(diagram: Diagram, fi: FanIndices, run: Contraction
         return yprime.composite_reduction(dp, dmax[q])
 
     maps = {(p, q): reduction(p, q) for (p, q) in cat.covers}
-    return Diagram(cat, spaces, maps, validate=True)
+    return Diagram(cat, spaces, maps)
 
 
 # -- tail bounds and Monte-Carlo verification --------------------------------

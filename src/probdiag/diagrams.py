@@ -1,10 +1,18 @@
 """Commutative diagrams of finite probability spaces over indexing categories.
 
 A diagram assigns a ProbSpace to every object and a measure-preserving
-surjection to every cover of its indexing category; commutativity of all
-composite paths is verified on construction.  Operations built from
-pushforwards of the initial measure (conditioning, tensor, restriction,
-joints) are commutative by construction and skip re-validation.
+surjection to every cover of its indexing category; all paths commute.
+
+Checks sit at the trust boundary: the public `Reduction(...)`,
+`Reduction.from_map`, `make_diagram`, `Diagram(...)`, `FanOfDiagrams(...)`
+(and so JSON loading) and `SetDiagram(...)` check every map and square,
+`coupling_fan` the marginals of its coupling.  The package's own builders
+push one initial measure through the lifts of a valid skeleton
+(`_from_initial_measure`), or restrict, multiply or copy valid diagrams, so
+their maps hold by construction: they use the unchecked `_trusted`
+constructors, and `tests/test_trusted_path.py` rechecks their output.  Arrow
+collapse, recovery and expansion, whose results are claims of the paper,
+stay checked.
 """
 from __future__ import annotations
 
@@ -23,6 +31,7 @@ from .errors import (
     NotClosedError,
     NotIsoError,
     NotMonotoneError,
+    NotSurjectiveError,
     ShapeMismatchError,
     UnknownAtomError,
 )
@@ -62,9 +71,7 @@ class Diagram:
                  "certified_homogeneous", "_composites")
 
     def __init__(self, category: IndexingCategory, spaces: Mapping[str, ProbSpace],
-                 prime_maps: Mapping[tuple[str, str], Reduction], *,
-                 validate: bool = True, coord_meta: CoordMeta | None = None,
-                 certified_homogeneous: bool = False):
+                 prime_maps: Mapping[tuple[str, str], Reduction]):
         if set(spaces) != set(category.objects):
             raise MapError("need exactly one space per object")
         if set(prime_maps) != set(category.covers):
@@ -72,14 +79,27 @@ class Diagram:
         for (i, j), red in prime_maps.items():
             if red.domain != spaces[i] or red.target != spaces[j]:
                 raise MapError(f"map on cover {(i, j)!r} does not match the declared spaces")
+        self._store(category, dict(spaces), dict(prime_maps))
+        self._check_commutativity()
+
+    @classmethod
+    def _trusted(cls, category: IndexingCategory, spaces: dict, prime_maps: dict, *,
+                 coord_meta: CoordMeta | None = None,
+                 certified_homogeneous: bool = False) -> "Diagram":
+        """A diagram that is commutative by construction, stored unchecked
+        and uncopied.  For use inside the package only."""
+        diagram = cls.__new__(cls)
+        diagram._store(category, spaces, prime_maps, coord_meta, certified_homogeneous)
+        return diagram
+
+    def _store(self, category, spaces, prime_maps, coord_meta=None,
+               certified_homogeneous=False) -> None:
         self.category = category
-        self.spaces = dict(spaces)
-        self.prime_maps = dict(prime_maps)
+        self.spaces = spaces
+        self.prime_maps = prime_maps
         self.coord_meta = coord_meta
         self.certified_homogeneous = certified_homogeneous
         self._composites: dict = {}
-        if validate:
-            self._check_commutativity()
 
     # -- composites -----------------------------------------------------
 
@@ -92,19 +112,28 @@ class Diagram:
         cached = self._composites.get(key)
         if cached is not None:
             return cached
-        prime = self.prime_maps.get(key)
-        if prime is not None:
-            mapping = prime.mapping
-        elif not self.category.reaches(src, dst):
-            raise MapError(f"no morphism {src!r} -> {dst!r}")
-        elif src == dst:
-            mapping = {a: a for a in self.spaces[src].atoms}
-        else:
-            step = self._first_step(src, dst)
-            rest = self.composite_mapping(step, dst)
-            mapping = {a: rest[b] for a, b in self.prime_maps[(src, step)].mapping.items()}
+        mapping = self._cover_mapping(key)
+        if mapping is None:
+            if not self.category.reaches(src, dst):
+                raise MapError(f"no morphism {src!r} -> {dst!r}")
+            if src == dst:
+                mapping = {a: a for a in self._atoms(src)}
+            else:
+                step = self._first_step(src, dst)
+                rest = self.composite_mapping(step, dst)
+                mapping = {a: rest[b] for a, b in self._cover_mapping((src, step)).items()}
         self._composites[key] = mapping
         return mapping
+
+    # The two lookups of composite_mapping and _check_commutativity;
+    # SetDiagram shares both and supplies its own.
+    def _cover_mapping(self, cover: tuple[str, str]) -> dict | None:
+        """The atom map on a cover; None when the pair is not a cover."""
+        prime = self.prime_maps.get(cover)
+        return None if prime is None else prime.mapping
+
+    def _atoms(self, obj: str) -> tuple:
+        return self.spaces[obj].atoms
 
     def _first_step(self, src: str, dst: str) -> str:
         """Where the canonical path src -> dst (src != dst) goes first: the
@@ -117,11 +146,13 @@ class Diagram:
 
     def composite_reduction(self, src: str, dst: str) -> Reduction:
         """The composite src -> dst as a Reduction; on a cover it is the
-        prime map itself."""
+        prime map itself.  A composite of measure-preserving maps preserves
+        measure, so it is not checked again."""
         prime = self.prime_maps.get((src, dst))
         if prime is not None:
             return prime
-        return Reduction(self.spaces[src], self.spaces[dst], self.composite_mapping(src, dst))
+        return Reduction._trusted(self.spaces[src], self.spaces[dst],
+                                  self.composite_mapping(src, dst))
 
     def _check_commutativity(self) -> None:
         # Canonical composites follow the first cover on some path; every
@@ -130,7 +161,7 @@ class Diagram:
         # Where the canonical composite i -> dst itself steps through j it
         # is rest after via, so that comparison is skipped.
         for (i, j) in self.category.covers:
-            via = self.prime_maps[(i, j)].mapping
+            via = self._cover_mapping((i, j))
             for dst in self.category.descendants(j):
                 if self._first_step(i, dst) == j:
                     continue
@@ -193,15 +224,14 @@ def make_diagram(category: IndexingCategory, spaces: Mapping[str, ProbSpace],
                 prime_maps[cover] = Reduction(spaces[i], spaces[j], m)
             except UnknownAtomError as exc:
                 raise MapError(f"map on cover {cover!r}: {exc}") from exc
-    return Diagram(category, spaces, prime_maps, validate=True)
+    return Diagram(category, spaces, prime_maps)
 
 
 def constant_diagram(category: IndexingCategory, space: ProbSpace) -> Diagram:
     """The same space at every object with identity maps."""
-    ident = {a: a for a in space.atoms}
-    spaces = {o: space for o in category.objects}
-    maps = {c: Reduction(space, space, ident) for c in category.covers}
-    return Diagram(category, spaces, maps, validate=False)
+    ident = Reduction.identity(space)
+    return Diagram._trusted(category, {o: space for o in category.objects},
+                            {c: ident for c in category.covers})
 
 
 def _project_bits(atom: int, positions: tuple[int, ...]) -> int:
@@ -247,23 +277,45 @@ def coordinate_diagram(category: IndexingCategory, coord_sets: Mapping[str, Iter
         # as the spaces they are looked up in
         target = spaces[j].atoms
         mapping = {a: target[_project_bits(a, positions)] for a in spaces[i].atoms}
-        maps[(i, j)] = Reduction(spaces[i], spaces[j], mapping)
-    return Diagram(category, spaces, maps, validate=False,
-                   coord_meta=CoordMeta(ell, coords), certified_homogeneous=True)
+        # a coordinate projection pushes the uniform measure on {0,1}^S to
+        # the uniform measure on {0,1}^T
+        maps[(i, j)] = Reduction._trusted(spaces[i], spaces[j], mapping)
+    return Diagram._trusted(category, spaces, maps, coord_meta=CoordMeta(ell, coords),
+                            certified_homogeneous=True)
 
 
-def _from_initial_measure(base: Diagram, measure: ProbSpace) -> Diagram:
-    """Rebuild the diagram carrying a new measure on (a subset of) the
-    initial support; every other space is the pushforward.  Commutative by
-    construction."""
-    spaces = {}
-    for obj in base.category.objects:
-        spaces[obj] = pushforward(measure, base.composite_mapping(base.initial, obj))
+def _from_initial_measure(category: IndexingCategory, measure: ProbSpace,
+                          lifts: Mapping[str, Mapping]) -> Diagram:
+    """The diagram of one measure on an initial set, pushed through a skeleton.
+
+    lifts[obj] sends each atom of `measure` to its atom at obj, functorially
+    (equal lifts at i stay equal below i).  The space at obj is the
+    pushforward under lifts[obj] and the map on a cover (i, j) sends
+    lifts[i][a] to lifts[j][a], keyed in domain order, so nothing needs
+    checking."""
+    spaces = {o: pushforward(measure, lifts[o]) for o in category.objects}
     maps = {}
-    for (i, j) in base.category.covers:
-        restricted = {a: base.prime_maps[(i, j)].mapping[a] for a in spaces[i].atoms}
-        maps[(i, j)] = Reduction(spaces[i], spaces[j], restricted)
-    return Diagram(base.category, spaces, maps, validate=False)
+    for (i, j) in category.covers:
+        lift_i, lift_j = lifts[i], lifts[j]
+        mapping = {lift_i[a]: lift_j[a] for a in measure.atoms}
+        maps[(i, j)] = Reduction._trusted(spaces[i], spaces[j], mapping)
+    return Diagram._trusted(category, spaces, maps)
+
+
+def _initial_lifts(diagram) -> dict:
+    """Object -> composite map from the initial object of a diagram or a
+    set diagram: the lifts of its skeleton."""
+    return {o: diagram.composite_mapping(diagram.initial, o) for o in diagram.category.objects}
+
+
+def _restricted(diagram: Diagram, atoms: list) -> Diagram:
+    """The diagram conditioned on a set of initial atoms: the initial
+    measure restricted to them and renormalized exactly, pushed through the
+    diagram's own maps."""
+    init = diagram.initial_space
+    masses = [init.mass(z) for z in atoms]
+    measure = ProbSpace(atoms, masses, denom=sum(masses))
+    return _from_initial_measure(diagram.category, measure, _initial_lifts(diagram))
 
 
 # -- entropy and algebra ---------------------------------------------------
@@ -277,17 +329,17 @@ def tensor_diagrams(d1: Diagram, d2: Diagram) -> Diagram:
     """Object-wise independent product of two diagrams of the same shape."""
     if d1.category != d2.category:
         raise ShapeMismatchError("tensor needs diagrams over the same category")
+    # Each space is the product of the two, in tensor_spaces' atom order,
+    # and each map the product of two measure-preserving maps.
     spaces = {o: tensor_spaces(d1.spaces[o], d2.spaces[o]) for o in d1.category.objects}
     maps = {}
-    for cover in d1.category.covers:
-        m1 = d1.prime_maps[cover].mapping
-        m2 = d2.prime_maps[cover].mapping
-        i, _ = cover
+    for (i, j) in d1.category.covers:
+        m1 = d1.prime_maps[(i, j)].mapping
+        m2 = d2.prime_maps[(i, j)].mapping
         mapping = {(a, b): (m1[a], m2[b]) for (a, b) in spaces[i].atoms}
-        maps[cover] = Reduction(spaces[cover[0]], spaces[cover[1]], mapping)
+        maps[(i, j)] = Reduction._trusted(spaces[i], spaces[j], mapping)
     certified = d1.certified_homogeneous and d2.certified_homogeneous
-    return Diagram(d1.category, spaces, maps, validate=False,
-                   certified_homogeneous=certified)
+    return Diagram._trusted(d1.category, spaces, maps, certified_homogeneous=certified)
 
 
 def condition_diagram(diagram: Diagram, obj: str, atom) -> Diagram:
@@ -301,11 +353,7 @@ def condition_diagram(diagram: Diagram, obj: str, atom) -> Diagram:
     if atom not in space:
         raise UnknownAtomError(f"atom {atom!r} not in the space at {obj!r}")
     comp = diagram.composite_mapping(diagram.initial, obj)
-    init = diagram.initial_space
-    fiber = [z for z in init.atoms if comp[z] == atom]
-    masses = [init.mass(z) for z in fiber]
-    measure = ProbSpace(fiber, masses, denom=sum(masses))
-    return _from_initial_measure(diagram, measure)
+    return _restricted(diagram, [z for z in diagram.initial_space.atoms if comp[z] == atom])
 
 
 def sub_diagram(diagram: Diagram, members) -> Diagram:
@@ -325,8 +373,8 @@ def sub_diagram(diagram: Diagram, members) -> Diagram:
     meta = diagram.coord_meta
     if meta is not None:
         meta = CoordMeta(meta.ell, {o: meta.coords[o] for o in cat.objects})
-    return Diagram(cat, spaces, maps, validate=False, coord_meta=meta,
-                   certified_homogeneous=diagram.certified_homogeneous)
+    return Diagram._trusted(cat, spaces, maps, coord_meta=meta,
+                            certified_homogeneous=diagram.certified_homogeneous)
 
 
 def cone_diagram(diagram: Diagram, obj: str, direction: str) -> Diagram:
@@ -344,8 +392,8 @@ def joint_space(diagram: Diagram, i: str, j: str) -> tuple[ProbSpace, Reduction,
     cj = diagram.composite_mapping(diagram.initial, j)
     pair = {z: (ci[z], cj[z]) for z in diagram.initial_space.atoms}
     joint = pushforward(diagram.initial_space, pair)
-    to_i = Reduction(joint, diagram.spaces[i], {(a, b): a for (a, b) in joint.atoms})
-    to_j = Reduction(joint, diagram.spaces[j], {(a, b): b for (a, b) in joint.atoms})
+    to_i = Reduction._trusted(joint, diagram.spaces[i], {(a, b): a for (a, b) in joint.atoms})
+    to_j = Reduction._trusted(joint, diagram.spaces[j], {(a, b): b for (a, b) in joint.atoms})
     return joint, to_i, to_j
 
 
@@ -400,8 +448,7 @@ class FanOfDiagrams:
     __slots__ = ("shape", "top", "left", "right", "proj_left", "proj_right")
 
     def __init__(self, top: Diagram, left: Diagram, right: Diagram,
-                 proj_left: Mapping[str, Reduction], proj_right: Mapping[str, Reduction],
-                 *, validate: bool = True):
+                 proj_left: Mapping[str, Reduction], proj_right: Mapping[str, Reduction]):
         shape = top.category
         if left.category != shape or right.category != shape:
             raise ShapeMismatchError("fan requires three diagrams of the same shape")
@@ -411,14 +458,25 @@ class FanOfDiagrams:
             for obj, red in projs.items():
                 if red.domain != top.spaces[obj] or red.target != foot.spaces[obj]:
                     raise MapError(f"{name} projection at {obj!r} mismatches the spaces")
-        self.shape = shape
+        self._store(top, left, right, dict(proj_left), dict(proj_right))
+        self._check_natural()
+
+    @classmethod
+    def _trusted(cls, top: Diagram, left: Diagram, right: Diagram, proj_left: dict,
+                 proj_right: dict) -> "FanOfDiagrams":
+        """A fan that is natural by construction, stored unchecked and
+        uncopied.  For use inside the package only."""
+        fan = cls.__new__(cls)
+        fan._store(top, left, right, proj_left, proj_right)
+        return fan
+
+    def _store(self, top, left, right, proj_left, proj_right) -> None:
+        self.shape = top.category
         self.top = top
         self.left = left
         self.right = right
-        self.proj_left = dict(proj_left)
-        self.proj_right = dict(proj_right)
-        if validate:
-            self._check_natural()
+        self.proj_left = proj_left
+        self.proj_right = proj_right
 
     def _check_natural(self) -> None:
         for (i, j) in self.shape.covers:
@@ -439,44 +497,48 @@ class FanOfDiagrams:
 
 def diagonal_fan(diagram: Diagram) -> FanOfDiagrams:
     ident = {o: Reduction.identity(diagram.spaces[o]) for o in diagram.category.objects}
-    return FanOfDiagrams(diagram, diagram, diagram, ident, ident, validate=False)
+    return FanOfDiagrams._trusted(diagram, diagram, diagram, ident, ident)
+
+
+def _pair_fan(coupling: ProbSpace, first: Diagram, second: Diagram, *,
+              first_on_left: bool = True) -> FanOfDiagrams:
+    """The fan of `coupling`, a measure on pairs (a, b) of initial atoms of
+    `first` and `second` whose marginals are their initial measures, pushed
+    through the pairs of composites and projected back to each coordinate.
+    The left foot is `first` unless first_on_left is False."""
+    lift1, lift2 = _initial_lifts(first), _initial_lifts(second)
+    lifts = {o: {p: (lift1[o][p[0]], lift2[o][p[1]]) for p in coupling.atoms}
+             for o in first.category.objects}
+    top = _from_initial_measure(first.category, coupling, lifts)
+    proj1, proj2 = _projections(top, first, 0), _projections(top, second, 1)
+    if first_on_left:
+        return FanOfDiagrams._trusted(top, first, second, proj1, proj2)
+    return FanOfDiagrams._trusted(top, second, first, proj2, proj1)
+
+
+def _projections(top: Diagram, foot: Diagram, k: int) -> dict:
+    """Object -> the projection of top's pair atoms to coordinate k, onto
+    the foot's space, which must be that coordinate's marginal."""
+    return {o: Reduction._trusted(s, foot.spaces[o], {p: p[k] for p in s.atoms})
+            for o, s in top.spaces.items()}
 
 
 def coupling_fan(left: Diagram, right: Diagram, initial_coupling: ProbSpace) -> FanOfDiagrams:
     """Fan built from a coupling of the two initial measures.
 
     initial_coupling lives on pairs (a, b) of initial atoms; its marginals
-    must equal the two initial measures exactly.  Every top space is the
-    pushforward under the pair of composite maps, so naturality holds by
-    construction.
+    must equal the two initial measures exactly, which is checked.  Every
+    top space is the pushforward under the pair of composite maps, so the
+    rest of the fan is natural by construction.
     """
     if left.category != right.category:
         raise ShapeMismatchError("coupling requires diagrams over the same category")
-    cat = left.category
-    top_spaces = {}
-    pair_maps = {}
-    for obj in cat.objects:
-        cl = left.composite_mapping(cat.initial, obj)
-        cr = right.composite_mapping(cat.initial, obj)
-        mapping = {(a, b): (cl[a], cr[b]) for (a, b) in initial_coupling.atoms}
-        top_spaces[obj] = pushforward(initial_coupling, mapping)
-        pair_maps[obj] = mapping
-    top_maps = {}
-    for (i, j) in cat.covers:
-        mi = pair_maps[i]
-        send = {}
-        for (a, b) in initial_coupling.atoms:
-            send[mi[(a, b)]] = pair_maps[j][(a, b)]
-        top_maps[(i, j)] = Reduction(top_spaces[i], top_spaces[j],
-                                     {x: send[x] for x in top_spaces[i].atoms})
-    top = Diagram(cat, top_spaces, top_maps, validate=False)
-    proj_left = {o: Reduction(top_spaces[o], left.spaces[o],
-                              {(a, b): a for (a, b) in top_spaces[o].atoms})
-                 for o in cat.objects}
-    proj_right = {o: Reduction(top_spaces[o], right.spaces[o],
-                               {(a, b): b for (a, b) in top_spaces[o].atoms})
-                  for o in cat.objects}
-    return FanOfDiagrams(top, left, right, proj_left, proj_right, validate=False)
+    for k, foot in enumerate((left, right)):
+        marginal = pushforward(initial_coupling, {p: p[k] for p in initial_coupling.atoms})
+        if marginal != foot.initial_space:
+            raise NotSurjectiveError(
+                f"marginal {k} of the coupling is not the initial measure of its foot")
+    return _pair_fan(initial_coupling, left, right)
 
 
 def tensor_fan(left: Diagram, right: Diagram) -> FanOfDiagrams:
@@ -527,4 +589,4 @@ def arrow_collapse(diagram: Diagram, cover: tuple[str, str]) -> Diagram:
     maps = {}
     for (p, q) in new_cat.covers:
         maps[(p, q)] = Reduction(spaces[p], spaces[q], route(p, q))
-    return Diagram(new_cat, spaces, maps, validate=True)
+    return Diagram(new_cat, spaces, maps)

@@ -21,11 +21,14 @@ from .categories import IndexingCategory
 from .diagrams import (
     Diagram,
     FanOfDiagrams,
-    Reduction,
     constant_diagram,
     coupling_fan,
     diagonal_fan,
     tensor_fan,
+    _from_initial_measure,
+    _initial_lifts,
+    _pair_fan,
+    _restricted,
 )
 from .errors import (
     CapExceededError,
@@ -40,7 +43,6 @@ from .spaces import (
     as_fraction,
     entropy_of_masses,
     lambda_space,
-    pushforward,
 )
 
 DEFAULT_COUPLING_CAP = 30
@@ -301,7 +303,7 @@ def _greedy_coupling(x: ProbSpace, y: ProbSpace, denom: int) -> dict:
 
 def single_space_diagram(space: ProbSpace, obj: str = "1") -> Diagram:
     cat = IndexingCategory([obj], [])
-    return Diagram(cat, {obj: space}, {}, validate=False)
+    return Diagram(cat, {obj: space}, {})
 
 
 def min_entropy_coupling(x: ProbSpace, y: ProbSpace, *,
@@ -337,15 +339,27 @@ def min_entropy_coupling(x: ProbSpace, y: ProbSpace, *,
 
 
 class SetDiagram:
-    """The sets-and-surjections skeleton underlying a diagram."""
+    """The sets-and-surjections skeleton underlying a diagram.
 
-    __slots__ = ("category", "sets", "maps")
+    Composites follow the same canonical paths, through the same cached
+    code, as `Diagram.composite_mapping`.  Distributions are pushed through
+    the composites, so construction checks that each cover map sends its
+    source set onto its target set and, by the same code as a diagram's,
+    that every path agrees."""
+
+    __slots__ = ("category", "sets", "maps", "_composites")
 
     def __init__(self, category: IndexingCategory, sets: Mapping[str, tuple],
                  maps: Mapping[tuple[str, str], Mapping]):
         self.category = category
         self.sets = {o: tuple(sets[o]) for o in category.objects}
         self.maps = {c: dict(maps[c]) for c in category.covers}
+        for (i, j), mapping in self.maps.items():
+            if set(mapping) != set(self.sets[i]) or set(mapping.values()) != set(self.sets[j]):
+                raise MapError(f"map on cover {(i, j)!r} is not onto the set at {j!r} "
+                               f"from the set at {i!r}")
+        self._composites: dict = {}
+        self._check_commutativity()
 
     @classmethod
     def from_diagram(cls, diagram: Diagram) -> "SetDiagram":
@@ -360,16 +374,15 @@ class SetDiagram:
     def initial_set(self) -> tuple:
         return self.sets[self.category.initial]
 
-    def composite(self, src: str, dst: str) -> dict:
-        mapping = {a: a for a in self.sets[src]}
-        cur = src
-        while cur != dst:
-            step = next((i, j) for (i, j) in self.category.covers
-                        if i == cur and self.category.reaches(j, dst))
-            nxt = self.maps[step]
-            mapping = {a: nxt[b] for a, b in mapping.items()}
-            cur = step[1]
-        return mapping
+    composite_mapping = Diagram.composite_mapping
+    _first_step = Diagram._first_step
+    _check_commutativity = Diagram._check_commutativity
+
+    def _cover_mapping(self, cover: tuple[str, str]) -> dict | None:
+        return self.maps.get(cover)
+
+    def _atoms(self, obj: str) -> tuple:
+        return self.sets[obj]
 
     def __eq__(self, other):
         if not isinstance(other, SetDiagram):
@@ -399,7 +412,7 @@ class DistributionOnSetDiagram:
         self.pi0 = pi0
 
     def marginal(self, obj: str) -> dict:
-        comp = self.set_diagram.composite(self.set_diagram.initial, obj)
+        comp = self.set_diagram.composite_mapping(self.set_diagram.initial, obj)
         out: dict = {}
         for a, w in self.pi0.items():
             out[comp[a]] = out.get(comp[a], Fraction(0)) + w
@@ -410,15 +423,7 @@ class DistributionOnSetDiagram:
         sd = self.set_diagram
         init_atoms = [a for a in sd.initial_set() if self.pi0.get(a, 0) > 0]
         measure = ProbSpace(init_atoms, [self.pi0[a] for a in init_atoms])
-        spaces = {}
-        for obj in sd.category.objects:
-            comp = sd.composite(sd.initial, obj)
-            spaces[obj] = pushforward(measure, comp)
-        maps = {}
-        for (i, j) in sd.category.covers:
-            restricted = {a: sd.maps[(i, j)][a] for a in spaces[i].atoms}
-            maps[(i, j)] = Reduction(spaces[i], spaces[j], restricted)
-        return Diagram(sd.category, spaces, maps, validate=False)
+        return _from_initial_measure(sd.category, measure, _initial_lifts(sd))
 
 
 # -- local decomposition and the local estimate -------------------------------
@@ -471,60 +476,27 @@ class LocalEstimate:
     slice_isos_ok: bool
 
 
-def _marked_diagram(sd: SetDiagram, alpha: Fraction, common: Mapping,
-                    rest: Mapping) -> Diagram:
-    """Diagram on S_i x {light, heavy} weighted (1-a) common / a rest."""
+def _marked_fan(base: Diagram, alpha: Fraction, common: Mapping, rest: Mapping, *,
+                mark_left: bool) -> FanOfDiagrams:
+    """The fan of base against Lambda_alpha whose top lives on pairs
+    (atom, mark), weighted (1-a) common on the light mark and a rest on the
+    heavy one; the Lambda foot is on the left when mark_left is set."""
     weights0 = {}
-    for a in sd.initial_set():
+    for a in base.initial_space.atoms:
         wl = (1 - alpha) * common.get(a, Fraction(0))
         wh = alpha * rest.get(a, Fraction(0))
         if wl > 0:
             weights0[(a, LAMBDA_LIGHT)] = wl
         if wh > 0:
             weights0[(a, LAMBDA_HEAVY)] = wh
-    init_atoms = list(weights0)
-    measure = ProbSpace(init_atoms, [weights0[a] for a in init_atoms])
-    spaces = {}
-    for obj in sd.category.objects:
-        comp = sd.composite(sd.initial, obj)
-        spaces[obj] = pushforward(measure, {(a, m): (comp[a], m) for (a, m) in init_atoms})
-    maps = {}
-    for (i, j) in sd.category.covers:
-        base = sd.maps[(i, j)]
-        mapping = {(a, m): (base[a], m) for (a, m) in spaces[i].atoms}
-        maps[(i, j)] = Reduction(spaces[i], spaces[j], mapping)
-    return Diagram(sd.category, spaces, maps, validate=False)
-
-
-def _fan_onto_marks(marked: Diagram, base: Diagram, alpha: Fraction,
-                    mark_left: bool) -> FanOfDiagrams:
-    lam = constant_diagram(marked.category, lambda_space(alpha))
-    proj_base = {o: Reduction(marked.spaces[o], base.spaces[o],
-                              {(a, m): a for (a, m) in marked.spaces[o].atoms})
-                 for o in marked.category.objects}
-    proj_mark = {o: Reduction(marked.spaces[o], lam.spaces[o],
-                              {(a, m): m for (a, m) in marked.spaces[o].atoms})
-                 for o in marked.category.objects}
-    if mark_left:
-        return FanOfDiagrams(marked, lam, base, proj_mark, proj_base, validate=False)
-    return FanOfDiagrams(marked, base, lam, proj_base, proj_mark, validate=False)
+    measure = ProbSpace(weights0, weights0.values())
+    lam = constant_diagram(base.category, lambda_space(alpha))
+    return _pair_fan(measure, base, lam, first_on_left=not mark_left)
 
 
 def _condition_on_mark(marked: Diagram, mark) -> Diagram:
     """Condition the marked diagram on its mark coordinate (a fan foot)."""
-    init = marked.initial_space
-    fiber = [(a, m) for (a, m) in init.atoms if m == mark]
-    mass = sum((init.weight(x) for x in fiber), Fraction(0))
-    measure = ProbSpace(fiber, [init.weight(x) / mass for x in fiber])
-    spaces = {}
-    comp = {o: marked.composite_mapping(marked.initial, o) for o in marked.category.objects}
-    for obj in marked.category.objects:
-        spaces[obj] = pushforward(measure, comp[obj])
-    maps = {}
-    for (i, j) in marked.category.covers:
-        restricted = {a: marked.prime_maps[(i, j)].mapping[a] for a in spaces[i].atoms}
-        maps[(i, j)] = Reduction(spaces[i], spaces[j], restricted)
-    return Diagram(marked.category, spaces, maps, validate=False)
+    return _restricted(marked, [p for p in marked.initial_space.atoms if p[1] == mark])
 
 
 def _strip_marks_iso(conditioned: Diagram, reference: Diagram) -> bool:
@@ -583,14 +555,12 @@ def local_estimate_witness(sd: SetDiagram, pi0: Mapping, pi0_prime: Mapping) -> 
     witness = CouplingWitness(fan, kd_of_fan(fan), method="common-rest mixture")
     bound = local_estimate_bound(size, s0, alpha)
 
-    marked_left = _marked_diagram(sd, alpha, dec.common, dec.rest_left)
-    marked_right = _marked_diagram(sd, alpha, dec.common, dec.rest_right)
-    fan_left = _fan_onto_marks(marked_left, left, alpha, mark_left=False)
-    fan_right = _fan_onto_marks(marked_right, right, alpha, mark_left=True)
+    fan_left = _marked_fan(left, alpha, dec.common, dec.rest_left, mark_left=False)
+    fan_right = _marked_fan(right, alpha, dec.common, dec.rest_right, mark_left=True)
 
     common_diagram = DistributionOnSetDiagram(sd, dec.common).to_diagram()
     slice_ok = True
-    for marked, rest in ((marked_left, dec.rest_left), (marked_right, dec.rest_right)):
+    for marked, rest in ((fan_left.top, dec.rest_left), (fan_right.top, dec.rest_right)):
         slice_ok &= _strip_marks_iso(_condition_on_mark(marked, LAMBDA_LIGHT), common_diagram)
         if alpha > 0:
             rest_diagram = DistributionOnSetDiagram(sd, rest).to_diagram()

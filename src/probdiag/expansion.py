@@ -74,7 +74,7 @@ def expand_diagram(spec: ExpansionSpec) -> Diagram:
             # would then be an ancestor of u as well
             mapping = dict(old)
         maps[(i, j)] = Reduction(spaces[i], spaces[j], mapping)
-    return Diagram(base.category, spaces, maps, validate=True)
+    return Diagram(base.category, spaces, maps)
 
 
 def strip_expansion(expanded: Diagram, spec: ExpansionSpec) -> Diagram:
@@ -101,7 +101,7 @@ def strip_expansion(expanded: Diagram, spec: ExpansionSpec) -> Diagram:
         else:
             mapping = dict(old)
         maps[(i, j)] = Reduction(spaces[i], spaces[j], mapping)
-    return Diagram(expanded.category, spaces, maps, validate=True)
+    return Diagram(expanded.category, spaces, maps)
 
 
 @dataclass(frozen=True)

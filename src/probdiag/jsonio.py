@@ -147,7 +147,7 @@ def diagram_from_obj(obj: dict, path: str = "") -> Diagram:
             if o not in spaces:
                 raise ConfigError(f"{where}: object {o!r} has no space in {at}spaces")
         maps[(i, j)] = _reduction_from_obj(m, spaces[i], spaces[j], where)
-    return Diagram(cat, spaces, maps, validate=True)
+    return Diagram(cat, spaces, maps)
 
 
 def fan_to_obj(fan: FanOfDiagrams) -> dict:
@@ -171,7 +171,7 @@ def fan_from_obj(obj: dict) -> FanOfDiagrams:
                 raise ConfigError(f"{key}.{o}: object {o!r} is not in both diagrams")
             proj[o] = _reduction_from_obj(m, top.spaces[o], foot.spaces[o], f"{key}.{o}")
         projs.append(proj)
-    return FanOfDiagrams(top, left, right, *projs, validate=True)
+    return FanOfDiagrams(top, left, right, *projs)
 
 
 def load_diagram(path) -> Diagram:

@@ -194,11 +194,6 @@ def entropy_of_masses(masses: Iterable[int], denom: int) -> float:
     return total
 
 
-def make_space(atoms: Iterable, weights: Iterable) -> ProbSpace:
-    """Build a ProbSpace from parallel atom and weight lists."""
-    return ProbSpace(atoms, weights)
-
-
 def special_space(kind: str, param=None) -> ProbSpace:
     """Named standard spaces: uniform(n), lambda(alpha), dirac.
 
@@ -265,9 +260,11 @@ class Reduction:
 
     The map is stored as an atom-to-atom assignment on the domain support;
     the pushforward of the domain weights must equal the target weights
-    exactly.  `mapping` is the reduction's own copy and is shared, unchanged,
-    by everything that reads it (diagram composites among them): treat it as
-    read-only.
+    exactly.  `mapping` is the reduction's own copy, keyed by the domain's
+    atoms in domain order, and is shared, unchanged, by everything that
+    reads it (diagram composites among them): treat it as read-only.
+    The constructor checks the map; the package's own builders, whose maps
+    hold by construction, use `_trusted` instead.
     """
 
     __slots__ = ("domain", "target", "mapping")
@@ -301,6 +298,17 @@ class Reduction:
         self.mapping = own
 
     @classmethod
+    def _trusted(cls, domain: ProbSpace, target: ProbSpace, mapping: dict) -> "Reduction":
+        """A reduction measure-preserving by construction, stored unchecked
+        and uncopied; `mapping` must have exactly the domain's atoms, in
+        domain order, as the checked constructor stores them."""
+        red = cls.__new__(cls)
+        red.domain = domain
+        red.target = target
+        red.mapping = mapping
+        return red
+
+    @classmethod
     def from_map(cls, domain: ProbSpace, mapping: Mapping, target_atoms=None) -> "Reduction":
         """Build the reduction whose target is the pushforward measure.
 
@@ -316,7 +324,7 @@ class Reduction:
 
     @classmethod
     def identity(cls, space: ProbSpace) -> "Reduction":
-        return cls(space, space, {a: a for a in space.atoms})
+        return cls._trusted(space, space, {a: a for a in space.atoms})
 
     def apply(self, atom):
         try:
@@ -366,14 +374,6 @@ class Reduction:
 
     def __repr__(self) -> str:
         return f"Reduction(|{len(self.domain)}| -> |{len(self.target)}|)"
-
-
-def make_reduction(domain: ProbSpace, mapping: Mapping, target_atoms=None) -> Reduction:
-    return Reduction.from_map(domain, mapping, target_atoms)
-
-
-def condition_fiber(reduction: Reduction, atom) -> ProbSpace:
-    return reduction.fiber(atom)
 
 
 def _weight_table(dist) -> Mapping:

@@ -12,7 +12,6 @@ from probdiag import (
     ProbSpace,
     Reduction,
     build_category,
-    make_reduction,
 )
 from probdiag.errors import LcaViolationError, NoInitialObjectError
 from probdiag.spaces import pushforward
@@ -50,7 +49,7 @@ def random_reduction(rng: random.Random, space: ProbSpace | None = None) -> Redu
     if space is None:
         space = random_space(rng)
     n_targets = rng.randint(1, len(space))
-    return make_reduction(space, random_surjection(rng, space.atoms, n_targets))
+    return Reduction.from_map(space, random_surjection(rng, space.atoms, n_targets))
 
 
 def random_category(rng: random.Random, max_objects: int = 5) -> IndexingCategory:
@@ -143,7 +142,7 @@ def random_diagram(rng: random.Random, cat: IndexingCategory | None = None,
     for (i, j) in cat.covers:
         mapping = {labels[i][z]: labels[j][z] for z in init_atoms}
         maps[(i, j)] = Reduction(spaces[i], spaces[j], mapping)
-    return Diagram(cat, spaces, maps, validate=True)
+    return Diagram(cat, spaces, maps)
 
 
 def random_set_diagram(rng: random.Random, max_objects: int = 5, max_initial: int = 16):

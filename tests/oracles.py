@@ -6,7 +6,10 @@ vertices by solving every candidate support with exact Gaussian
 elimination, minimality by enumerating all partitions, automorphism counts
 by checking every weight-class permutation, finite measures and the
 measure-preserving check as plain atom -> Fraction dicts, Monte-Carlo tail
-statistics atom by atom over dense sample x |x0| count arrays."""
+statistics atom by atom over dense sample x |x0| count arrays.
+
+`recheck` is the one exception: it runs the library's public checks on what
+its unchecked internal builders produced."""
 from __future__ import annotations
 
 import itertools
@@ -275,3 +278,30 @@ def dense_fan_tail_hits(ext, kind: str, t: float, mult) -> int:
         stat = a * log_card + np.where(two_alpha <= 0, 0.0, ent)
         return int(np.count_nonzero(stat > t * log_card))
     raise ValueError(kind)
+
+
+def recheck(diagram_or_fan):
+    """Rebuild a diagram, or a fan of diagrams, through the public checked
+    constructors and return the rebuilt object.
+
+    Every prime map and projection is rebuilt with `Reduction(...)`, which
+    checks that it preserves measure, after asserting that its mapping lists
+    exactly the domain's atoms in domain order; `Diagram(...)` and
+    `FanOfDiagrams(...)` then rerun the shape, commutativity and naturality
+    checks.  Raises on the first failure."""
+    from probdiag import Diagram, FanOfDiagrams, Reduction
+
+    def reduction(red):
+        assert list(red.mapping) == list(red.domain.atoms), "mapping not in domain order"
+        return Reduction(red.domain, red.target, red.mapping)
+
+    def diagram(d):
+        return Diagram(d.category, d.spaces,
+                       {cover: reduction(r) for cover, r in d.prime_maps.items()})
+
+    if isinstance(diagram_or_fan, FanOfDiagrams):
+        fan = diagram_or_fan
+        return FanOfDiagrams(diagram(fan.top), diagram(fan.left), diagram(fan.right),
+                             {o: reduction(r) for o, r in fan.proj_left.items()},
+                             {o: reduction(r) for o, r in fan.proj_right.items()})
+    return diagram(diagram_or_fan)

@@ -12,7 +12,6 @@ import pytest
 from probdiag import (
     ContractionParams,
     TropicalBoundParams,
-    condition_fiber,
     contract_once,
     contraction_epsilons,
     default_parameters,
@@ -56,7 +55,7 @@ def test_criterion_1_core_identities():
         reduction = random_reduction(rng)
         assert sum(reduction.target.weights, Fraction(0)) == 1  # exact, zero tolerance
         mixture = sum(
-            float(reduction.target.weight(u)) * condition_fiber(reduction, u).entropy
+            float(reduction.target.weight(u)) * reduction.fiber(u).entropy
             for u in reduction.target.atoms
         )
         assert abs(reduction.domain.entropy

@@ -446,13 +446,13 @@ def test_fan_tails_reject_bad_sizes(small_exts, N, chunk):
 
 
 def test_extend_rejects_inhomogeneous():
-    from probdiag import standard_category, make_diagram, make_space
+    from probdiag import ProbSpace, make_diagram, standard_category
     from probdiag.errors import NotHomogeneousError
 
     cat = standard_category("two_fan")
-    top = make_space(["a", "b", "c"], ["1/2", "1/4", "1/4"])
-    left = make_space(["l0", "l1"], ["1/2", "1/2"])
-    right = make_space(["r0", "r1"], ["3/4", "1/4"])
+    top = ProbSpace(["a", "b", "c"], ["1/2", "1/4", "1/4"])
+    left = ProbSpace(["l0", "l1"], ["1/2", "1/2"])
+    right = ProbSpace(["r0", "r1"], ["3/4", "1/4"])
     d = make_diagram(cat, {"top": top, "left": left, "right": right},
                      {("top", "left"): {"a": "l0", "b": "l1", "c": "l1"},
                       ("top", "right"): {"a": "r0", "b": "r0", "c": "r1"}})

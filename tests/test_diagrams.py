@@ -22,7 +22,6 @@ from probdiag import (
     joint_space,
     lambda_space,
     make_diagram,
-    make_space,
     standard_category,
     sub_diagram,
     tensor_diagrams,
@@ -73,9 +72,9 @@ class TestMakeDiagram:
         cat = standard_category("diamond")
         top = uniform(4)
         a = top.atoms
-        left = make_space(["l0", "l1"], ["1/2", "1/2"])
-        right = make_space(["r0", "r1"], ["1/2", "1/2"])
-        bottom = make_space(["b0", "b1"], ["1/2", "1/2"])
+        left = ProbSpace(["l0", "l1"], ["1/2", "1/2"])
+        right = ProbSpace(["r0", "r1"], ["1/2", "1/2"])
+        bottom = ProbSpace(["b0", "b1"], ["1/2", "1/2"])
         with pytest.raises(CommutativityError):
             make_diagram(
                 cat,
@@ -103,9 +102,9 @@ class TestMakeDiagram:
         top = uniform(4)
         u = top.atoms
         half = ["1/2", "1/2"]
-        spaces = {"top": top, "bottom": make_space(["d0", "d1"], half)}
+        spaces = {"top": top, "bottom": ProbSpace(["d0", "d1"], half)}
         for obj in ("a", "b", "c"):
-            spaces[obj] = make_space([f"{obj}0", f"{obj}1"], half)
+            spaces[obj] = ProbSpace([f"{obj}0", f"{obj}1"], half)
         maps = {("top", "a"): {u[0]: "a0", u[1]: "a0", u[2]: "a1", u[3]: "a1"},
                 ("a", "bottom"): {"a0": "d0", "a1": "d1"},
                 ("top", "b"): {u[0]: "b0", u[1]: "b0", u[2]: "b1", u[3]: "b1"},
@@ -164,7 +163,7 @@ class TestEntropyVector:
         assert all(v == pytest.approx(LN2) for v in entropy_vector(d).values())
 
     def test_dirac_all_zero(self):
-        d = constant_diagram(standard_category("diamond"), make_space(["p"], [1]))
+        d = constant_diagram(standard_category("diamond"), ProbSpace(["p"], [1]))
         assert all(v == 0.0 for v in entropy_vector(d).values())
 
     def test_monotone_along_morphisms(self):
@@ -180,7 +179,7 @@ class TestTensor:
     def test_tensor_with_dirac_constant(self):
         rng = random.Random(13)
         d = random_diagram(rng)
-        unit = constant_diagram(d.category, make_space(["p"], [1]))
+        unit = constant_diagram(d.category, ProbSpace(["p"], [1]))
         t = tensor_diagrams(d, unit)
         for obj in d.category.objects:
             assert sorted(t.spaces[obj].weights) == sorted(d.spaces[obj].weights)
@@ -213,7 +212,7 @@ class TestConditioning:
     def test_condition_on_dirac_space(self):
         cat = standard_category("two_fan")
         top = uniform(2)
-        point = make_space(["p"], [1])
+        point = ProbSpace(["p"], [1])
         d = make_diagram(cat, {"top": top, "left": top, "right": point},
                          {("top", "left"): {a: a for a in top.atoms},
                           ("top", "right"): {a: "p" for a in top.atoms}})
@@ -293,7 +292,7 @@ class TestAnalyze:
         # both feet identical to the top through a non-injective joint
         cat = standard_category("two_fan")
         top = uniform(3)
-        foot = make_space(["c"], [1])
+        foot = ProbSpace(["c"], [1])
         d = make_diagram(cat, {"top": top, "left": foot, "right": foot},
                          {("top", "left"): {a: "c" for a in top.atoms},
                           ("top", "right"): {a: "c" for a in top.atoms}})
@@ -400,8 +399,8 @@ class TestDiagramIsomorphic:
 
     def test_relabeled_uniform(self):
         cat = build_category(["w"], [])
-        d1 = make_diagram(cat, {"w": make_space(["a", "b"], ["1/2", "1/2"])}, {})
-        d2 = make_diagram(cat, {"w": make_space(["c", "d"], ["1/2", "1/2"])}, {})
+        d1 = make_diagram(cat, {"w": ProbSpace(["a", "b"], ["1/2", "1/2"])}, {})
+        d2 = make_diagram(cat, {"w": ProbSpace(["c", "d"], ["1/2", "1/2"])}, {})
         ok, iso = diagram_isomorphic(d1, d2)
         assert ok and set(iso["w"].values()) == {"c", "d"}
 

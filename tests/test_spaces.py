@@ -10,11 +10,8 @@ import oracles
 from probdiag import (
     ProbSpace,
     Reduction,
-    condition_fiber,
     dirac,
     lambda_space,
-    make_reduction,
-    make_space,
     pushforward,
     special_space,
     tensor_spaces,
@@ -34,27 +31,27 @@ from conftest import random_reduction, random_space
 
 class TestMakeSpace:
     def test_one_atom(self):
-        x = make_space(["a"], ["1/1"])
+        x = ProbSpace(["a"], ["1/1"])
         assert x.atoms == ("a",) and x.weight("a") == 1
 
     def test_uniform_two(self):
-        x = make_space(["a", "b"], ["1/2", "1/2"])
+        x = ProbSpace(["a", "b"], ["1/2", "1/2"])
         assert x == uniform(2) or sorted(x.weights) == sorted(uniform(2).weights)
 
     def test_bad_sum(self):
         with pytest.raises(WeightSumError):
-            make_space(["a", "b"], ["1/3", "1/3"])
+            ProbSpace(["a", "b"], ["1/3", "1/3"])
 
     def test_negative(self):
         with pytest.raises(NegativeWeightError):
-            make_space(["a", "b"], [Fraction(3, 2), Fraction(-1, 2)])
+            ProbSpace(["a", "b"], [Fraction(3, 2), Fraction(-1, 2)])
 
     def test_duplicate(self):
         with pytest.raises(DuplicateAtomError):
-            make_space(["a", "a"], ["1/2", "1/2"])
+            ProbSpace(["a", "a"], ["1/2", "1/2"])
 
     def test_zero_weight_dropped(self):
-        x = make_space(["a", "b"], [1, 0])
+        x = ProbSpace(["a", "b"], [1, 0])
         assert x.atoms == ("a",)
 
 
@@ -115,12 +112,12 @@ class TestTensor:
 class TestReduction:
     def test_identity_is_iso(self):
         x = uniform(3)
-        r = make_reduction(x, {a: a for a in x.atoms})
+        r = Reduction.from_map(x, {a: a for a in x.atoms})
         assert r.is_isomorphism()
 
     def test_uniform_pairing(self):
         x = uniform(4)
-        r = make_reduction(x, {a: i // 2 for i, a in enumerate(x.atoms)})
+        r = Reduction.from_map(x, {a: i // 2 for i, a in enumerate(x.atoms)})
         assert sorted(r.target.weights) == [Fraction(1, 2)] * 2
 
     def test_data_processing_on_random_reductions(self):
@@ -138,34 +135,34 @@ class TestReduction:
     def test_declared_target_not_hit(self):
         x = uniform(2)
         with pytest.raises(NotSurjectiveError):
-            make_reduction(x, {a: "t0" for a in x.atoms}, target_atoms=["t0", "t1"])
+            Reduction.from_map(x, {a: "t0" for a in x.atoms}, target_atoms=["t0", "t1"])
 
 
 class TestConditioning:
     def test_identity_fiber_is_dirac(self):
         x = uniform(3)
-        r = make_reduction(x, {a: a for a in x.atoms})
+        r = Reduction.from_map(x, {a: a for a in x.atoms})
         for atom in x.atoms:
-            assert len(condition_fiber(r, atom)) == 1
+            assert len(r.fiber(atom)) == 1
 
     def test_pairing_fiber_is_uniform(self):
         x = uniform(4)
-        r = make_reduction(x, {a: i // 2 for i, a in enumerate(x.atoms)})
-        fiber = condition_fiber(r, 0)
+        r = Reduction.from_map(x, {a: i // 2 for i, a in enumerate(x.atoms)})
+        fiber = r.fiber(0)
         assert sorted(fiber.weights) == [Fraction(1, 2)] * 2
 
     def test_unknown_atom(self):
         x = uniform(2)
-        r = make_reduction(x, {a: "t" for a in x.atoms})
+        r = Reduction.from_map(x, {a: "t" for a in x.atoms})
         with pytest.raises(UnknownAtomError):
-            condition_fiber(r, "missing")
+            r.fiber("missing")
 
     def test_chain_rule_on_random_reductions(self):
         rng = random.Random(5)
         for _ in range(100):
             r = random_reduction(rng)
             mixture = sum(
-                float(r.target.weight(u)) * condition_fiber(r, u).entropy
+                float(r.target.weight(u)) * r.fiber(u).entropy
                 for u in r.target.atoms
             )
             assert abs(r.domain.entropy - (r.target.entropy + mixture)) < 1e-9
@@ -180,7 +177,7 @@ class TestTotalVariation:
         assert tv_distance(dirac("a"), dirac("b")) == 2
 
     def test_uniform_vs_lambda_quarter(self):
-        base = make_space(["light", "heavy"], ["1/2", "1/2"])
+        base = ProbSpace(["light", "heavy"], ["1/2", "1/2"])
         assert tv_distance(base, lambda_space(Fraction(1, 4))) == Fraction(1, 2)
 
     @settings(max_examples=200, deadline=None)

@@ -1,0 +1,369 @@
+"""The trust boundary.
+
+Internal builders construct their diagrams, maps and fans unchecked; here
+`oracles.recheck` rebuilds each of their outputs through the public checked
+constructors.  Every public entry must reject a map that does not preserve
+measure and a square that does not commute.  The benchmark's tracer must
+still find every entry point it wraps."""
+import importlib.util
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+import oracles
+from conftest import random_diagram, random_distribution, random_set_diagram
+from probdiag import (
+    ContractionParams,
+    Diagram,
+    DistributionOnSetDiagram,
+    FanOfDiagrams,
+    ProbSpace,
+    Reduction,
+    SetDiagram,
+    condition_diagram,
+    cone_diagram,
+    constant_diagram,
+    contract_once,
+    default_parameters,
+    diagonal_fan,
+    expand_diagram,
+    extend_admissible_fan,
+    ikd_bounds,
+    joint_space,
+    local_estimate_witness,
+    make_diagram,
+    min_entropy_coupling,
+    recover_collapsed_diagram,
+    standard_category,
+    tensor_diagrams,
+    tensor_fan,
+    verify_expansion,
+)
+from probdiag import contraction, distances, jsonio
+from probdiag.cli import main
+from probdiag.errors import ProbdiagError
+from probdiag.expansion import ExpansionSpec
+from probdiag.fixtures import coord_lambda3, coord_two_fan, reduced_lambda3, reduced_two_fan
+from probdiag.sampling import subseed
+from probdiag.spaces import LAMBDA_HEAVY, LAMBDA_LIGHT
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def recheck_reduction(red: Reduction) -> None:
+    assert list(red.mapping) == list(red.domain.atoms)
+    Reduction(red.domain, red.target, red.mapping)
+
+
+def recheck_extended(ext) -> None:
+    """The extended fan's y-diagram with its projections onto the x-side and
+    onto the constant diagram on u, and every conditioned x-side slice."""
+    oracles.recheck(ext.xdiag)
+    u_diagram = constant_diagram(ext.shape, ext.u_space)
+    oracles.recheck(FanOfDiagrams(ext.ydiag, ext.xdiag, u_diagram, ext.proj_x, ext.proj_u))
+    for u in ext.u_space.atoms:
+        oracles.recheck(ext.conditioned_x_side(u))
+
+
+def recheck_run(run) -> None:
+    oracles.recheck(run.xprime)
+    if run.fan_prime is not None:
+        oracles.recheck(run.fan_prime)
+
+
+def recheck_estimate(est) -> None:
+    oracles.recheck(est.witness.fan)
+    if est.lambda_fans is None:
+        return
+    for fan in est.lambda_fans:
+        oracles.recheck(fan)
+        for mark in (LAMBDA_LIGHT, LAMBDA_HEAVY):
+            if any(p[1] == mark for p in fan.top.initial_space.atoms):
+                oracles.recheck(distances._condition_on_mark(fan.top, mark))
+
+
+# -- the oracle on every unchecked builder ---------------------------------
+
+
+def test_recheck_random_diagram_builders():
+    rng = random.Random(606)
+    for _ in range(40):
+        d = random_diagram(rng)
+        other = random_diagram(rng, d.category)
+        oracles.recheck(d)
+        for obj in d.category.objects:
+            for atom in d.spaces[obj].atoms:
+                oracles.recheck(condition_diagram(d, obj, atom))
+            oracles.recheck(cone_diagram(d, obj, "descendants"))
+            oracles.recheck(cone_diagram(d, obj, "ancestors"))
+            for _, to_i, to_j in (joint_space(d, d.initial, obj), joint_space(d, obj, obj)):
+                recheck_reduction(to_i)
+                recheck_reduction(to_j)
+            for dst in d.category.descendants(obj):
+                recheck_reduction(d.composite_reduction(obj, dst))
+        oracles.recheck(constant_diagram(d.category, d.initial_space))
+        oracles.recheck(tensor_diagrams(d, other))
+        oracles.recheck(diagonal_fan(d))
+        oracles.recheck(tensor_fan(d, other))
+        oracles.recheck(ikd_bounds(d, other).witness.fan)
+        sd = SetDiagram.from_diagram(d)
+        pi = dict(d.initial_space.items())
+        pi_prime = random_distribution(rng, d.initial_space.atoms)
+        recheck_estimate(local_estimate_witness(sd, pi, pi_prime))
+
+
+def test_recheck_random_set_diagram_builders():
+    rng = random.Random(607)
+    for _ in range(40):
+        sd = random_set_diagram(rng)
+        pi = random_distribution(rng, sd.initial_set())
+        pi_prime = random_distribution(rng, sd.initial_set())
+        oracles.recheck(DistributionOnSetDiagram(sd, pi).to_diagram())
+        recheck_estimate(local_estimate_witness(sd, pi, pi_prime))
+
+
+def test_recheck_single_space_couplings():
+    rng = random.Random(608)
+    for _ in range(20):
+        x = _random_space(rng, "x", 3)
+        y = _random_space(rng, "y", 4)
+        oracles.recheck(min_entropy_coupling(x, y).fan)
+        oracles.recheck(min_entropy_coupling(x, y, cap=4).fan)  # the greedy path
+
+
+def _random_space(rng, prefix, size):
+    masses = [rng.randint(1, 9) for _ in range(size)]
+    return ProbSpace([f"{prefix}{i}" for i in range(size)], masses, denom=sum(masses))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: coord_two_fan(6, range(1, 5), range(3, 7)),
+    lambda: coord_lambda3(),
+    lambda: reduced_two_fan(4, (3, 4)),
+    lambda: reduced_lambda3(2, 5, (4, 5)),
+], ids=["coord_two_fan", "coord_lambda3", "reduced_two_fan", "reduced_lambda3"])
+def test_recheck_fixture_builders(build):
+    diagram, fan = build()
+    oracles.recheck(diagram)
+    ext = extend_admissible_fan(diagram, fan)
+    recheck_extended(ext)
+    params = ContractionParams(N=40, t=0.5, rho=ext.rho, seed=3)
+    run = contract_once(ext, params)
+    recheck_run(run)
+    oracles.recheck(recover_collapsed_diagram(diagram, fan, run))
+
+
+@pytest.mark.parametrize("root", [1, 42])
+def test_recheck_loaded_roundtrip(root, tmp_path):
+    """contract -> recover -> expand on reduced_lambda3(3, 7, 6..7) reloaded
+    from JSON (so without a coordinate certificate), at the default N."""
+    diagram, fan = reduced_lambda3(3, 7, range(6, 8))
+    path = tmp_path / "lambda3.json"
+    jsonio.save_diagram(diagram, path)
+    loaded = jsonio.load_diagram(path)
+    ext = extend_admissible_fan(loaded, fan)
+    recheck_extended(ext)
+    base = default_parameters(ext, seed=0)
+    for k, m in enumerate((2, 3, 4)):
+        params = ContractionParams(N=base.N, t=base.t, rho=ext.rho,
+                                   seed=subseed(root, "run", k))
+        run = contract_once(ext, params)
+        assert run.fan_prime is not None
+        recheck_run(run)
+        oracles.recheck(recover_collapsed_diagram(loaded, fan, run))
+        spec = ExpansionSpec(loaded, fan, m)
+        expanded = expand_diagram(spec)
+        oracles.recheck(expanded)
+        assert verify_expansion(loaded, expanded, spec).recovered_exactly
+
+
+# -- every public entry rejects bad maps and squares -----------------------
+
+DIAMOND = standard_category("diamond")
+
+
+def _diamond(defect: str | None = None):
+    """Spaces and map dicts of a uniform diamond; `measure` makes top->left
+    fail to preserve measure, `square` makes the two paths to bottom
+    disagree (every map still preserving measure)."""
+    half = [1, 1]
+    spaces = {"top": ProbSpace([0, 1, 2, 3], [1] * 4, denom=4),
+              "left": ProbSpace(["l0", "l1"], half, denom=2),
+              "right": ProbSpace(["r0", "r1"], half, denom=2),
+              "bottom": ProbSpace(["b0", "b1"], half, denom=2)}
+    maps = {("top", "left"): {0: "l0", 1: "l0", 2: "l1", 3: "l1"},
+            ("top", "right"): {0: "r0", 1: "r0", 2: "r1", 3: "r1"},
+            ("left", "bottom"): {"l0": "b0", "l1": "b1"},
+            ("right", "bottom"): {"r0": "b0", "r1": "b1"}}
+    if defect == "measure":
+        maps[("top", "left")] = {0: "l0", 1: "l1", 2: "l1", 3: "l1"}
+    elif defect == "square":
+        maps[("right", "bottom")] = {"r0": "b1", "r1": "b0"}
+    return spaces, maps
+
+
+def _diagram_obj(spaces, maps) -> dict:
+    return {"category": jsonio.category_to_obj(DIAMOND),
+            "spaces": {o: jsonio.space_to_obj(s) for o, s in spaces.items()},
+            "maps": {f"{i}->{j}": {jsonio.atom_key(a): b for a, b in m.items()}
+                     for (i, j), m in maps.items()}}
+
+
+def _fan_projections(defect: str):
+    """Projections of the good diamond onto itself: identities, except at
+    the top, where `measure` merges two atoms and `square` swaps two atoms
+    of different classes (measure-preserving but not natural)."""
+    spaces, _ = _diamond()
+    top_map = ({0: 0, 1: 1, 2: 2, 3: 2} if defect == "measure"
+               else {0: 2, 1: 1, 2: 0, 3: 3})
+    return {o: (top_map if o == "top" else {a: a for a in s.atoms})
+            for o, s in spaces.items()}
+
+
+def _via_reduction(defect):
+    spaces, maps = _diamond(defect)
+    Reduction(spaces["top"], spaces["left"], maps[("top", "left")])
+
+
+def _via_from_map(defect):
+    spaces, _ = _diamond()
+    # declares two target atoms but sends all mass to one of them
+    Reduction.from_map(spaces["top"], {a: "l0" for a in spaces["top"].atoms},
+                       target_atoms=["l0", "l1"])
+
+
+def _via_make_diagram(defect):
+    make_diagram(DIAMOND, *_diamond(defect))
+
+
+def _via_diagram(defect):
+    spaces, maps = _diamond(defect)
+    # a non-measure-preserving map reaches the constructor only as a checked
+    # reduction onto its own pushforward, which differs from the declared space
+    prime = {(i, j): Reduction.from_map(spaces[i], m) for (i, j), m in maps.items()}
+    Diagram(DIAMOND, spaces, prime)
+
+
+def _via_fan(defect):
+    good = make_diagram(DIAMOND, *_diamond())
+    projs = {o: Reduction.from_map(good.spaces[o], m)
+             for o, m in _fan_projections(defect).items()}
+    ident = {o: Reduction.identity(s) for o, s in good.spaces.items()}
+    FanOfDiagrams(good, good, good, projs, ident)
+
+
+def _via_diagram_from_obj(defect):
+    jsonio.diagram_from_obj(json.loads(json.dumps(_diagram_obj(*_diamond(defect)))))
+
+
+def _via_fan_from_obj(defect):
+    good = _diagram_obj(*_diamond())
+    ident = {o: {jsonio.atom_key(a): a for a in s.atoms} for o, s in _diamond()[0].items()}
+    bad = {o: {jsonio.atom_key(a): b for a, b in m.items()}
+           for o, m in _fan_projections(defect).items()}
+    obj = {"top": good, "left": good, "right": good, "proj_left": bad, "proj_right": ident}
+    jsonio.fan_from_obj(json.loads(json.dumps(obj)))
+
+
+def _via_set_diagram(defect):
+    spaces, maps = _diamond(defect)
+    SetDiagram(DIAMOND, {o: s.atoms for o, s in spaces.items()}, maps)
+
+
+ENTRIES = [
+    (_via_reduction, ("measure",)),
+    (_via_from_map, ("measure",)),
+    (_via_make_diagram, ("measure", "square")),
+    (_via_diagram, ("measure", "square")),
+    (_via_fan, ("measure", "square")),
+    (_via_diagram_from_obj, ("measure", "square")),
+    (_via_fan_from_obj, ("measure", "square")),
+    (_via_set_diagram, ("square",)),
+]
+
+
+@pytest.mark.parametrize("entry, defect", [
+    pytest.param(entry, defect, id=f"{entry.__name__[5:]}-{defect}")
+    for entry, defects in ENTRIES for defect in defects] + [
+    pytest.param("cli", defect, id=f"cli_validate-{defect}") for defect in ("measure", "square")])
+def test_public_entries_reject_bad_maps(entry, defect, tmp_path, capsys):
+    if entry == "cli":
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_diagram_obj(*_diamond(defect))))
+        assert main(["validate", "--input", str(path)]) == 2
+        assert "invalid" in capsys.readouterr().out
+        return
+    with pytest.raises(ProbdiagError):
+        entry(defect)
+
+
+@pytest.mark.parametrize("cover, mapping", [
+    (("top", "left"), {0: "l0", 1: "l0", 2: "l1"}),
+    (("top", "left"), {0: "l0", 1: "l0", 2: "l0", 3: "l0"}),
+    (("left", "bottom"), {"l0": "b0", "l1": "bx"}),
+], ids=["partial", "not-onto", "outside-target"])
+def test_set_diagram_rejects_bad_maps(cover, mapping):
+    spaces, maps = _diamond()
+    maps[cover] = mapping
+    with pytest.raises(ProbdiagError):
+        SetDiagram(DIAMOND, {o: s.atoms for o, s in spaces.items()}, maps)
+
+
+def test_good_diamond_passes_every_entry():
+    spaces, maps = _diamond()
+    good = make_diagram(DIAMOND, spaces, maps)
+    assert jsonio.diagram_from_obj(_diagram_obj(spaces, maps)) == good
+    ident = {o: Reduction.identity(s) for o, s in good.spaces.items()}
+    FanOfDiagrams(good, good, good, ident, ident)
+    SetDiagram(DIAMOND, {o: s.atoms for o, s in spaces.items()}, maps)
+
+
+# -- the benchmark's tracer still resolves --------------------------------
+
+
+def test_perfbench_tracer_entries_resolve():
+    """perfbench/tracer.py wraps library functions and methods by name and
+    reads Diagram._composites and ExtendedFan._fiber_iso_cache; installing
+    it must find every entry, and a traced contraction must record them."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    originals = {}
+    for kind, module, attr, _name, _hook in tracer_module.ENTRIES:
+        owner = sys.modules[f"probdiag.{module}"]
+        if kind == "method":
+            originals[(module, attr)] = getattr(owner, attr[0]).__dict__[attr[1]]
+        else:
+            originals[(module, attr)] = getattr(owner, attr)
+
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        for kind, module, attr, _name, _hook in tracer_module.ENTRIES:
+            owner = sys.modules[f"probdiag.{module}"]
+            current = (getattr(owner, attr[0]).__dict__[attr[1]] if kind == "method"
+                       else getattr(owner, attr))
+            assert getattr(current, "__wrapped__", None) is originals[(module, attr)]
+        diagram, fan = coord_lambda3()
+        ext = contraction.extend_admissible_fan(diagram, fan)
+        run = contraction.contract_once(
+            ext, ContractionParams(N=40, t=0.5, rho=ext.rho, seed=1))
+        assert run.fan_prime is not None
+    finally:
+        tracer.uninstall()
+    for kind, module, attr, _name, _hook in tracer_module.ENTRIES:
+        owner = sys.modules[f"probdiag.{module}"]
+        current = (getattr(owner, attr[0]).__dict__[attr[1]] if kind == "method"
+                   else getattr(owner, attr))
+        assert current is originals[(module, attr)]
+    spans = {record[0] for record in tracer.spans}
+    assert {"diagrams.from_initial_measure", "contraction.materialize_fan",
+            "contraction.fiber_iso", "diagrams.composite_mapping"} <= spans
+    counters = tracer.counters
+    assert counters["diagrams.composite_mapping.hits"] + \
+        counters["diagrams.composite_mapping.misses"] > 0
+    assert counters["contraction.fiber_iso.hits"] + counters["contraction.fiber_iso.misses"] > 0
