@@ -34,7 +34,6 @@ from .diagrams import (
     _from_initial_measure,
     _initial_lifts,
     _pair_fan,
-    _projections,
 )
 from .distances import local_estimate_bound
 from .errors import (
@@ -60,15 +59,13 @@ class ExtendedFan:
 
     The fiber isomorphism verdict of each u atom, and the conditioned x-side
     diagram of the reference atom they compare against, are cached; they
-    depend only on the fan, not on any sampled run.  So are the fiber
-    patterns the Monte-Carlo tails group x0 by, computed on first use."""
+    depend only on the fan, not on any sampled run.  So are the coupled
+    diagram and the fiber patterns the Monte-Carlo tails group x0 by,
+    computed on first use."""
 
     shape: IndexingCategory
     xdiag: Diagram
-    ydiag: Diagram
     u_space: ProbSpace
-    proj_x: dict
-    proj_u: dict
     base: Diagram
     fan: FanIndices
     fibers: dict  # u atom -> tuple of x0 atoms in the fiber over u
@@ -94,6 +91,15 @@ class ExtendedFan:
     def rho(self) -> Fraction:
         """Fiber density |x0 fiber| / |x0|; equals exp(-mutual information)."""
         return Fraction(self.fiber_size, self.x0_card)
+
+    @cached_property
+    def ydiag(self) -> Diagram:
+        """The base's initial measure pushed to pairs (x_i, u) at each object
+        x_i of the ideal."""
+        lifts = _initial_lifts(self.base)
+        cu = lifts[self.fan.u_obj]
+        pairs = {o: {z: (lifts[o][z], cu[z]) for z in cu} for o in self.shape.objects}
+        return _from_initial_measure(self.shape, self.base.initial_space, pairs)
 
     @cached_property
     def fiber_patterns(self) -> tuple[np.ndarray, np.ndarray]:
@@ -178,25 +184,18 @@ def extend_admissible_fan(diagram: Diagram, fi: FanIndices) -> ExtendedFan:
     shape = xdiag.category
     u_space = diagram.spaces[fi.u_obj]
 
-    # y_i is the initial measure pushed to pairs (x_i, u)
+    # the x0 atoms over each u in first-appearance order, as in ydiag's
+    # initial space (each dict is an ordered set)
+    cx = diagram.composite_mapping(diagram.initial, shape.initial)
     cu = diagram.composite_mapping(diagram.initial, fi.u_obj)
-    lifts = {}
-    for obj in shape.objects:
-        ci = diagram.composite_mapping(diagram.initial, obj)
-        lifts[obj] = {z: (ci[z], cu[z]) for z in diagram.initial_space.atoms}
-    ydiag = _from_initial_measure(shape, diagram.initial_space, lifts)
-    proj_x = _projections(ydiag, xdiag, 0)
-    proj_u = _projections(ydiag, constant_diagram(shape, u_space), 1)
-
-    fibers: dict = {u: [] for u in u_space.atoms}
-    for (x, u) in ydiag.initial_space.atoms:
-        fibers[u].append(x)
+    fibers: dict = {u: {} for u in u_space.atoms}
+    for z in diagram.initial_space.atoms:
+        fibers[cu[z]][cx[z]] = None
     fibers = {u: tuple(xs) for u, xs in fibers.items()}
     sizes = {len(xs) for xs in fibers.values()}
     if len(sizes) != 1:
         raise NotHomogeneousError("fibers over u have unequal sizes")
-    return ExtendedFan(shape, xdiag, ydiag, u_space, proj_x, proj_u,
-                       diagram, fi, fibers)
+    return ExtendedFan(shape, xdiag, u_space, diagram, fi, fibers)
 
 
 @dataclass(frozen=True)

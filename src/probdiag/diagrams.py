@@ -510,17 +510,11 @@ def _pair_fan(coupling: ProbSpace, first: Diagram, second: Diagram, *,
     lifts = {o: {p: (lift1[o][p[0]], lift2[o][p[1]]) for p in coupling.atoms}
              for o in first.category.objects}
     top = _from_initial_measure(first.category, coupling, lifts)
-    proj1, proj2 = _projections(top, first, 0), _projections(top, second, 1)
+    proj1, proj2 = ({o: Reduction._trusted(s, foot.spaces[o], {p: p[k] for p in s.atoms})
+                     for o, s in top.spaces.items()} for k, foot in enumerate((first, second)))
     if first_on_left:
         return FanOfDiagrams._trusted(top, first, second, proj1, proj2)
     return FanOfDiagrams._trusted(top, second, first, proj2, proj1)
-
-
-def _projections(top: Diagram, foot: Diagram, k: int) -> dict:
-    """Object -> the projection of top's pair atoms to coordinate k, onto
-    the foot's space, which must be that coordinate's marginal."""
-    return {o: Reduction._trusted(s, foot.spaces[o], {p: p[k] for p in s.atoms})
-            for o, s in top.spaces.items()}
 
 
 def coupling_fan(left: Diagram, right: Diagram, initial_coupling: ProbSpace) -> FanOfDiagrams:

@@ -2,9 +2,10 @@
 intrinsic distance, exact minimum-entropy coupling for single spaces, and the
 local total-variation estimate with an explicit witness coupling.
 
-The exact coupling is a branch-and-bound search over the vertices of the
-transportation polytope by leaf elimination on integer masses, bounded by
-the entropy of the majorization meet of the residual marginals.
+Measures are integer masses over one denominator throughout; `Fraction`
+appears only at input and in views.  The exact coupling is a branch-and-bound
+search over the vertices of the transportation polytope by leaf elimination,
+bounded by the entropy of the majorization meet of the residual marginals.
 
 Exact intrinsic distance for multi-object diagrams is not computed; the
 functions here return certified lower/upper bounds with witnesses, which is
@@ -35,6 +36,7 @@ from .errors import (
     MapError,
     ShapeMismatchError,
     SliceMismatchError,
+    WeightSumError,
 )
 from .spaces import (
     LAMBDA_HEAVY,
@@ -43,6 +45,8 @@ from .spaces import (
     as_fraction,
     entropy_of_masses,
     lambda_space,
+    pushforward,
+    _overlap,
 )
 
 DEFAULT_COUPLING_CAP = 30
@@ -277,21 +281,22 @@ def _coupling_space(x: ProbSpace, y: ProbSpace, cells: Mapping, denom: int) -> P
     return ProbSpace(atoms, cells.values(), denom=denom)
 
 
-def _greedy_coupling(x: ProbSpace, y: ProbSpace, denom: int) -> dict:
-    """Largest-mass-first matching, a cheap upper-bound coupling, on integer
-    masses over denom: saturate the cell of the largest residual row and
-    column, ties broken by str(atom), until no mass is left.
-    {(row, col): mass} in the order cells are used."""
+def _route(x: ProbSpace, y: ProbSpace, denom: int, pick) -> dict:
+    """Route the masses of x and y over denom into cells until none is left:
+    pick(residual, labels) names a live row, then a column (residual: index
+    -> remaining mass, in atom order; labels: str of each atom), and the
+    cell gets the smaller residual, so no cell repeats.  {(row, col): mass}
+    in the order cells are used."""
     rem_x = {r: m * (denom // x.denom) for r, m in enumerate(x.masses)}
     rem_y = {c: m * (denom // y.denom) for c, m in enumerate(y.masses)}
     label_x = [str(a) for a in x.atoms]
     label_y = [str(b) for b in y.atoms]
     cells = {}
     while rem_x:
-        r = max(rem_x, key=lambda k: (rem_x[k], label_x[k]))
-        c = max(rem_y, key=lambda k: (rem_y[k], label_y[k]))
+        r = pick(rem_x, label_x)
+        c = pick(rem_y, label_y)
         move = min(rem_x[r], rem_y[c])
-        cells[(r, c)] = move  # one of the two lines runs out, so no cell repeats
+        cells[(r, c)] = move
         rem_x[r] -= move
         rem_y[c] -= move
         if rem_x[r] == 0:
@@ -299,6 +304,22 @@ def _greedy_coupling(x: ProbSpace, y: ProbSpace, denom: int) -> dict:
         if rem_y[c] == 0:
             del rem_y[c]
     return cells
+
+
+def _greedy_coupling(x: ProbSpace, y: ProbSpace, denom: int) -> dict:
+    """Largest-mass-first matching, a cheap upper-bound coupling: saturate
+    the cell of the largest residual row and column, ties broken by
+    str(atom), until no mass is left."""
+    return _route(x, y, denom, lambda rem, labels: max(rem, key=lambda k: (rem[k], labels[k])))
+
+
+def random_coupling(x: ProbSpace, y: ProbSpace, rng) -> ProbSpace:
+    """A feasible coupling built by routing mass through cells in a random
+    order, for randomized dominance tests: each step draws a row, then a
+    column, with rng.choice over the live atoms sorted by str."""
+    denom = math.lcm(x.denom, y.denom)
+    cells = _route(x, y, denom, lambda rem, labels: rng.choice(sorted(rem, key=labels.__getitem__)))
+    return _coupling_space(x, y, cells, denom)
 
 
 def single_space_diagram(space: ProbSpace, obj: str = "1") -> Diagram:
@@ -397,33 +418,31 @@ class SetDiagram:
 
 
 class DistributionOnSetDiagram:
-    """A distribution on the initial set; pushforwards determine the rest."""
+    """A distribution on the initial set, checked into `measure` (a space in
+    the initial set's order); pushforwards determine the rest."""
 
-    __slots__ = ("set_diagram", "pi0")
+    __slots__ = ("set_diagram", "measure")
 
     def __init__(self, set_diagram: SetDiagram, pi0: Mapping):
-        pi0 = {a: as_fraction(w) for a, w in pi0.items()}
-        unknown = [a for a in pi0 if a not in set(set_diagram.initial_set())]
+        initial = set_diagram.initial_set()
+        known = set(initial)
+        unknown = [a for a in pi0 if a not in known]
         if unknown:
             raise MapError(f"distribution names atoms outside the initial set: {unknown!r}")
-        if sum(pi0.values(), Fraction(0)) != 1:
-            raise MapError("initial distribution must sum to 1")
         self.set_diagram = set_diagram
-        self.pi0 = pi0
+        try:
+            self.measure = ProbSpace(initial, [pi0.get(a, 0) for a in initial])
+        except WeightSumError:
+            raise MapError("initial distribution must sum to 1") from None
 
     def marginal(self, obj: str) -> dict:
         comp = self.set_diagram.composite_mapping(self.set_diagram.initial, obj)
-        out: dict = {}
-        for a, w in self.pi0.items():
-            out[comp[a]] = out.get(comp[a], Fraction(0)) + w
-        return out
+        return dict(pushforward(self.measure, comp).items())
 
     def to_diagram(self) -> Diagram:
         """The probability diagram (sets, pi); zero-weight atoms drop out."""
         sd = self.set_diagram
-        init_atoms = [a for a in sd.initial_set() if self.pi0.get(a, 0) > 0]
-        measure = ProbSpace(init_atoms, [self.pi0[a] for a in init_atoms])
-        return _from_initial_measure(sd.category, measure, _initial_lifts(sd))
+        return _from_initial_measure(sd.category, self.measure, _initial_lifts(sd))
 
 
 # -- local decomposition and the local estimate -------------------------------
@@ -444,20 +463,27 @@ class LocalDecomposition:
 
 
 def local_decomposition(pi: Mapping, pi_prime: Mapping) -> LocalDecomposition:
-    pi = {a: as_fraction(w) for a, w in pi.items()}
-    pi_prime = {a: as_fraction(w) for a, w in pi_prime.items()}
-    atoms = list(pi)
-    atoms += [a for a in pi_prime if a not in pi]
-    zero = Fraction(0)
-    alpha = sum((abs(pi.get(a, zero) - pi_prime.get(a, zero)) for a in atoms), zero) / 2
-    if alpha == 1:
-        return LocalDecomposition(alpha, None, dict(pi), dict(pi_prime))
-    if alpha == 0:
-        return LocalDecomposition(alpha, dict(pi), dict(pi), dict(pi))
-    common = {a: min(pi.get(a, zero), pi_prime.get(a, zero)) / (1 - alpha) for a in atoms}
-    rest_left = {a: (pi.get(a, zero) - (1 - alpha) * common[a]) / alpha for a in atoms}
-    rest_right = {a: (pi_prime.get(a, zero) - (1 - alpha) * common[a]) / alpha for a in atoms}
-    return LocalDecomposition(alpha, common, rest_left, rest_right)
+    """Fraction views of the integer overlap of two distributions, each part
+    its masses over their sum, keyed by every atom either names.  For
+    alpha = 0 all three parts are pi; for alpha = 1 the rests are pi and
+    pi_prime, each keyed by its own atoms."""
+    overlap = _overlap(pi, pi_prime)
+    rest, denom = overlap.rest, overlap.denom
+
+    def view(masses: list, total: int, keys) -> dict:
+        table = dict(zip(overlap.atoms, masses))
+        return {a: Fraction(table.get(a, 0), total) for a in keys}
+
+    alpha = Fraction(rest, denom)
+    if rest == denom:
+        return LocalDecomposition(alpha, None, view(overlap.rest_left, denom, pi),
+                                  view(overlap.rest_right, denom, pi_prime))
+    if rest == 0:
+        return LocalDecomposition(alpha, *(view(overlap.common, denom, pi) for _ in range(3)))
+    atoms = list(pi) + [a for a in pi_prime if a not in pi]
+    return LocalDecomposition(alpha, view(overlap.common, denom - rest, atoms),
+                              view(overlap.rest_left, rest, atoms),
+                              view(overlap.rest_right, rest, atoms))
 
 
 def local_estimate_bound(size: int, initial_cardinality: int, alpha) -> float:
@@ -476,22 +502,35 @@ class LocalEstimate:
     slice_isos_ok: bool
 
 
-def _marked_fan(base: Diagram, alpha: Fraction, common: Mapping, rest: Mapping, *,
-                mark_left: bool) -> FanOfDiagrams:
+def _mixture_witness(left: Diagram, right: Diagram) -> CouplingWitness:
+    """The coupling of two diagrams on one skeleton with overlapping initial
+    measures that draws both coordinates equal from the common part with
+    probability 1 - alpha, else each from its rest: over R D, with
+    R = alpha D, common_a R on (a, a) and rest_left_a rest_right_b on (a, b)."""
+    overlap = _overlap(left.initial_space, right.initial_space)
+    scale = overlap.rest or 1  # with no rest, the common part over D
+    cells = {(a, a): c * scale for a, c in zip(overlap.atoms, overlap.common) if c}
+    rights = [(b, mb) for b, mb in zip(overlap.atoms, overlap.rest_right) if mb]
+    cells.update(((a, b), ma * mb) for a, ma in zip(overlap.atoms, overlap.rest_left) if ma
+                 for b, mb in rights)
+    coupling = ProbSpace(cells, cells.values(), denom=overlap.denom * scale)
+    fan = coupling_fan(left, right, coupling)
+    return CouplingWitness(fan, kd_of_fan(fan), method="common-rest mixture")
+
+
+def _marked_fan(base: Diagram, overlap, rest: list, *, mark_left: bool) -> FanOfDiagrams:
     """The fan of base against Lambda_alpha whose top lives on pairs
-    (atom, mark), weighted (1-a) common on the light mark and a rest on the
-    heavy one; the Lambda foot is on the left when mark_left is set."""
-    weights0 = {}
-    for a in base.initial_space.atoms:
-        wl = (1 - alpha) * common.get(a, Fraction(0))
-        wh = alpha * rest.get(a, Fraction(0))
-        if wl > 0:
-            weights0[(a, LAMBDA_LIGHT)] = wl
-        if wh > 0:
-            weights0[(a, LAMBDA_HEAVY)] = wh
-    measure = ProbSpace(weights0, weights0.values())
-    lam = constant_diagram(base.category, lambda_space(alpha))
-    return _pair_fan(measure, base, lam, first_on_left=not mark_left)
+    (atom, mark), over the overlap's denominator: the common mass on the
+    light mark and the rest mass on the heavy one.  The Lambda foot is on
+    the left when mark_left is set."""
+    parts = dict(zip(overlap.atoms, zip(overlap.common, rest)))
+    marked = {(a, mark): mass for a in base.initial_space.atoms
+              for mark, mass in zip((LAMBDA_LIGHT, LAMBDA_HEAVY), parts[a]) if mass}
+    measure = ProbSpace(marked, marked.values(), denom=overlap.denom)
+    lam = ProbSpace([LAMBDA_LIGHT, LAMBDA_HEAVY], [overlap.denom - overlap.rest, overlap.rest],
+                    denom=overlap.denom)
+    return _pair_fan(measure, base, constant_diagram(base.category, lam),
+                     first_on_left=not mark_left)
 
 
 def _condition_on_mark(marked: Diagram, mark) -> Diagram:
@@ -501,71 +540,50 @@ def _condition_on_mark(marked: Diagram, mark) -> Diagram:
 
 def _strip_marks_iso(conditioned: Diagram, reference: Diagram) -> bool:
     """Exact check that dropping the mark identifies the conditioned slice
-    with the reference diagram."""
-    for obj in conditioned.category.objects:
-        got = {a: w for (a, m), w in conditioned.spaces[obj].items()}
-        want = dict(reference.spaces[obj].items())
-        if got != want:
-            return False
-    return True
+    with the reference diagram: equal denominators and masses everywhere."""
+    return all(ProbSpace([a for a, _ in s.atoms], s.masses, denom=s.denom) == reference.spaces[o]
+               for o, s in conditioned.spaces.items())
 
 
 def local_estimate_witness(sd: SetDiagram, pi0: Mapping, pi0_prime: Mapping) -> LocalEstimate:
     """Witness coupling and certified bound for two distributions on one
     set diagram.
 
-    The witness draws both coordinates equal from the common part with
-    probability 1 - alpha, and independently from the two rest parts with
-    probability alpha.  Its fan distance never exceeds
+    The witness is the common-rest mixture.  Its fan distance never exceeds
     2 * size * (alpha ln|S0| + H(Lambda_alpha)); with disjoint supports the
     tensor coupling and the rough bound 2 * size * ln|S0| are used instead.
     The two marked fans over the Lambda foot are built as well and their
     conditioned slices are checked exactly against the decomposition parts.
     """
-    dist = DistributionOnSetDiagram(sd, pi0)
-    dist_prime = DistributionOnSetDiagram(sd, pi0_prime)
-    left = dist.to_diagram()
-    right = dist_prime.to_diagram()
+    left = DistributionOnSetDiagram(sd, pi0).to_diagram()
+    right = DistributionOnSetDiagram(sd, pi0_prime).to_diagram()
     size = sd.category.size
     s0 = len(sd.initial_set())
-    dec = local_decomposition(dist.pi0, dist_prime.pi0)
-    alpha = dec.alpha
-
-    if alpha == 1:
+    overlap = _overlap(left.initial_space, right.initial_space)
+    alpha = Fraction(overlap.rest, overlap.denom)
+    bound = local_estimate_bound(size, s0, alpha)  # 2 * size * ln|S0| for alpha = 1
+    if overlap.rest == overlap.denom:
         fan = tensor_fan(left, right)
-        bound = 2.0 * size * math.log(s0)
         return LocalEstimate(CouplingWitness(fan, kd_of_fan(fan), method="tensor"),
                              alpha, bound, None, True)
 
-    zero = Fraction(0)
-    cells: dict = {}
-    for a, w in dec.common.items():
-        if w > 0:
-            cells[(a, a)] = cells.get((a, a), zero) + (1 - alpha) * w
-    if alpha > 0:
-        for a, wa in dec.rest_left.items():
-            if wa == 0:
-                continue
-            for b, wb in dec.rest_right.items():
-                if wb == 0:
-                    continue
-                cells[(a, b)] = cells.get((a, b), zero) + alpha * wa * wb
-    coupling = ProbSpace(list(cells), list(cells.values()))
-    fan = coupling_fan(left, right, coupling)
-    witness = CouplingWitness(fan, kd_of_fan(fan), method="common-rest mixture")
-    bound = local_estimate_bound(size, s0, alpha)
+    witness = _mixture_witness(left, right)
+    fans = (_marked_fan(left, overlap, overlap.rest_left, mark_left=False),
+            _marked_fan(right, overlap, overlap.rest_right, mark_left=True))
+    lifts = _initial_lifts(sd)
 
-    fan_left = _marked_fan(left, alpha, dec.common, dec.rest_left, mark_left=False)
-    fan_right = _marked_fan(right, alpha, dec.common, dec.rest_right, mark_left=True)
+    def part(masses: list, total: int) -> Diagram:
+        measure = ProbSpace(overlap.atoms, masses, denom=total)
+        return _from_initial_measure(sd.category, measure, lifts)
 
-    common_diagram = DistributionOnSetDiagram(sd, dec.common).to_diagram()
+    common = part(overlap.common, overlap.denom - overlap.rest)
     slice_ok = True
-    for marked, rest in ((fan_left.top, dec.rest_left), (fan_right.top, dec.rest_right)):
-        slice_ok &= _strip_marks_iso(_condition_on_mark(marked, LAMBDA_LIGHT), common_diagram)
-        if alpha > 0:
-            rest_diagram = DistributionOnSetDiagram(sd, rest).to_diagram()
-            slice_ok &= _strip_marks_iso(_condition_on_mark(marked, LAMBDA_HEAVY), rest_diagram)
-    return LocalEstimate(witness, alpha, bound, (fan_left, fan_right), slice_ok)
+    for fan, rest in zip(fans, (overlap.rest_left, overlap.rest_right)):
+        slice_ok &= _strip_marks_iso(_condition_on_mark(fan.top, LAMBDA_LIGHT), common)
+        if overlap.rest:
+            slice_ok &= _strip_marks_iso(_condition_on_mark(fan.top, LAMBDA_HEAVY),
+                                         part(rest, overlap.rest))
+    return LocalEstimate(witness, alpha, bound, fans, slice_ok)
 
 
 # -- certified two-sided bounds ----------------------------------------------
@@ -584,8 +602,8 @@ def ikd_bounds(left: Diagram, right: Diagram, *,
 
     Lower bound: the entropy-vector gap.  Upper bound: the best constructed
     coupling among the diagonal (equal diagrams), the exact single-space
-    optimum (below the cap), the shared-skeleton local witness, and the
-    tensor coupling.
+    optimum (below the cap), the common-rest mixture of two measures on one
+    skeleton (the local estimate's witness), and the tensor coupling.
     """
     if left.category != right.category:
         raise ShapeMismatchError("distance bounds need diagrams of the same shape")
@@ -599,11 +617,9 @@ def ikd_bounds(left: Diagram, right: Diagram, *,
         x, y = left.spaces[obj], right.spaces[obj]
         if len(x) * len(y) <= coupling_cap:
             candidates.append(min_entropy_coupling(x, y, cap=coupling_cap))
-    sd_left = SetDiagram.from_diagram(left)
-    if sd_left == SetDiagram.from_diagram(right):
-        pi0 = dict(left.initial_space.items())
-        pi0_prime = dict(right.initial_space.items())
-        candidates.append(local_estimate_witness(sd_left, pi0, pi0_prime).witness)
+    if SetDiagram.from_diagram(left) == SetDiagram.from_diagram(right):
+        # one skeleton means equal supports, so the measures overlap
+        candidates.append(_mixture_witness(left, right))
     independent = tensor_fan(left, right)
     candidates.append(CouplingWitness(independent, kd_of_fan(independent), method="tensor"))
     best = min(candidates, key=lambda w: w.kd_value)
@@ -639,22 +655,3 @@ def slicing_rhs(fan_x: FanOfDiagrams, fan_y: FanOfDiagrams,
         total += float(w) * float(per_u_upper[u])
     return total + 2.0 * size * u_x.entropy
 
-
-def random_coupling(x: ProbSpace, y: ProbSpace, rng) -> ProbSpace:
-    """A feasible coupling built by routing mass through cells in a random
-    order; exact rational, used for randomized dominance tests."""
-    rem_x = {a: w for a, w in x.items()}
-    rem_y = {b: w for b, w in y.items()}
-    cells: dict = {}
-    while rem_x:
-        a = rng.choice(sorted(rem_x, key=str))
-        b = rng.choice(sorted(rem_y, key=str))
-        move = min(rem_x[a], rem_y[b])
-        cells[(a, b)] = cells.get((a, b), Fraction(0)) + move
-        rem_x[a] -= move
-        rem_y[b] -= move
-        if rem_x[a] == 0:
-            del rem_x[a]
-        if rem_y[b] == 0:
-            del rem_y[b]
-    return ProbSpace(list(cells), list(cells.values()))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .diagrams import Diagram, FanIndices, Reduction, classify_fan, condition_diagram, sub_diagram
 from .errors import BadParamError, NotReducedError, VerificationError
@@ -45,7 +44,7 @@ class ExpansionSpec:
         return math.log(self.m)
 
     def w_space(self) -> ProbSpace:
-        return ProbSpace([f"w{k}" for k in range(self.m)], [Fraction(1, self.m)] * self.m)
+        return ProbSpace([f"w{k}" for k in range(self.m)], [1] * self.m, denom=self.m)
 
 
 def _u_side(spec: ExpansionSpec) -> set:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     BadParamError,
@@ -146,9 +146,6 @@ class ProbSpace:
         if len(inside) > 120:
             return f"ProbSpace(<{len(self)} atoms>)"
         return f"ProbSpace({{{inside}}})"
-
-    def is_dirac(self) -> bool:
-        return len(self.atoms) == 1
 
     def is_uniform(self) -> bool:
         return len(set(self.masses)) <= 1
@@ -326,12 +323,6 @@ class Reduction:
     def identity(cls, space: ProbSpace) -> "Reduction":
         return cls._trusted(space, space, {a: a for a in space.atoms})
 
-    def apply(self, atom):
-        try:
-            return self.mapping[atom]
-        except KeyError:
-            raise UnknownAtomError(f"atom {atom!r} not in domain support") from None
-
     def then(self, other: "Reduction") -> "Reduction":
         """Composition self followed by other."""
         if other.domain != self.target:
@@ -376,21 +367,39 @@ class Reduction:
         return f"Reduction(|{len(self.domain)}| -> |{len(self.target)}|)"
 
 
-def _weight_table(dist) -> Mapping:
-    if isinstance(dist, ProbSpace):
-        return dist._weight_view()
-    return {a: as_fraction(w) for a, w in dist.items()}
+class _Overlap(NamedTuple):
+    """Two measures as integer masses over D = lcm of their denominators, on
+    `atoms` (the left support, then the rest of the right one): common is
+    min(P, Q), the rests P - common and Q - common, each summing to `rest`.
+    So the l1 distance is 2 rest / D and alpha is rest / D."""
+
+    atoms: tuple
+    denom: int
+    common: list
+    rest_left: list
+    rest_right: list
+    rest: int
+
+
+def _overlap(p, q) -> _Overlap:
+    """The overlap of two spaces or atom -> weight mappings."""
+    p, q = (d if isinstance(d, ProbSpace) else ProbSpace(d, d.values()) for d in (p, q))
+    denom = math.lcm(p.denom, q.denom)
+    atoms = p.atoms + tuple(b for b in q.atoms if b not in p._index)
+    left = [p.mass(a) * (denom // p.denom) for a in atoms]
+    right = [q.mass(a) * (denom // q.denom) for a in atoms]
+    common = [min(a, b) for a, b in zip(left, right)]
+    rest_left = [a - c for a, c in zip(left, common)]
+    rest_right = [b - c for b, c in zip(right, common)]
+    return _Overlap(atoms, denom, common, rest_left, rest_right, sum(rest_left))
 
 
 def tv_distance(pi, pi_prime) -> Fraction:
-    """Total variation distance, the full l1 sum over the union of supports.
+    """Total variation distance, the full l1 sum over the union of supports,
+    of two spaces or atom -> weight mappings.
 
     Returned exactly as a Fraction; halve it to get the overlap coefficient
     alpha used by the local estimate.
     """
-    p = _weight_table(pi)
-    q = _weight_table(pi_prime)
-    atoms = list(p)
-    atoms += [a for a in q if a not in p]
-    zero = Fraction(0)
-    return sum((abs(p.get(a, zero) - q.get(a, zero)) for a in atoms), zero)
+    overlap = _overlap(pi, pi_prime)
+    return Fraction(2 * overlap.rest, overlap.denom)

@@ -5,8 +5,10 @@ closure, least common ancestors by ancestor-set intersection, transport
 vertices by solving every candidate support with exact Gaussian
 elimination, minimality by enumerating all partitions, automorphism counts
 by checking every weight-class permutation, finite measures and the
-measure-preserving check as plain atom -> Fraction dicts, Monte-Carlo tail
-statistics atom by atom over dense sample x |x0| count arrays.
+measure-preserving check as plain atom -> Fraction dicts, the local
+decomposition and the random coupling in Fraction arithmetic, the greedy
+coupling as its own loop, Monte-Carlo tail statistics atom by atom over
+dense sample x |x0| count arrays.
 
 `recheck` is the one exception: it runs the library's public checks on what
 its unchecked internal builders produced."""
@@ -176,6 +178,71 @@ def fraction_fiber(weights: dict, mapping, target) -> dict:
     fiber = {a: w for a, w in weights.items() if mapping[a] == target}
     mass = sum(fiber.values(), Fraction(0))
     return {a: w / mass for a, w in fiber.items()}
+
+
+def fraction_local_decomposition(pi: dict, pi_prime: dict) -> tuple:
+    """(alpha, common, rest_left, rest_right) of pi = (1 - alpha) common +
+    alpha rest_left and the same for pi_prime, in Fraction arithmetic over
+    every atom either dict names; common is None for alpha = 1, and all
+    three parts are pi for alpha = 0."""
+    pi = {a: Fraction(w) for a, w in pi.items()}
+    pi_prime = {a: Fraction(w) for a, w in pi_prime.items()}
+    atoms = list(pi) + [a for a in pi_prime if a not in pi]
+    zero = Fraction(0)
+    alpha = sum((abs(pi.get(a, zero) - pi_prime.get(a, zero)) for a in atoms), zero) / 2
+    if alpha == 1:
+        return alpha, None, dict(pi), dict(pi_prime)
+    if alpha == 0:
+        return alpha, dict(pi), dict(pi), dict(pi)
+    common = {a: min(pi.get(a, zero), pi_prime.get(a, zero)) / (1 - alpha) for a in atoms}
+    rest_left = {a: (pi.get(a, zero) - (1 - alpha) * common[a]) / alpha for a in atoms}
+    rest_right = {a: (pi_prime.get(a, zero) - (1 - alpha) * common[a]) / alpha for a in atoms}
+    return alpha, common, rest_left, rest_right
+
+
+def fraction_random_coupling(x, y, rng) -> dict:
+    """Random mass routing on the Fraction weights of two spaces: each step
+    draws a row, then a column, by rng.choice over the live atoms sorted by
+    str, and moves the smaller residual into their cell.  {(a, b): weight}
+    in the order cells are used."""
+    rem_x = dict(x.items())
+    rem_y = dict(y.items())
+    cells: dict = {}
+    while rem_x:
+        a = rng.choice(sorted(rem_x, key=str))
+        b = rng.choice(sorted(rem_y, key=str))
+        move = min(rem_x[a], rem_y[b])
+        cells[(a, b)] = cells.get((a, b), Fraction(0)) + move
+        rem_x[a] -= move
+        rem_y[b] -= move
+        if rem_x[a] == 0:
+            del rem_x[a]
+        if rem_y[b] == 0:
+            del rem_y[b]
+    return cells
+
+
+def greedy_coupling(x, y, denom: int) -> dict:
+    """Largest-mass-first matching on integer masses over denom: saturate
+    the cell of the largest residual row and column, ties broken by
+    str(atom).  {(row, col): mass} in the order cells are used."""
+    rem_x = {r: m * (denom // x.denom) for r, m in enumerate(x.masses)}
+    rem_y = {c: m * (denom // y.denom) for c, m in enumerate(y.masses)}
+    label_x = [str(a) for a in x.atoms]
+    label_y = [str(b) for b in y.atoms]
+    cells = {}
+    while rem_x:
+        r = max(rem_x, key=lambda k: (rem_x[k], label_x[k]))
+        c = max(rem_y, key=lambda k: (rem_y[k], label_y[k]))
+        move = min(rem_x[r], rem_y[c])
+        cells[(r, c)] = move
+        rem_x[r] -= move
+        rem_y[c] -= move
+        if rem_x[r] == 0:
+            del rem_x[r]
+        if rem_y[c] == 0:
+            del rem_y[c]
+    return cells
 
 
 def fraction_entropy(weights: dict) -> float:

@@ -34,7 +34,9 @@ from probdiag import (
 )
 from probdiag.distances import (
     _coupling_vertices,
+    _greedy_coupling,
     _meet_slog,
+    _mixture_witness,
     _vertex_value,
     random_coupling,
     single_space_diagram,
@@ -240,6 +242,67 @@ class TestLocalDecomposition:
                 assert pi_prime[atom] == (1 - dec.alpha) * dec.common[atom] \
                     + dec.alpha * dec.rest_right[atom]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=6),
+           st.lists(st.integers(0, 6), min_size=1, max_size=6),
+           st.integers(0, 3))
+    def test_matches_fraction_oracle(self, a, b, shift):
+        # pi_prime names its atoms from `shift` on, so either side may name
+        # atoms the other does not, and zero weights stay named
+        if not any(a):
+            a[-1] = 1
+        if not any(b):
+            b[0] = 1
+        pi = {i: Fraction(v, sum(a)) for i, v in enumerate(a)}
+        pi_prime = {i + shift: Fraction(v, sum(b)) for i, v in enumerate(b)}
+        dec = local_decomposition(pi, pi_prime)
+        expected = oracles.fraction_local_decomposition(pi, pi_prime)
+        got = (dec.alpha, dec.common, dec.rest_left, dec.rest_right)
+        assert got == expected
+        for part, want in zip(got[1:], expected[1:]):
+            assert part is None or list(part) == list(want)
+
+
+# Labels whose str collide (1 and "1", 2 and "2"), so the order among them
+# rests on the stable sort of the live atoms.
+COLLIDING = [0, 1, "1", 2, "2", "a", ("a", 1), "('a', 1)"]
+
+
+@st.composite
+def colliding_spaces(draw):
+    atoms = draw(st.lists(st.sampled_from(COLLIDING), min_size=1, max_size=5, unique=True))
+    masses = draw(st.lists(st.integers(1, 9), min_size=len(atoms), max_size=len(atoms)))
+    return ProbSpace(atoms, masses, denom=sum(masses))
+
+
+class TestIntegerCouplings:
+    """The one mass-routing loop against Fraction and loop oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(colliding_spaces(), colliding_spaces(), st.integers(0, 2 ** 32))
+    def test_random_coupling_matches_fraction_oracle(self, x, y, seed):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        got = random_coupling(x, y, rng)
+        expected = oracles.fraction_random_coupling(x, y, oracle_rng)
+        assert list(got.atoms) == list(expected)
+        assert list(got.weights) == list(expected.values())
+        assert got.denom == math.lcm(*(w.denominator for w in expected.values()))
+        assert rng.getstate() == oracle_rng.getstate()
+
+    def test_greedy_matches_loop_oracle(self):
+        rng = random.Random(44)
+
+        def space():
+            atoms = rng.sample(COLLIDING, rng.randint(1, 6))
+            masses = [rng.randint(1, 9) for _ in atoms]
+            return ProbSpace(atoms, masses, denom=sum(masses))
+
+        for _ in range(400):
+            x, y = space(), space()
+            denom = math.lcm(x.denom, y.denom)
+            got = _greedy_coupling(x, y, denom)
+            assert list(got.items()) == list(oracles.greedy_coupling(x, y, denom).items())
+
 
 class TestLocalEstimateWitness:
     def test_equal_distributions_zero(self):
@@ -298,6 +361,27 @@ class TestLocalEstimateWitness:
             left = DistributionOnSetDiagram(sd, pi).to_diagram()
             right = DistributionOnSetDiagram(sd, pi_prime).to_diagram()
             assert est.witness.kd_value >= entropy_gap(left, right) - 1e-9
+
+    def test_ikd_mixture_agrees_with_local_estimate(self):
+        # full supports give both diagrams one skeleton, where ikd_bounds
+        # builds the mixture from the two diagrams themselves
+        rng = random.Random(41)
+
+        def full_support(atoms):
+            masses = [rng.randint(1, 9) for _ in atoms]
+            return {a: Fraction(m, sum(masses)) for a, m in zip(atoms, masses)}
+
+        for _ in range(40):
+            sd = random_set_diagram(rng, 5, 12)
+            pi, pi_prime = full_support(sd.initial_set()), full_support(sd.initial_set())
+            left = DistributionOnSetDiagram(sd, pi).to_diagram()
+            right = DistributionOnSetDiagram(sd, pi_prime).to_diagram()
+            assert SetDiagram.from_diagram(left) == SetDiagram.from_diagram(right)
+            mixture = _mixture_witness(left, right)
+            est = local_estimate_witness(sd, pi, pi_prime)
+            assert mixture.fan.top.initial_space == est.witness.fan.top.initial_space
+            assert mixture.kd_value == pytest.approx(est.witness.kd_value, abs=1e-12)
+            assert ikd_bounds(left, right).upper <= mixture.kd_value
 
 
 class TestSlicing:

@@ -60,10 +60,22 @@ def recheck_reduction(red: Reduction) -> None:
 
 def recheck_extended(ext) -> None:
     """The extended fan's y-diagram with its projections onto the x-side and
-    onto the constant diagram on u, and every conditioned x-side slice."""
+    onto the constant diagram on u, its fibers as read off the y-diagram's
+    initial space, and every conditioned x-side slice."""
     oracles.recheck(ext.xdiag)
+    oracles.recheck(ext.ydiag)
     u_diagram = constant_diagram(ext.shape, ext.u_space)
-    oracles.recheck(FanOfDiagrams(ext.ydiag, ext.xdiag, u_diagram, ext.proj_x, ext.proj_u))
+
+    def projections(foot, k):
+        return {o: Reduction(s, foot.spaces[o], {p: p[k] for p in s.atoms})
+                for o, s in ext.ydiag.spaces.items()}
+
+    oracles.recheck(FanOfDiagrams(ext.ydiag, ext.xdiag, u_diagram,
+                                  projections(ext.xdiag, 0), projections(u_diagram, 1)))
+    fibers = {u: [] for u in ext.u_space.atoms}
+    for x, u in ext.ydiag.initial_space.atoms:
+        fibers[u].append(x)
+    assert ext.fibers == {u: tuple(xs) for u, xs in fibers.items()}
     for u in ext.u_space.atoms:
         oracles.recheck(ext.conditioned_x_side(u))
 
