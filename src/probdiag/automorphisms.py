@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import Diagram
+from .diagrams import Diagram, _initial_lifts, _joint_size, _unnatural_at
 from .errors import ShapeMismatchError, TooLargeError
 
 DEFAULT_SUPPORT_CAP = 10_000
@@ -37,8 +37,7 @@ def find_diagram_morphism(d1: Diagram, d2: Diagram, fixed=None,
     cat = d1.category
     objects = cat.objects
     init = cat.initial
-    comp1 = {o: d1.composite_mapping(init, o) for o in objects}
-    comp2 = {o: d2.composite_mapping(init, o) for o in objects}
+    comp1, comp2 = _initial_lifts(d1), _initial_lifts(d2)
 
     fwd = {o: {} for o in objects}
     bwd = {o: {} for o in objects}
@@ -71,10 +70,13 @@ def find_diagram_morphism(d1: Diagram, d2: Diagram, fixed=None,
             trail.append((o, a, b))
         else:
             return trail
+        undo(trail)
+        return None
+
+    def undo(trail):
         for o, a, b in trail:
             del fwd[o][a]
             del bwd[o][b]
-        return None
 
     if fixed:
         # non-initial constraints are recorded first and checked during
@@ -82,49 +84,53 @@ def find_diagram_morphism(d1: Diagram, d2: Diagram, fixed=None,
         for (obj, a), b in fixed.items():
             if obj == init:
                 continue
-            if fwd[obj].get(a, b) != b or bwd[obj].get(b, a) != a:
+            if (fwd[obj].get(a, b) != b or bwd[obj].get(b, a) != a
+                    or d1.spaces[obj].mass(a) != d2.spaces[obj].mass(b)):
                 return None
-            if d1.spaces[obj].mass(a) != d2.spaces[obj].mass(b):
-                return None
-            fwd[obj][a] = b
-            bwd[obj][b] = a
+            fwd[obj][a], bwd[obj][b] = b, a
         for (obj, a), b in fixed.items():
-            if obj != init:
-                continue
-            if fwd[init].get(a) == b:
-                continue
-            if d1.initial_space.mass(a) != d2.initial_space.mass(b):
-                return None
-            if assign(a, b) is None:
+            # assign compares the masses at the initial object too
+            if obj == init and fwd[init].get(a) != b and assign(a, b) is None:
                 return None
 
-    def search(idx: int) -> bool:
-        nonlocal steps
-        while idx < len(atoms1) and atoms1[idx] in fwd[init]:
-            idx += 1
-        if idx == len(atoms1):
-            return True
-        z = atoms1[idx]
-        mass = d1.initial_space.mass(z)
-        for w in atoms2:
-            if w in bwd[init] or d2.initial_space.mass(w) != mass:
-                continue
+    # An explicit stack holds one level per initial atom of d1 left free by
+    # `fixed`, in atom order.  The free candidates of each mass form a
+    # circular doubly linked list in d2's atom order, unlinked while assigned
+    # and relinked on backtracking: a level visits only free candidates of
+    # its mass, and each visit is a step.
+    heads = {m: object() for m in {*d1.initial_space.masses, *d2.initial_space.masses}}
+    nxt = {head: head for head in heads.values()}
+    prv = dict(nxt)
+    for w in atoms2:
+        if w not in bwd[init]:
+            head = heads[d2.initial_space.mass(w)]
+            nxt[prv[head]], prv[w], nxt[w], prv[head] = w, prv[head], head, w
+    order = [z for z in atoms1 if z not in fwd[init]]
+
+    frames: list = []  # (candidate, trail) of each assigned level
+    fresh = w = object()  # w: the candidate last tried at the current level
+    while len(frames) < len(order):
+        z = order[len(frames)]
+        head = heads[d1.initial_space.mass(z)]
+        w = nxt[head if w is fresh else w]
+        while w is not head:
             steps += 1
             if steps > step_cap:
                 raise TooLargeError("isomorphism search exceeded the step cap")
             trail = assign(z, w)
-            if trail is None:
-                continue
-            if search(idx + 1):
-                return True
-            for o, a, b in trail:
-                del fwd[o][a]
-                del bwd[o][b]
-        return False
-
-    if search(0):
-        return {o: dict(fwd[o]) for o in objects}
-    return None
+            if trail is not None:
+                nxt[prv[w]], prv[nxt[w]] = nxt[w], prv[w]
+                frames.append((w, trail))
+                w = fresh
+                break
+            w = nxt[w]
+        else:
+            if not frames:
+                return None
+            w, trail = frames.pop()
+            undo(trail)
+            nxt[prv[w]] = prv[nxt[w]] = w
+    return {o: dict(fwd[o]) for o in objects}
 
 
 def verify_explicit_iso(d1: Diagram, d2: Diagram, maps: dict) -> bool:
@@ -142,13 +148,7 @@ def verify_explicit_iso(d1: Diagram, d2: Diagram, maps: dict) -> bool:
             if b is None or b in seen or sp2.mass(b) != mass:
                 return False
             seen.add(b)
-    for (i, j) in d1.category.covers:
-        m1 = d1.prime_maps[(i, j)].mapping
-        m2 = d2.prime_maps[(i, j)].mapping
-        for a in d1.spaces[i].atoms:
-            if maps[j][m1[a]] != m2[maps[i][a]]:
-                return False
-    return True
+    return _unnatural_at(d1, d2, maps) is None
 
 
 def diagram_isomorphic(d1: Diagram, d2: Diagram, *, support_cap: int = DEFAULT_SUPPORT_CAP,
@@ -166,17 +166,15 @@ def diagram_isomorphic(d1: Diagram, d2: Diagram, *, support_cap: int = DEFAULT_S
     return (iso is not None), iso
 
 
-def _orbit_closure(seed, generators) -> set:
-    reached = {seed}
-    frontier = [seed]
+def _close_orbit(reached: set, frontier: list, generators) -> None:
+    """Add to `reached` every atom the generators reach from `frontier`."""
     while frontier:
         cur = frontier.pop()
         for gen, inv in generators:
-            for image in (gen.get(cur), inv.get(cur)):
-                if image is not None and image not in reached:
+            for image in (gen[cur], inv[cur]):
+                if image not in reached:
                     reached.add(image)
                     frontier.append(image)
-    return reached
 
 
 def _initial_transitive(diagram: Diagram, step_cap: int) -> bool:
@@ -200,8 +198,13 @@ def _initial_transitive(diagram: Diagram, step_cap: int) -> bool:
         if iso is None:
             return False
         gen = iso[init]
-        generators.append((gen, {v: k for k, v in gen.items()}))
-        reached = _orbit_closure(a0, generators)
+        inv = {v: k for k, v in gen.items()}
+        generators.append((gen, inv))
+        # the orbit so far is closed under the earlier generators, so only
+        # what the new one moves it to needs closing under all of them
+        fresh = [y for x in reached for y in (gen[x], inv[x]) if y not in reached]
+        reached.update(fresh)
+        _close_orbit(reached, fresh, generators)
     return True
 
 
@@ -244,19 +247,10 @@ def analyze(diagram: Diagram, *, support_cap: int = DEFAULT_SUPPORT_CAP,
     carries a constructor certificate; past the support cap an uncertified
     diagram raises TooLargeError.
     """
-    cat = diagram.category
-    minimal = True
-    for idx, i in enumerate(cat.objects):
-        for j in cat.objects[idx + 1:]:
-            top = cat.least_common_ancestor(i, j)
-            ci = diagram.composite_mapping(top, i)
-            cj = diagram.composite_mapping(top, j)
-            top_atoms = diagram.spaces[top].atoms
-            if len({(ci[z], cj[z]) for z in top_atoms}) != len(top_atoms):
-                minimal = False
-                break
-        if not minimal:
-            break
+    objects = diagram.category.objects
+    lca = diagram.category.least_common_ancestor
+    minimal = all(_joint_size(diagram, (i, j)) == len(diagram.spaces[lca(i, j)])
+                  for k, i in enumerate(objects) for j in objects[k + 1:])
 
     if diagram.certified_homogeneous:
         return AnalyzeReport(minimal, True, None)

@@ -36,7 +36,7 @@ class IndexingCategory:
     semantics beyond the declared covers.  Instances are immutable.
     """
 
-    __slots__ = ("objects", "covers", "initial", "_desc", "_anc", "_lca")
+    __slots__ = ("objects", "covers", "initial", "_desc", "_anc", "_lca", "first_parent")
 
     def __init__(self, objects: Sequence[str], covers: Iterable[tuple[str, str]]):
         objects = list(objects)
@@ -85,6 +85,8 @@ class IndexingCategory:
         self._desc = desc
         self._anc = anc
         self._lca = lca
+        # object -> the source of its first cover, in cover order
+        self.first_parent = {j: i for (i, j) in reversed(self.covers)}
 
     # -- queries --------------------------------------------------------
 

@@ -29,7 +29,7 @@ from .distances import ikd_bounds
 from .errors import ConfigError, ProbdiagError
 from .expansion import ExpansionSpec, expand_diagram, verify_expansion
 from .fixtures import coord_lambda3, coord_two_fan, parse_coords, reduced_lambda3, reduced_two_fan
-from .jsonio import diagram_to_obj, load_diagram
+from .jsonio import diagram_to_obj, load_diagram, read_json
 from .sampling import subseed
 from .tropical_bounds import TropicalBoundParams, contraction_epsilons, min_n_for_epsilon
 
@@ -321,7 +321,7 @@ def cmd_sweep(config: dict) -> int:
     path = config.get("config")
     if not path:
         raise ConfigError("sweep needs a config file")
-    steps = json.loads(Path(path).read_text())
+    steps = read_json(path)
     if not isinstance(steps, list):
         raise ConfigError("sweep config must be a list of command objects")
     worst = 0
@@ -518,8 +518,10 @@ def main(argv=None) -> int:
     config: dict = {}
     if args.config:
         try:
-            config = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            config = read_json(args.config)
+            if not isinstance(config, dict):
+                raise ConfigError(f"{args.config} must hold a JSON object")
+        except (OSError, json.JSONDecodeError, ConfigError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1
     cli = {k: v for k, v in vars(args).items()

@@ -33,6 +33,7 @@ from .diagrams import (
     sub_diagram,
     _from_initial_measure,
     _initial_lifts,
+    _joint_size,
     _pair_fan,
 )
 from .distances import local_estimate_bound
@@ -305,8 +306,7 @@ def _fiber_translation_iso(ext: ExtendedFan, cond_u: Diagram, cond_ref: Diagram,
     return verify_explicit_iso(cond_u, cond_ref, maps)
 
 
-def contract_once(ext: ExtendedFan, params: ContractionParams, *,
-                  materialize_cap: int = DEFAULT_MATERIALIZE_CAP) -> ContractionRun:
+def contract_once(ext: ExtendedFan, params: ContractionParams) -> ContractionRun:
     """Sample u N times and condition the extended fan on the sample.
 
     The sample-power spaces are virtual: fiber counts are accumulated per
@@ -363,7 +363,7 @@ def contract_once(ext: ExtendedFan, params: ContractionParams, *,
         rough = True
 
     fan_prime = None
-    if n * f <= materialize_cap:
+    if n * f <= DEFAULT_MATERIALIZE_CAP:
         fan_prime = _materialize_fan(ext, u_bar, xprime, vspace)
 
     return ContractionRun(params=params, counts=counts,
@@ -385,8 +385,8 @@ def _materialize_fan(ext: ExtendedFan, u_bar: tuple, xprime: Diagram,
     return _pair_fan(y0, xprime, constant_diagram(ext.shape, vspace))
 
 
-def recover_collapsed_diagram(diagram: Diagram, fi: FanIndices, run: ContractionRun,
-                              *, cap: int = DEFAULT_MATERIALIZE_CAP) -> Diagram:
+def recover_collapsed_diagram(diagram: Diagram, fi: FanIndices,
+                              run: ContractionRun) -> Diagram:
     """Reassemble a diagram of the original combinatorial type from a run.
 
     x-side objects carry the conditioned spaces; each strict ancestor of u
@@ -416,21 +416,15 @@ def recover_collapsed_diagram(diagram: Diagram, fi: FanIndices, run: Contraction
 
     # fan-generated check: g must embed into the joint of dmax(g) and u
     for g, d in dmax.items():
-        if d is None:
-            pair = diagram.composite_mapping(g, fi.u_obj)
-        else:
-            cd = diagram.composite_mapping(g, d)
-            cu = diagram.composite_mapping(g, fi.u_obj)
-            pair = {a: (cd[a], cu[a]) for a in diagram.spaces[g].atoms}
-        if len(set(pair.values())) != len(diagram.spaces[g]):
+        feet = (fi.u_obj,) if d is None else (d, fi.u_obj)
+        if _joint_size(diagram, feet) != len(diagram.spaces[g]):
             raise NotFanGeneratedError(
                 f"space at {g!r} is not the joint of its feet")
 
-    n, f = run.params.N, run.fiber_size
-    if n * f > cap:
-        raise TooLargeError("conditioned joint spaces exceed the materialization cap")
     if run.fan_prime is None:
-        raise TooLargeError("run carries no materialized fan; rerun with a larger cap")
+        nf = run.params.N * run.fiber_size
+        raise TooLargeError(f"run carries no materialized fan: N f = {nf} exceeds "
+                            f"the materialization cap {DEFAULT_MATERIALIZE_CAP}")
     yprime = run.fan_prime.top
 
     spaces: dict = {}

@@ -2,6 +2,12 @@
 
 A diagram assigns a ProbSpace to every object and a measure-preserving
 surjection to every cover of its indexing category; all paths commute.
+Every space is a quotient of the initial one, so a diagram's maps compose
+through its lifts, the composites out of the initial object: the lift of an
+object is the map from its first parent after that parent's lift, and any
+other composite is read off two lifts (`Diagram.composite_mapping`).  All
+paths agree exactly when every cover carries its source's lift onto its
+target's, because lifts are onto.
 
 Checks sit at the trust boundary: the public `Reduction(...)`,
 `Reduction.from_map`, `make_diagram`, `Diagram(...)`, `FanOfDiagrams(...)`
@@ -104,10 +110,10 @@ class Diagram:
     # -- composites -----------------------------------------------------
 
     def composite_mapping(self, src: str, dst: str) -> dict:
-        """The composed atom map src -> dst (path independence is validated).
-
-        The result is cached and shared; on a cover it is the prime map's
-        own mapping.  Callers must not mutate it."""
+        """The composed atom map src -> dst, keyed in src's atom order: on
+        a cover the prime map's own mapping, from the initial object the
+        lift, and otherwise lift_src[z] -> lift_dst[z] over the initial
+        atoms z.  Cached and shared; callers must not mutate it."""
         key = (src, dst)
         cached = self._composites.get(key)
         if cached is not None:
@@ -116,12 +122,17 @@ class Diagram:
         if mapping is None:
             if not self.category.reaches(src, dst):
                 raise MapError(f"no morphism {src!r} -> {dst!r}")
+            init = self.category.initial
             if src == dst:
                 mapping = {a: a for a in self._atoms(src)}
+            elif src == init:
+                parent = self.category.first_parent[dst]
+                via = self._cover_mapping((parent, dst))
+                mapping = {z: via[a] for z, a in self.composite_mapping(init, parent).items()}
             else:
-                step = self._first_step(src, dst)
-                rest = self.composite_mapping(step, dst)
-                mapping = {a: rest[b] for a, b in self._cover_mapping((src, step)).items()}
+                induced = _induced(self.composite_mapping(init, src),
+                                   self.composite_mapping(init, dst))
+                mapping = {a: induced[a] for a in self._atoms(src)}
         self._composites[key] = mapping
         return mapping
 
@@ -135,15 +146,6 @@ class Diagram:
     def _atoms(self, obj: str) -> tuple:
         return self.spaces[obj].atoms
 
-    def _first_step(self, src: str, dst: str) -> str:
-        """Where the canonical path src -> dst (src != dst) goes first: the
-        target of the first cover out of src, in cover order, that reaches
-        dst.  A cover (src, dst) is its own canonical path."""
-        for (i, j) in self.category.covers:
-            if i == src and self.category.reaches(j, dst):
-                return j
-        raise MapError(f"no morphism {src!r} -> {dst!r}")
-
     def composite_reduction(self, src: str, dst: str) -> Reduction:
         """The composite src -> dst as a Reduction; on a cover it is the
         prime map itself.  A composite of measure-preserving maps preserves
@@ -155,23 +157,24 @@ class Diagram:
                                   self.composite_mapping(src, dst))
 
     def _check_commutativity(self) -> None:
-        # Canonical composites follow the first cover on some path; every
-        # other cover must induce the same composite.  This local condition
-        # implies agreement of all cover paths by induction on path length.
-        # Where the canonical composite i -> dst itself steps through j it
-        # is rest after via, so that comparison is skipped.
+        # Every cover (i, j) other than the one from j's first parent must
+        # carry i's lift onto j's.  Then every path from the initial object
+        # composes to the lift at its end, by induction on its length, and
+        # two paths from any src agree after src's lift, which is onto, so
+        # they agree.  A failure names the other path by its first step.
+        init = self.category.initial
         for (i, j) in self.category.covers:
+            if self.category.first_parent[j] == i:
+                continue
             via = self._cover_mapping((i, j))
-            for dst in self.category.descendants(j):
-                if self._first_step(i, dst) == j:
-                    continue
-                canonical = self.composite_mapping(i, dst)
-                rest = self.composite_mapping(j, dst)
-                for atom, b in via.items():
-                    if rest[b] != canonical[atom]:
-                        raise CommutativityError(
-                            f"paths {i!r}->{dst!r} via {j!r} disagree at atom {atom!r}"
-                        )
+            lift_j = self.composite_mapping(init, j)
+            for z, a in self.composite_mapping(init, i).items():
+                if via[a] != lift_j[z]:
+                    step = j
+                    while i != init:
+                        step, i = i, self.category.first_parent[i]
+                    raise CommutativityError(
+                        f"paths {init!r}->{j!r} via {step!r} disagree at atom {z!r}")
 
     # -- basic queries ----------------------------------------------------
 
@@ -308,6 +311,38 @@ def _initial_lifts(diagram) -> dict:
     return {o: diagram.composite_mapping(diagram.initial, o) for o in diagram.category.objects}
 
 
+def _induced(lift_src: Mapping, lift_dst: Mapping) -> dict:
+    """The map sending lift_src[z] to lift_dst[z] for every initial atom z:
+    the composite between the ends of two lifts, when there is one."""
+    return {a: lift_dst[z] for z, a in lift_src.items()}
+
+
+def _joint_size(diagram: Diagram, objs) -> int:
+    """How many distinct tuples of atoms at objs the initial atoms lift to:
+    the joint's support.  A space over all of objs embeds in their joint
+    exactly when this is its size, since its lift is onto."""
+    lifts = [diagram.composite_mapping(diagram.initial, o) for o in objs]
+    return len(set(zip(*[[lift[z] for z in lifts[0]] for lift in lifts])))
+
+
+def _unnatural_at(source: Diagram, target: Diagram, maps: Mapping) -> str | None:
+    """The first object o where maps[o] after source's lift to o differs from
+    target's lift after maps[initial], for two diagrams of one shape; else
+    None, and then every cover square commutes, since source's lifts are
+    onto (and conversely, as squares compose along paths)."""
+    init = source.initial
+    base = maps[init]
+    for o in source.category.objects:
+        if o == init:
+            continue
+        m = maps[o]
+        target_lift = target.composite_mapping(init, o)
+        for z, a in source.composite_mapping(init, o).items():
+            if m[a] != target_lift[base[z]]:
+                return o
+    return None
+
+
 def _restricted(diagram: Diagram, atoms: list) -> Diagram:
     """The diagram conditioned on a set of initial atoms: the initial
     measure restricted to them and renormalized exactly, pushed through the
@@ -429,15 +464,13 @@ def classify_fan(diagram: Diagram, fi: FanIndices) -> FanClassification:
     if not (cat.reaches(fi.z_obj, fi.x_obj) and cat.reaches(fi.z_obj, fi.u_obj)):
         raise MapError("z must be an ancestor of both fan feet")
 
-    cx = diagram.composite_mapping(fi.z_obj, fi.x_obj)
-    cu = diagram.composite_mapping(fi.z_obj, fi.u_obj)
-    z_atoms = diagram.spaces[fi.z_obj].atoms
-    minimal = len({(cx[z], cu[z]) for z in z_atoms}) == len(z_atoms)
+    z_card = len(diagram.spaces[fi.z_obj])
+    minimal = _joint_size(diagram, (fi.x_obj, fi.u_obj)) == z_card
 
     inside = set(cat.descendants(fi.x_obj)) | set(cat.ancestors(fi.u_obj))
     witness = tuple(o for o in cat.objects if o not in inside)
     admissible = minimal and fi.z_obj == cat.initial and not witness
-    reduced = admissible and len(diagram.spaces[fi.x_obj]) == len(z_atoms)
+    reduced = admissible and len(diagram.spaces[fi.x_obj]) == z_card
     return FanClassification(minimal, admissible, reduced, witness)
 
 
@@ -479,17 +512,11 @@ class FanOfDiagrams:
         self.proj_right = proj_right
 
     def _check_natural(self) -> None:
-        for (i, j) in self.shape.covers:
-            top_map = self.top.prime_maps[(i, j)].mapping
-            for projs, foot, name in ((self.proj_left, self.left, "left"),
-                                      (self.proj_right, self.right, "right")):
-                foot_map = foot.prime_maps[(i, j)].mapping
-                pi, pj = projs[i].mapping, projs[j].mapping
-                for atom in self.top.spaces[i].atoms:
-                    if pj[top_map[atom]] != foot_map[pi[atom]]:
-                        raise CommutativityError(
-                            f"{name} projections not natural on cover {(i, j)!r}"
-                        )
+        for projs, foot, name in ((self.proj_left, self.left, "left"),
+                                  (self.proj_right, self.right, "right")):
+            obj = _unnatural_at(self.top, foot, {o: r.mapping for o, r in projs.items()})
+            if obj is not None:
+                raise CommutativityError(f"{name} projections not natural at {obj!r}")
 
     def __repr__(self) -> str:
         return f"FanOfDiagrams(shape={list(self.shape.objects)})"
@@ -546,41 +573,20 @@ def tensor_fan(left: Diagram, right: Diagram) -> FanOfDiagrams:
 def arrow_collapse(diagram: Diagram, cover: tuple[str, str]) -> Diagram:
     """Identify the two ends of a prime isomorphism arrow.
 
-    The merged object keeps the descendant's id and space; all inherited
-    maps are rebuilt from composites (through the isomorphism where needed)
-    and the result is re-validated.
+    The merged object keeps the descendant's id and space, and so its lift,
+    which is the isomorphism applied after the lift of the ancestor.  Every
+    map of the quotient is read off the lifts, as a composite is, and the
+    result is re-validated.
     """
     i, j = cover
     if cover not in diagram.category.covers:
         # delegate for precise error (unknown object / not prime)
         collapse_object_pair(diagram.category, i, j)
-    zeta = diagram.prime_maps[cover]
-    if not zeta.is_isomorphism():
+    if not diagram.prime_maps[cover].is_isomorphism():
         raise NotIsoError(f"prime map on {cover!r} is not an isomorphism")
-    zeta_inv = {b: a for a, b in zeta.mapping.items()}
-
-    new_cat, mapping = collapse_object_pair(diagram.category, i, j)
-    old = diagram.category
-
-    def route(p: str, q: str) -> dict:
-        # a quotient cover always has a direct witness pair: a reachability
-        # created only through the merged node would put that node strictly
-        # between p and q, contradicting coverhood
-        pre_p = (j, i) if p == j else (p,)
-        pre_q = (j, i) if q == j else (q,)
-        for a in pre_p:
-            for b in pre_q:
-                if old.reaches(a, b):
-                    comp = diagram.composite_mapping(a, b)
-                    if a == i:  # merged domain carries X_j; enter through the iso
-                        comp = {x: comp[zeta_inv[x]] for x in diagram.spaces[j].atoms}
-                    if b == i:  # land in X_j through the iso
-                        comp = {x: zeta.mapping[y] for x, y in comp.items()}
-                    return comp
-        raise MapError(f"no route for quotient cover {(p, q)!r}")
-
+    new_cat, _ = collapse_object_pair(diagram.category, i, j)
+    lifts = _initial_lifts(diagram)
     spaces = {o: diagram.spaces[o] for o in new_cat.objects}
-    maps = {}
-    for (p, q) in new_cat.covers:
-        maps[(p, q)] = Reduction(spaces[p], spaces[q], route(p, q))
+    maps = {(p, q): Reduction(spaces[p], spaces[q], _induced(lifts[p], lifts[q]))
+            for (p, q) in new_cat.covers}
     return Diagram(new_cat, spaces, maps)

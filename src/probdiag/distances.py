@@ -362,11 +362,12 @@ def min_entropy_coupling(x: ProbSpace, y: ProbSpace, *,
 class SetDiagram:
     """The sets-and-surjections skeleton underlying a diagram.
 
-    Composites follow the same canonical paths, through the same cached
-    code, as `Diagram.composite_mapping`.  Distributions are pushed through
-    the composites, so construction checks that each cover map sends its
+    Composites are read off the lifts from the initial set by the same
+    cached code as `Diagram.composite_mapping`.  Distributions are pushed
+    through the lifts, so construction checks that each cover map sends its
     source set onto its target set and, by the same code as a diagram's,
-    that every path agrees."""
+    that every path agrees.  Cover maps are stored keyed in their source
+    set's order, as a diagram's prime maps are."""
 
     __slots__ = ("category", "sets", "maps", "_composites")
 
@@ -374,11 +375,13 @@ class SetDiagram:
                  maps: Mapping[tuple[str, str], Mapping]):
         self.category = category
         self.sets = {o: tuple(sets[o]) for o in category.objects}
-        self.maps = {c: dict(maps[c]) for c in category.covers}
-        for (i, j), mapping in self.maps.items():
+        self.maps = {}
+        for (i, j) in category.covers:
+            mapping = maps[(i, j)]
             if set(mapping) != set(self.sets[i]) or set(mapping.values()) != set(self.sets[j]):
                 raise MapError(f"map on cover {(i, j)!r} is not onto the set at {j!r} "
                                f"from the set at {i!r}")
+            self.maps[(i, j)] = {a: mapping[a] for a in self.sets[i]}
         self._composites: dict = {}
         self._check_commutativity()
 
@@ -396,7 +399,6 @@ class SetDiagram:
         return self.sets[self.category.initial]
 
     composite_mapping = Diagram.composite_mapping
-    _first_step = Diagram._first_step
     _check_commutativity = Diagram._check_commutativity
 
     def _cover_mapping(self, cover: tuple[str, str]) -> dict | None:
@@ -596,8 +598,7 @@ class IkdBounds:
     witness: CouplingWitness
 
 
-def ikd_bounds(left: Diagram, right: Diagram, *,
-               coupling_cap: int = DEFAULT_COUPLING_CAP) -> IkdBounds:
+def ikd_bounds(left: Diagram, right: Diagram) -> IkdBounds:
     """Certified bounds on the intrinsic entropy distance.
 
     Lower bound: the entropy-vector gap.  Upper bound: the best constructed
@@ -615,8 +616,8 @@ def ikd_bounds(left: Diagram, right: Diagram, *,
     if left.category.size == 1:
         obj = left.category.objects[0]
         x, y = left.spaces[obj], right.spaces[obj]
-        if len(x) * len(y) <= coupling_cap:
-            candidates.append(min_entropy_coupling(x, y, cap=coupling_cap))
+        if len(x) * len(y) <= DEFAULT_COUPLING_CAP:
+            candidates.append(min_entropy_coupling(x, y))
     if SetDiagram.from_diagram(left) == SetDiagram.from_diagram(right):
         # one skeleton means equal supports, so the measures overlap
         candidates.append(_mixture_witness(left, right))

@@ -30,7 +30,10 @@ def encode_atom(atom):
 
 def decode_atom(value):
     if isinstance(value, list):
-        return tuple(decode_atom(v) for v in value)
+        try:
+            return tuple(decode_atom(v) for v in value)
+        except RecursionError:
+            raise ConfigError("atom is nested too deeply") from None
     if isinstance(value, dict):
         raise ConfigError(f"atom {value!r} is a JSON object; atoms are scalars or lists")
     return value
@@ -43,7 +46,7 @@ def atom_key(atom) -> str:
 def atom_from_key(key: str):
     try:
         value = json.loads(key)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         raise ConfigError(f"map key {key!r} is not a JSON-encoded atom") from None
     return decode_atom(value)
 
@@ -174,8 +177,17 @@ def fan_from_obj(obj: dict) -> FanOfDiagrams:
     return FanOfDiagrams(top, left, right, *projs)
 
 
+def read_json(path):
+    """The JSON document in the file at path; ConfigError naming the file
+    when it nests too deeply to decode."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply to decode") from None
+
+
 def load_diagram(path) -> Diagram:
-    return diagram_from_obj(json.loads(Path(path).read_text()))
+    return diagram_from_obj(read_json(path))
 
 
 def save_diagram(diagram: Diagram, path) -> None:

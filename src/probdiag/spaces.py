@@ -259,7 +259,8 @@ class Reduction:
     the pushforward of the domain weights must equal the target weights
     exactly.  `mapping` is the reduction's own copy, keyed by the domain's
     atoms in domain order, and is shared, unchanged, by everything that
-    reads it (diagram composites among them): treat it as read-only.
+    reads it (a diagram's composite on a cover is this mapping, and its
+    lifts compose it after the lift of the domain): treat it as read-only.
     The constructor checks the map; the package's own builders, whose maps
     hold by construction, use `_trusted` instead.
     """
@@ -323,14 +324,6 @@ class Reduction:
     def identity(cls, space: ProbSpace) -> "Reduction":
         return cls._trusted(space, space, {a: a for a in space.atoms})
 
-    def then(self, other: "Reduction") -> "Reduction":
-        """Composition self followed by other."""
-        if other.domain != self.target:
-            raise BadParamError("reductions do not compose: target/domain mismatch")
-        return Reduction(
-            self.domain, other.target, {a: other.mapping[b] for a, b in self.mapping.items()}
-        )
-
     def preimage(self, atom) -> tuple:
         if atom not in self.target:
             raise UnknownAtomError(f"atom {atom!r} not in target support")
@@ -345,11 +338,6 @@ class Reduction:
 
     def is_isomorphism(self) -> bool:
         return len(self.domain) == len(self.target)
-
-    def inverse(self) -> "Reduction":
-        if not self.is_isomorphism():
-            raise BadParamError("reduction is not invertible")
-        return Reduction(self.target, self.domain, {b: a for a, b in self.mapping.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Reduction):

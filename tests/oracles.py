@@ -1,7 +1,9 @@
 """Independent brute-force oracles.
 
 These deliberately avoid the library's own algorithms: reachability by raw
-closure, least common ancestors by ancestor-set intersection, transport
+closure, least common ancestors by ancestor-set intersection, composites
+and commutativity by composing every path of covers atom by atom,
+naturality square by square on every cover, transport
 vertices by solving every candidate support with exact Gaussian
 elimination, minimality by enumerating all partitions, automorphism counts
 by checking every weight-class permutation, finite measures and the
@@ -47,6 +49,49 @@ def brute_lca(objects, covers, i, j):
     common = anc[i] & anc[j]
     least = [c for c in common if all((a, c) in pairs for a in common)]
     return least[0] if len(least) == 1 else None
+
+
+def cover_paths(objects, covers) -> dict:
+    """(src, dst) -> every path of covers from src to dst, as a tuple of
+    objects, by depth-first enumeration; (src,) is the identity path."""
+    children = {o: [j for (i, j) in covers if i == o] for o in objects}
+    paths: dict = {}
+    stack = [(o,) for o in objects]
+    while stack:
+        path = stack.pop()
+        paths.setdefault((path[0], path[-1]), []).append(path)
+        stack.extend(path + (j,) for j in children[path[-1]])
+    return paths
+
+
+def compose_path(atoms, path, cover_maps) -> dict:
+    """Each atom pushed along a path of cover maps, one cover at a time."""
+    out = {}
+    for a in atoms:
+        image = a
+        for cover in zip(path, path[1:]):
+            image = cover_maps[cover][image]
+        out[a] = image
+    return out
+
+
+def path_composites(objects, covers, sets, cover_maps) -> dict:
+    """(src, dst) -> {path: its composite on sets[src]} for every path of
+    covers between every reachable pair."""
+    return {pair: {path: compose_path(sets[pair[0]], path, cover_maps) for path in paths}
+            for pair, paths in cover_paths(objects, covers).items()}
+
+
+def all_paths_agree(composites: dict) -> bool:
+    return all(len({tuple(sorted(m.items(), key=repr)) for m in by_path.values()}) == 1
+               for by_path in composites.values())
+
+
+def squares_commute(covers, source_sets, source_maps, target_maps, maps) -> bool:
+    """Whether per-object atom maps commute with every cover: maps[j] after
+    the source's cover map equals the target's cover map after maps[i]."""
+    return all(maps[j][source_maps[(i, j)][a]] == target_maps[(i, j)][maps[i][a]]
+               for (i, j) in covers for a in source_sets[i])
 
 
 def solve_support(support, rows, cols):

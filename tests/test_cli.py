@@ -267,3 +267,36 @@ def test_json_output_rationals(tmp_path):
     assert payload["version"] and payload["seed"] == 0
     row = payload["rows"][0]
     assert "/" in row["rho"]  # exact rational serialized as num/den
+
+
+# -- inputs that nest too deeply or are too large for recursion -------------
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize("argv, document", [
+    (["validate", "--input"], '{"category": ' + _nested(5000) + '}'),
+    (["--config"], '{"command": ' + _nested(5000) + '}'),
+    (["sweep", "--config"], _nested(5000)),
+    (["--config"], "[1, 2]"),
+], ids=["validate-input", "config", "sweep-config", "config-not-an-object"])
+def test_unreadable_json_is_config_error_naming_the_file(tmp_path, capsys, argv, document):
+    path = tmp_path / "doc.json"
+    path.write_text(document)
+    assert main(argv + [str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "doc.json" in err
+    assert "Traceback" not in err
+
+
+def test_contract_on_a_loaded_diagram_of_a_thousand_atoms(tmp_path, capsys):
+    # no coordinate certificate, so homogeneity is searched: one search
+    # level per initial atom, 2^10 of them
+    d, _ = coord_two_fan(10, range(1, 10), range(9, 11))
+    path = tmp_path / "d.json"
+    save_diagram(d, path)
+    assert main(["contract", "--input", str(path), "--fan", "left,top,right"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1].startswith("run,") and len(rows) == 3

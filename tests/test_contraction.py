@@ -229,6 +229,17 @@ class TestRecover:
         with pytest.raises(NotFanGeneratedError):
             recover_collapsed_diagram(d, fi, run)
 
+    def test_regime_scale_run_exceeds_the_materialization_cap(self):
+        # |x0| = 2^15 and fiber size 2^13 at the default N = 4496: the
+        # conditioned joints would hold N f = 36.8M atoms
+        d, fi = coord_two_fan(17, range(1, 16), range(14, 18))
+        ext = extend_admissible_fan(d, fi)
+        run = contract_once(ext, quiet_default_parameters(ext, seed=0))
+        assert run.params.N * run.fiber_size == 36_831_232
+        assert run.fan_prime is None
+        with pytest.raises(TooLargeError, match="materialization cap 500000"):
+            recover_collapsed_diagram(d, fi, run)
+
 
 class TestTailBounds:
     def test_binomial_i_reference_value(self):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,10 @@ from probdiag.errors import (
     UnknownAtomError,
 )
 from probdiag.fixtures import coord_lambda3, coord_two_fan, reduced_two_fan
-from conftest import random_category, random_diagram
+from probdiag.automorphisms import verify_explicit_iso
+from probdiag.diagrams import FanOfDiagrams, Reduction
+from probdiag.distances import SetDiagram, single_space_diagram
+from conftest import random_category, random_diagram, random_set_diagram
 
 LN2 = math.log(2)
 
@@ -404,6 +408,12 @@ class TestDiagramIsomorphic:
         ok, iso = diagram_isomorphic(d1, d2)
         assert ok and set(iso["w"].values()) == {"c", "d"}
 
+    def test_two_thousand_atoms(self):
+        # one search level per initial atom, on an explicit stack
+        d = single_space_diagram(uniform(2000))
+        ok, iso = diagram_isomorphic(d, d)
+        assert ok and len(iso[d.initial]) == 2000
+
     def test_different_weight_multisets(self):
         cat = build_category(["w"], [])
         d1 = make_diagram(cat, {"w": uniform(2)}, {})
@@ -434,3 +444,132 @@ def test_tensor_fan_kd_counts_both_sides():
     d2 = constant_diagram(build_category(["w"], []), uniform(2))
     fan = tensor_fan(d1, d2)
     assert fan.top.spaces["w"].entropy == pytest.approx(2 * LN2)
+
+
+# -- composites and checks against every path of covers ----------------------
+
+
+def _swap_equal_masses(rng, space) -> dict:
+    """A permutation of the atoms of a space swapping two of equal mass
+    (the identity when there are none): measure-preserving, and after a
+    cover map it can break a square."""
+    by_mass: dict = {}
+    for a, m in zip(space.atoms, space.masses):
+        by_mass.setdefault(m, []).append(a)
+    perm = {a: a for a in space.atoms}
+    classes = [c for c in by_mass.values() if len(c) >= 2]
+    if classes:
+        a, b = rng.sample(rng.choice(classes), 2)
+        perm[a], perm[b] = b, a
+    return perm
+
+
+def _perturbed_diagrams(seed, count):
+    """(category, spaces, cover maps) of random diagrams, half of them with
+    one cover map followed by a measure-preserving swap of its targets."""
+    rng = random.Random(seed)
+    for k in range(count):
+        d = random_diagram(rng)
+        maps = {c: dict(r.mapping) for c, r in d.prime_maps.items()}
+        if k % 2 and maps:
+            cover = rng.choice(d.category.covers)
+            perm = _swap_equal_masses(rng, d.spaces[cover[1]])
+            maps[cover] = {a: perm[b] for a, b in maps[cover].items()}
+        yield d.category, d.spaces, maps
+
+
+def _perturbed_set_diagrams(seed, count):
+    """(category, sets, cover maps) of random set diagrams whose cover maps
+    are keyed out of set order, half of them with the targets of one cover
+    map permuted at random."""
+    rng = random.Random(seed)
+    for k in range(count):
+        sd = random_set_diagram(rng)
+        maps = {}
+        for cover, m in sd.maps.items():
+            keys = list(m)
+            rng.shuffle(keys)
+            maps[cover] = {a: m[a] for a in keys}
+        if k % 2 and maps:
+            cover = rng.choice(sd.category.covers)
+            targets = list(sd.sets[cover[1]])
+            perm = dict(zip(targets, rng.sample(targets, len(targets))))
+            maps[cover] = {a: perm[b] for a, b in maps[cover].items()}
+        yield sd.category, sd.sets, maps
+
+
+def _build(kind, cat, sets_or_spaces, maps):
+    if kind == "diagram":
+        return make_diagram(cat, sets_or_spaces, maps)
+    return SetDiagram(cat, sets_or_spaces, maps)
+
+
+class TestPathOracle:
+    CASES = [("diagram", _perturbed_diagrams, 7), ("set", _perturbed_set_diagrams, 8)]
+
+    @pytest.mark.parametrize("kind, inputs, seed", CASES, ids=["diagram", "set_diagram"])
+    def test_constructors_accept_exactly_when_all_paths_agree(self, kind, inputs, seed):
+        verdicts = set()
+        for cat, sets, maps in inputs(seed, 160):
+            atoms = {o: tuple(s) for o, s in sets.items()}
+            composites = oracles.path_composites(cat.objects, cat.covers, atoms, maps)
+            agree = oracles.all_paths_agree(composites)
+            try:
+                built = _build(kind, cat, sets, maps)
+            except CommutativityError as exc:
+                assert not agree
+                self._check_names_disagreeing_path(str(exc), cat, atoms, composites)
+                verdicts.add(False)
+                continue
+            assert agree
+            verdicts.add(True)
+            for (src, dst), by_path in composites.items():
+                got = built.composite_mapping(src, dst)
+                assert list(got) == list(atoms[src])
+                assert all(got == m for m in by_path.values())
+        assert verdicts == {True, False}
+
+    @staticmethod
+    def _check_names_disagreeing_path(message, cat, atoms, composites):
+        # paths <initial>-><j> via <first step> disagree at atom <initial atom>
+        match = re.fullmatch(r"paths '(\w+)'->'(\w+)' via '(\w+)' disagree at atom (.+)",
+                             message)
+        assert match, message
+        init, j, step, atom_text = match.groups()
+        assert init == cat.initial
+        [z] = [z for z in atoms[init] if repr(z) == atom_text]
+        by_path = composites[(init, j)]
+        named = {by_path[p][z] for p in by_path if p[1] == step}
+        assert named and len(named | {m[z] for m in by_path.values()}) > 1
+
+    def test_naturality_verdicts_match_square_oracle(self):
+        rng = random.Random(9)
+        verdicts = set()
+        for _ in range(120):
+            d = random_diagram(rng)
+            obj = rng.choice(d.category.objects)
+            perm = _swap_equal_masses(rng, d.spaces[obj])
+            cover_maps = {c: r.mapping for c, r in d.prime_maps.items()}
+            atoms = {o: s.atoms for o, s in d.spaces.items()}
+
+            iso = {o: {a: a for a in s} for o, s in atoms.items()}
+            iso[obj] = perm
+            natural = oracles.squares_commute(d.category.covers, atoms, cover_maps,
+                                              cover_maps, iso)
+            assert verify_explicit_iso(d, d, iso) == natural
+            verdicts.add(natural)
+
+            fan = tensor_fan(d, d)
+            projs = {o: r.mapping for o, r in fan.proj_left.items()}
+            projs[obj] = {a: perm[b] for a, b in projs[obj].items()}
+            natural = oracles.squares_commute(
+                d.category.covers, {o: s.atoms for o, s in fan.top.spaces.items()},
+                {c: r.mapping for c, r in fan.top.prime_maps.items()}, cover_maps, projs)
+            proj_left = {o: Reduction(fan.top.spaces[o], d.spaces[o], m)
+                         for o, m in projs.items()}
+            try:
+                FanOfDiagrams(fan.top, d, d, proj_left, fan.proj_right)
+                assert natural
+            except CommutativityError:
+                assert not natural
+        assert verdicts == {True, False}

@@ -13,6 +13,7 @@ from probdiag.jsonio import (
     atom_key,
     category_from_obj,
     category_to_obj,
+    decode_atom,
     diagram_from_obj,
     diagram_to_obj,
     fan_from_obj,
@@ -86,3 +87,23 @@ def test_malformed_fan_names_the_field(edit, path):
     edit(obj)
     with pytest.raises(ConfigError, match=re.escape(path)):
         fan_from_obj(obj)
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "1" + "]" * depth
+
+
+def test_too_deep_file_is_config_error_naming_it(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"category": {"objects": ["a"], "covers": []}, "spaces": {"a": '
+                    '{"atoms": [' + _nested(5000) + '], "weights": ["1"]}}, "maps": {}}')
+    with pytest.raises(ConfigError, match="deep.json: JSON nested too deeply"):
+        load_diagram(path)
+
+
+def test_too_deep_atom_is_config_error():
+    value = 1
+    for _ in range(5000):
+        value = [value]
+    with pytest.raises(ConfigError, match="nested too deeply"):
+        decode_atom(value)

@@ -1,0 +1,104 @@
+"""Print one sha256 per fixed set of probdiag outputs of a checkout.
+
+    python3 tools/output_digest.py [CHECKOUT]
+
+CHECKOUT defaults to the repository this script sits in.  Each set runs in
+a fresh interpreter on CHECKOUT's own src/, tests/ and perfbench/, so two
+checkouts (a parent commit and a change) can be compared line by line:
+equal digests mean byte-identical outputs.  Uses the standard library only.
+"""
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+PRELUDE = """
+import atexit, contextlib, io, json, random, shutil, tempfile
+from pathlib import Path
+from probdiag import jsonio
+from probdiag.cli import main
+tmp = Path(tempfile.mkdtemp())
+atexit.register(shutil.rmtree, tmp)
+def cli(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([str(a) for a in argv])
+    print(code, out.getvalue())
+"""
+
+SETS = {
+    "cli_contract": """
+from probdiag.fixtures import coord_lambda3
+cli("contract", "--seeds", 5, "--workers", 3)
+jsonio.save_diagram(coord_lambda3()[0], tmp / "l3.json")
+cli("contract", "--input", tmp / "l3.json", "--fan", "x,z,u", "--seeds", 3)
+""",
+    "cli_expand": """
+for fixture in ("two_fan", "lambda3"):
+    cli("expand", "--fixture", fixture, "--output", tmp / "e.json")
+    print((tmp / "e.json").read_text())
+""",
+    "cli_distance_validate": """
+from probdiag import ProbSpace, build_category, make_diagram
+from workloads import DistanceBounds
+for k in range(12):
+    inst = DistanceBounds().prepare({"seed": 7}, "run", k)
+    cat = build_category(inst["objects"], inst["covers"])
+    for s, side in enumerate(inst["sides"]):
+        d = make_diagram(cat, {o: ProbSpace(*side[o]) for o in inst["objects"]}, inst["maps"])
+        jsonio.save_diagram(d, tmp / f"{s}.json")
+        cli("validate", "--input", tmp / f"{s}.json")
+    cli("distance", "--input", tmp / "0.json", "--input2", tmp / "1.json")
+""",
+    "arrow_collapse": """
+from probdiag import arrow_collapse
+from probdiag.fixtures import reduced_lambda3, reduced_two_fan
+from conftest import random_diagram
+def collapse_all(d):
+    for cover in d.category.covers:
+        try:
+            print(json.dumps(jsonio.diagram_to_obj(arrow_collapse(d, cover))))
+        except Exception as exc:
+            print(type(exc).__name__, exc)
+for d in (reduced_two_fan(4, range(3, 5))[0], reduced_lambda3(3, 7, range(6, 8))[0]):
+    collapse_all(d)
+    jsonio.save_diagram(d, tmp / "d.json")
+    collapse_all(jsonio.load_diagram(tmp / "d.json"))
+rng = random.Random(5)
+for _ in range(400):
+    collapse_all(random_diagram(rng))
+""",
+    "roundtrip_loaded": """
+from probdiag import contraction, expansion
+from workloads import RoundtripLoaded
+bench = RoundtripLoaded()
+for seed in (1, 42):
+    state = bench.setup(seed, tmp)
+    for k in range(30):
+        params, m = bench.prepare(state, "run", k)
+        run = contraction.contract_once(state["ext"], params)
+        d, fan = state["diagram"], state["fan"]
+        for out in (contraction.recover_collapsed_diagram(d, fan, run),
+                    expansion.expand_diagram(expansion.ExpansionSpec(d, fan, m))):
+            print(json.dumps(jsonio.diagram_to_obj(out)))
+""",
+}
+
+
+def main() -> int:
+    root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent.parent).resolve()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        str(root / sub) for sub in ("src", "tests", "perfbench")))
+    for name, body in SETS.items():
+        done = subprocess.run([sys.executable, "-c", PRELUDE + body], cwd=root, env=env,
+                              capture_output=True, text=True)
+        if done.returncode:
+            print(done.stderr, file=sys.stderr)
+            return 1
+        print(hashlib.sha256(done.stdout.encode()).hexdigest(), name)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
