@@ -414,10 +414,19 @@ COMMANDS = {
 }
 
 
+# config entries that name a file: the input diagrams, a sweep's steps and
+# the output
+PATH_KEYS = ("input", "input2", "config", "output")
+
+
 def run_config(config: dict) -> int:
     command = config.get("command")
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
+    for key in PATH_KEYS:
+        value = config.get(key)
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"{_flag(key)} must be a file path, got {value!r}")
     return COMMANDS[command](config)
 
 

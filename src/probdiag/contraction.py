@@ -7,9 +7,18 @@ space V is uniform on the N indices; the fiber counts over the x-side
 determine everything observable about the conditioned fan, so the
 astronomically large sample-power spaces are never materialized, only their
 conditioned slices.
+
+Under any sample, the count of an x0 atom depends only on its fiber
+pattern, the set of u fibers holding it.  So a contraction works on the P
+pattern groups, not on the |x0| atoms: the counts are the multiplicities of
+the sampled u atoms times the |u| x P pattern matrix, total variation is an
+exact integer sum over the groups, and the conditioned x-side's masses at
+each object are a precomputed atoms x P incidence times the counts.  The
+patterns and incidences are computed once per extended fan.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import random
@@ -18,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +63,18 @@ DEFAULT_MATERIALIZE_CAP = 500_000
 MC_BATCH_BYTES = 64 * 2 ** 20
 
 
+class _FiberPatterns(NamedTuple):
+    """The x0 atoms grouped by fiber pattern, with the indices a
+    contraction reads them through; x0 atoms are indexed in x0 order and
+    u atoms by their row in u order."""
+
+    pattern: np.ndarray        # |u| x P 0/1: which u fibers hold each pattern
+    sizes: np.ndarray          # P: atoms per pattern
+    atom_pattern: np.ndarray   # |x0|: the pattern of each x0 atom
+    fiber_pattern: np.ndarray  # |u| x f: the pattern of each fiber atom
+    u_row: dict                # u atom -> row
+
+
 @dataclass(frozen=True)
 class ExtendedFan:
     """The x-side ideal coupled objectwise with u: a two-fan of diagrams over
@@ -60,9 +82,11 @@ class ExtendedFan:
 
     The fiber isomorphism verdict of each u atom, and the conditioned x-side
     diagram of the reference atom they compare against, are cached; they
-    depend only on the fan, not on any sampled run.  So are the coupled
-    diagram and the fiber patterns the Monte-Carlo tails group x0 by,
-    computed on first use."""
+    depend only on the fan, not on any sampled run.  So are, computed on
+    first use, the coupled diagram, the fiber patterns that contractions and
+    the Monte-Carlo tails group x0 by, and the x-side incidences against
+    those patterns that each contraction builds its conditioned x-side
+    from."""
 
     shape: IndexingCategory
     xdiag: Diagram
@@ -111,16 +135,60 @@ class ExtendedFan:
         int64 size of each pattern group.  Under any sample of u an atom's
         fiber count depends only on its pattern, so P columns stand for
         all |x0| atoms."""
-        holders: dict = {x: [] for x in self.x0_space.atoms}
-        for row, u in enumerate(self.u_space.atoms):
-            for x in self.fibers[u]:
-                holders[x].append(row)
-        groups = Counter(tuple(rows) for rows in holders.values())
-        pattern = np.zeros((len(self.u_space), len(groups)), dtype=np.int64)
-        for col, rows in enumerate(groups):
-            pattern[list(rows), col] = 1
-        sizes = np.fromiter(groups.values(), dtype=np.int64, count=len(groups))
-        return pattern, sizes
+        return self._patterns.pattern, self._patterns.sizes
+
+    @cached_property
+    def _patterns(self) -> _FiberPatterns:
+        # One pass over the fibers indexes their atoms.  The u rows holding
+        # an atom are then the bits of its row of int64 words, 63 rows a
+        # word, and equal rows of words are equal patterns.
+        u_atoms = self.u_space.atoms
+        index = dict(zip(self.x0_space.atoms, itertools.count()))
+        u_card, f = len(u_atoms), self.fiber_size
+        fiber_atoms = np.fromiter(
+            itertools.chain.from_iterable(map(index.__getitem__, self.fibers[u])
+                                          for u in u_atoms),
+            dtype=np.int64, count=u_card * f).reshape(u_card, f)
+        bits = np.zeros((len(index), u_card // 63 + 1), dtype=np.int64)
+        for row, atoms in enumerate(fiber_atoms):
+            bits[atoms, row // 63] |= 1 << (row % 63)
+        keys = bits.view(np.dtype((np.void, bits.itemsize * bits.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        # the smallest unsigned ids: the |u| x f table of them is kept
+        relabel = np.empty(first.size, dtype=np.min_scalar_type(first.size))
+        relabel[np.argsort(first)] = np.arange(first.size)
+        atom_pattern = relabel[inverse]
+        fiber_pattern = atom_pattern[fiber_atoms]
+        pattern = np.zeros((u_card, first.size), dtype=np.int64)
+        pattern[np.arange(u_card)[:, None], fiber_pattern] = 1
+        sizes = np.bincount(atom_pattern, minlength=first.size)
+        return _FiberPatterns(pattern, sizes, atom_pattern, fiber_pattern,
+                              {u: row for row, u in enumerate(u_atoms)})
+
+    @cached_property
+    def _x_side_tables(self) -> tuple[dict, dict]:
+        """The x-side ideal against the fiber patterns: at each object its
+        atoms in first-appearance order over the x0 atoms, the index among
+        them of each x0 atom's image, and the integer incidence (atoms x P)
+        counting each pattern's atoms over each atom; on each cover, the
+        map between the lifts' images, keyed in the source's order."""
+        lifts = _initial_lifts(self.xdiag)
+        x0_atoms = self.x0_space.atoms
+        atom_pattern = self._patterns.atom_pattern
+        n_patterns = self._patterns.sizes.size
+        images: dict = {}
+        objects: dict = {}
+        for o in self.shape.objects:
+            images[o] = list(map(lifts[o].__getitem__, x0_atoms))
+            position = dict(zip(dict.fromkeys(images[o]), itertools.count()))
+            image = np.fromiter(map(position.__getitem__, images[o]), dtype=np.int64,
+                                count=len(x0_atoms))
+            incidence = np.bincount(image * n_patterns + atom_pattern,
+                                    minlength=len(position) * n_patterns)
+            objects[o] = (tuple(position), image,
+                          incidence.reshape(len(position), n_patterns))
+        covers = {(i, j): dict(zip(images[i], images[j])) for (i, j) in self.shape.covers}
+        return objects, covers
 
     @property
     def size_h(self) -> int:
@@ -234,11 +302,13 @@ class ContractionRun:
     Exact identities: nu sums to rho * |x0| and the conditioned weights sum
     to 1, both as rationals with zero tolerance.  fan_prime is materialized
     only when the conditioned sample space is below the cap; all statistics
-    are derived from the integer fiber counts either way.
+    are derived from the integer fiber counts either way, which the run
+    keeps per fiber pattern (`ExtendedFan.fiber_patterns`); `counts` is the
+    per-atom view of them, built on first read.
     """
 
     params: ContractionParams
-    counts: dict          # x0 atom -> sample count, positive entries only
+    pattern_counts: tuple  # count of each pattern's atoms, in pattern order
     alpha: Fraction       # half total variation against the uniform law
     height: float         # mean log fiber count of the conditioned fan
     coverage: bool
@@ -252,6 +322,20 @@ class ContractionRun:
     fiber_size: int
     size_h: int
     size_g: int
+    _ext: ExtendedFan = field(repr=False, compare=False)
+    _sampled_rows: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def counts(self) -> dict:
+        """x0 atom -> sample count, positive entries only, in the order the
+        atoms are first counted (`_first_counted`)."""
+        ext, rows = self._ext, self._sampled_rows
+        fresh = _first_counted(ext._patterns, rows)
+        fibers = itertools.chain.from_iterable(ext.fibers[ext.u_space.atoms[row]]
+                                               for row in rows.tolist())
+        atoms = itertools.compress(fibers, fresh.ravel().tolist())
+        groups = ext._patterns.fiber_pattern[rows][fresh].tolist()
+        return dict(zip(atoms, map(self.pattern_counts.__getitem__, groups)))
 
     @property
     def nu(self) -> dict:
@@ -266,12 +350,18 @@ class ContractionRun:
         return {x: Fraction(c, nf) for x, c in self.counts.items()}
 
     @property
+    def _total_count(self) -> int:
+        """The counts summed over all x0 atoms, exactly, group by group."""
+        sizes = self._ext.fiber_patterns[1].tolist()
+        return sum(c * w for c, w in zip(self.pattern_counts, sizes))
+
+    @property
     def sum_nu(self) -> Fraction:
-        return Fraction(sum(self.counts.values()), self.params.N)
+        return Fraction(self._total_count, self.params.N)
 
     @property
     def total_mass(self) -> Fraction:
-        return Fraction(sum(self.counts.values()), self.params.N * self.fiber_size)
+        return Fraction(self._total_count, self.params.N * self.fiber_size)
 
     def height_two_ways(self) -> tuple[float, float]:
         """Mean log fiber count vs the entropy difference of the fan arrow."""
@@ -306,48 +396,86 @@ def _fiber_translation_iso(ext: ExtendedFan, cond_u: Diagram, cond_ref: Diagram,
     return verify_explicit_iso(cond_u, cond_ref, maps)
 
 
+def _first_counted(patterns: _FiberPatterns, rows: np.ndarray) -> np.ndarray:
+    """Over the fibers of the distinct sampled u atoms (rows, in sampling
+    order), which atoms are counted there first: those whose pattern no
+    earlier row holds.  Read row by row in fiber order, these are the
+    counted x0 atoms in the order they are first counted."""
+    first_row = patterns.pattern[rows].argmax(axis=0)
+    return first_row[patterns.fiber_pattern[rows]] == np.arange(rows.size)[:, None]
+
+
+def _deviation_sum(counts, sizes, card: int, nf: int):
+    """sum_p w_p |c_p |x0| - N f| over the pattern groups, for counts c
+    (one sample, or one sample per row) and group sizes w: 2 N f |x0| times
+    the total variation alpha against the uniform law.  An uncovered group
+    (c_p = 0) deviates by N f per atom.  Exact over int64 below 2^63 and over
+    Python ints in object arrays."""
+    return np.abs(counts * card - nf) @ sizes
+
+
+def _conditioned_xprime(ext: ExtendedFan, counts: np.ndarray, nf: int) -> Diagram:
+    """The x-side under the conditioned x0 law count / (N f): at each object
+    the masses are its incidence times the pattern counts, over its atoms in
+    first-appearance order over the counted x0 atoms (all of them, in x0
+    order, when the sample covers x0), as pushing the law forward gives."""
+    objects, covers = ext._x_side_tables
+    covered = None if counts.all() else counts[ext._patterns.atom_pattern] > 0
+    spaces: dict = {}
+    for o, (atoms, image, incidence) in objects.items():
+        masses = incidence @ counts
+        if covered is not None:
+            seen = image[covered]
+            _, first = np.unique(seen, return_index=True)
+            order = seen[np.sort(first)]
+            atoms, masses = [atoms[k] for k in order.tolist()], masses[order]
+        spaces[o] = ProbSpace(atoms, masses.tolist(), denom=nf)
+    maps: dict = {}
+    for (i, j), mapping in covers.items():
+        if covered is not None:
+            mapping = {a: mapping[a] for a in spaces[i].atoms}
+        maps[(i, j)] = Reduction._trusted(spaces[i], spaces[j], mapping)
+    return Diagram._trusted(ext.shape, spaces, maps)
+
+
 def contract_once(ext: ExtendedFan, params: ContractionParams) -> ContractionRun:
     """Sample u N times and condition the extended fan on the sample.
 
-    The sample-power spaces are virtual: fiber counts are accumulated per
-    distinct sampled atom, which gives the exact conditioned law.  The
-    conditioned x-side is rebuilt from that law; the fiber isomorphism with
-    the unconditioned slices is verified for every distinct sampled atom.
+    The sample-power spaces are virtual: the multiplicities of the sampled
+    u atoms give one count per fiber pattern, which is the exact
+    conditioned law of every atom of the pattern.  Total variation is the
+    exact integer sum over the groups, the height the per-atom terms
+    summed in the order the atoms are first counted, and the conditioned
+    x-side is built from the pattern counts through the fan's incidences.
+    The fiber isomorphism with the unconditioned slices is verified for
+    every distinct sampled atom.
     """
     rng = random.Random(params.seed)
     sampler = CategoricalSampler(ext.u_space)
     u_bar = tuple(sampler.draw_many(rng, params.N))
     multiplicity = Counter(u_bar)
 
-    counts: dict = {}
-    for u, mult in multiplicity.items():
-        for x in ext.fibers[u]:
-            counts[x] = counts.get(x, 0) + mult
+    patterns = ext._patterns
     n, f, card = params.N, ext.fiber_size, ext.x0_card
-    total = sum(counts.values())
-    assert total == n * f, "fiber counting identity failed"
+    nf = n * f
+    rows = np.fromiter(map(patterns.u_row.__getitem__, multiplicity), dtype=np.int64,
+                       count=len(multiplicity))
+    mult = np.fromiter(multiplicity.values(), dtype=np.int64, count=len(multiplicity))
+    counts = mult @ patterns.pattern[rows]
+    exact_counts = counts.astype(object)
+    sizes = patterns.sizes.astype(object)
+    assert exact_counts @ sizes == nf, "fiber counting identity failed"
+    coverage = bool(counts.all())
 
-    x0_atoms = ext.x0_space.atoms
-    coverage = len(counts) == card
+    alpha = Fraction(_deviation_sum(exact_counts, sizes, card, nf), 2 * nf * card)
 
-    # alpha over the full x0 set; each uncovered atom deviates by N f
-    deviation = (sum(abs(c * card - n * f) for c in counts.values())
-                 + (card - len(counts)) * n * f)
-    alpha = Fraction(deviation, 2 * n * f * card)
+    # each atom's term (c / (N f)) ln c, summed one atom at a time in the
+    # order of first count, as the float sum is not associative
+    terms = np.array([(c / nf) * math.log(c) if c else 0.0 for c in counts.tolist()])
+    in_order = patterns.fiber_pattern[rows][_first_counted(patterns, rows)]
+    height = float(np.add.accumulate(terms[in_order])[-1])
 
-    log_cache: dict[int, float] = {}
-    height = 0.0
-    for c in counts.values():
-        log_c = log_cache.get(c)
-        if log_c is None:
-            log_c = math.log(c)
-            log_cache[c] = log_c
-        height += (c / (n * f)) * log_c
-
-    # the conditioned x0 law counts / (N f), in x0 order
-    covered = [x for x in x0_atoms if x in counts]
-    measure = ProbSpace(covered, [counts[x] for x in covered], denom=n * f)
-    xprime = _from_initial_measure(ext.shape, measure, _initial_lifts(ext.xdiag))
+    xprime = _conditioned_xprime(ext, counts, nf)
     vspace = ProbSpace(range(1, n + 1), [1] * n, denom=n)
 
     # conditioned-fiber isomorphism against the reference atom of u; the
@@ -363,16 +491,17 @@ def contract_once(ext: ExtendedFan, params: ContractionParams) -> ContractionRun
         rough = True
 
     fan_prime = None
-    if n * f <= DEFAULT_MATERIALIZE_CAP:
+    if nf <= DEFAULT_MATERIALIZE_CAP:
         fan_prime = _materialize_fan(ext, u_bar, xprime, vspace)
 
-    return ContractionRun(params=params, counts=counts,
+    return ContractionRun(params=params, pattern_counts=tuple(counts.tolist()),
                           alpha=alpha, height=height,
                           coverage=coverage, fiber_iso_ok=fiber_iso_ok,
                           ikd_upper=ikd_upper, rough_bound_used=rough,
                           xprime=xprime, vspace=vspace, fan_prime=fan_prime,
                           x0_card=card, fiber_size=f,
-                          size_h=ext.size_h, size_g=ext.size_g)
+                          size_h=ext.size_h, size_g=ext.size_g,
+                          _ext=ext, _sampled_rows=rows)
 
 
 def _materialize_fan(ext: ExtendedFan, u_bar: tuple, xprime: Diagram,
@@ -618,7 +747,7 @@ def monte_carlo_tails(kind: str, *, t: float, trials: int, seed: int,
                 stat = ((counts * np.log(safe)) @ weights) / float(nf)
                 hits += int(np.count_nonzero(stat > tb.threshold))
             else:
-                two_alpha = (np.abs(counts * card - nf) @ sizes) / float(nf * card)
+                two_alpha = _deviation_sum(counts, sizes, card, nf) / float(nf * card)
                 if kind == "totalvar":
                     hits += int(np.count_nonzero(two_alpha > t))
                 else:  # ikd: measured through the witness-bound value

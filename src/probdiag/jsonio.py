@@ -20,23 +20,57 @@ from .errors import ConfigError
 from .spaces import ProbSpace
 
 
-def encode_atom(atom):
-    if isinstance(atom, tuple):
-        return [encode_atom(a) for a in atom]
+# Levels an atom may nest.  Comparing or printing a tuple recurses once per
+# level, within Python's default limit of 1000 frames; 900 leaves room for
+# the frames of the code that compares.
+MAX_ATOM_DEPTH = 900
+
+
+def _rebuild(value, branch: type, build, leaf):
+    """value with each nested `branch` container rebuilt by `build` from its
+    rebuilt items and every other item passed through `leaf`.  The nesting
+    is walked with an explicit stack of (remaining items, rebuilt items) per
+    open container, so any depth up to MAX_ATOM_DEPTH is rebuilt."""
+    if not isinstance(value, branch):
+        return leaf(value)
+    stack = [(iter([value]), [])]
+    while True:
+        items, done = stack[-1]
+        for v in items:
+            if isinstance(v, branch):
+                if len(stack) > MAX_ATOM_DEPTH:
+                    raise ConfigError(f"atom is nested too deeply "
+                                      f"(more than {MAX_ATOM_DEPTH} levels)")
+                stack.append((iter(v), []))
+                break
+            done.append(leaf(v))
+        else:
+            stack.pop()
+            if not stack:
+                return done[0]
+            stack[-1][1].append(build(done))
+
+
+def _json_scalar(atom):
     if isinstance(atom, (str, int, bool)) or atom is None:
         return atom
     raise ConfigError(f"atom {atom!r} is not JSON-serializable")
 
 
-def decode_atom(value):
-    if isinstance(value, list):
-        try:
-            return tuple(decode_atom(v) for v in value)
-        except RecursionError:
-            raise ConfigError("atom is nested too deeply") from None
+def _atom_scalar(value):
     if isinstance(value, dict):
         raise ConfigError(f"atom {value!r} is a JSON object; atoms are scalars or lists")
     return value
+
+
+def encode_atom(atom):
+    """The JSON value of an atom: tuples become lists."""
+    return _rebuild(atom, tuple, list, _json_scalar)
+
+
+def decode_atom(value):
+    """The atom a decoded JSON value stands for: lists become tuples."""
+    return _rebuild(value, list, tuple, _atom_scalar)
 
 
 def atom_key(atom) -> str:

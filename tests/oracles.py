@@ -10,7 +10,8 @@ by checking every weight-class permutation, finite measures and the
 measure-preserving check as plain atom -> Fraction dicts, the local
 decomposition and the random coupling in Fraction arithmetic, the greedy
 coupling as its own loop, Monte-Carlo tail statistics atom by atom over
-dense sample x |x0| count arrays.
+dense sample x |x0| count arrays, and a contraction run atom by atom with
+Fraction total variation and the conditioned x-side pushed forward.
 
 `recheck` is the one exception: it runs the library's public checks on what
 its unchecked internal builders produced."""
@@ -18,7 +19,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
+from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -390,6 +394,43 @@ def dense_fan_tail_hits(ext, kind: str, t: float, mult) -> int:
         stat = a * log_card + np.where(two_alpha <= 0, 0.0, ent)
         return int(np.count_nonzero(stat > t * log_card))
     raise ValueError(kind)
+
+
+def contract_per_atom(ext, params) -> SimpleNamespace:
+    """One contraction run computed atom by atom, from the same draws as
+    `contract_once`: each x0 atom's count summed over the sampled u fibers
+    holding it (a dict in order of first count), alpha as half the l1
+    distance of count / (N f) from the uniform law in Fractions, the height
+    as one float term per atom summed in that order, and the conditioned
+    x-side as the law on the counted atoms, in x0 order, pushed forward to
+    every object, with each cover's map read off the two pushforwards."""
+    from probdiag.distances import local_estimate_bound
+    from probdiag.sampling import CategoricalSampler
+    from probdiag.spaces import ProbSpace, pushforward
+
+    rng = random.Random(params.seed)
+    draws = CategoricalSampler(ext.u_space).draw_many(rng, params.N)
+    counts: dict = {}
+    for u, mult in Counter(draws).items():
+        for x in ext.fibers[u]:
+            counts[x] = counts.get(x, 0) + mult
+    nf, card = params.N * ext.fiber_size, ext.x0_card
+    alpha = sum(abs(Fraction(counts.get(x, 0), nf) - Fraction(1, card))
+                for x in ext.x0_space.atoms) / 2
+    height = 0.0
+    for c in counts.values():
+        height += (c / nf) * math.log(c)
+    covered = [x for x in ext.x0_space.atoms if x in counts]
+    law = ProbSpace(covered, [counts[x] for x in covered], denom=nf)
+    lifts = {o: ext.xdiag.composite_mapping(ext.x0, o) for o in ext.shape.objects}
+    spaces = {o: pushforward(law, lifts[o]) for o in ext.shape.objects}
+    maps = {(i, j): {lifts[i][x]: lifts[j][x] for x in covered}
+            for (i, j) in ext.shape.covers}
+    coverage = len(covered) == card
+    ikd_upper = (local_estimate_bound(ext.size_h, card, alpha) if coverage
+                 else 2.0 * ext.size_h * math.log(card))
+    return SimpleNamespace(counts=counts, alpha=alpha, height=height, coverage=coverage,
+                           ikd_upper=ikd_upper, spaces=spaces, maps=maps)
 
 
 def recheck(diagram_or_fan):

@@ -126,6 +126,30 @@ def test_bad_numeric_config_value_is_config_error(tmp_path, capsys, config, flag
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("config, flag", [
+    ({"command": "validate", "input": [1]}, "--input"),
+    ({"command": "distance", "input": 5, "input2": "x"}, "--input"),
+    ({"command": "distance", "input": "x", "input2": {"a": 1}}, "--input2"),
+    ({"command": "contract", "input": True, "fan": "left,top,right"}, "--input"),
+    ({"command": "sweep", "config": [1]}, "--config"),
+    ({"command": "entropy", "output": 3}, "--output"),
+])
+def test_non_string_path_is_config_error(tmp_path, capsys, config, flag):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag} must be a file path, got ")
+    assert "Traceback" not in err
+
+
+def test_non_string_path_in_a_sweep_step_is_config_error(tmp_path, capsys):
+    path = tmp_path / "steps.json"
+    path.write_text(json.dumps([{"command": "validate", "input": 7}]))
+    assert main(["sweep", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "config error: --input must be a file path, got 7\n"
+
+
 def test_tails_kind_without_t_is_config_error(capsys):
     assert main(["tails", "--kind", "binomial_i", "--N", "100", "--rho", "1/2"]) == 1
     assert "--t" in capsys.readouterr().err

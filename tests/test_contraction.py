@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -430,6 +431,63 @@ class TestFanTailsByPattern:
         check = monte_carlo_tails("totalvar", t=params.t, trials=10_000, seed=0,
                                   ext=ext, params=params)
         assert check.trials == 10_000 and check.passed
+
+
+def _shuffled_chain():
+    """A coordinate fan whose x-side is a chain x -> xa -> xb, reloaded
+    with every space's atoms in a seeded random order: the first
+    appearances of an object's atoms over the x0 atoms then differ between
+    a full and a partial sample, also at xa, the source of a cover."""
+    cat = build_category(["z", "x", "xa", "xb", "u"],
+                         [("z", "x"), ("z", "u"), ("x", "xa"), ("xa", "xb")])
+    coords = {"z": range(1, 6), "x": (1, 2, 3, 4), "xa": (1, 2, 3), "xb": (2, 3),
+              "u": (4, 5)}
+    obj = diagram_to_obj(coordinate_diagram(cat, coords, 5))
+    rng = random.Random(4)
+    for space in obj["spaces"].values():
+        pairs = list(zip(space["atoms"], space["weights"]))
+        rng.shuffle(pairs)
+        space["atoms"], space["weights"] = map(list, zip(*pairs))
+    return diagram_from_obj(obj), FanIndices("x", "z", "u")
+
+
+class TestPerPatternAgainstPerAtomOracle:
+    @pytest.mark.parametrize("name", ["two_fan", "lambda3", "reduced_lambda3",
+                                      "shuffled_chain"])
+    def test_every_field_in_key_order(self, small_exts, name):
+        # N = 1, 2, 3, 5 leave atoms uncovered, so both ways of ordering the
+        # conditioned x-side are compared
+        ext = (extend_admissible_fan(*_shuffled_chain()) if name == "shuffled_chain"
+               else small_exts[name])
+        f = ext.fiber_size
+        partial = 0
+        for n in (1, 2, 3, 5, quiet_default_parameters(ext, seed=0).N):
+            for seed in range(8):
+                params = ContractionParams(N=n, t=0.5, rho=ext.rho, seed=seed)
+                run = contract_once(ext, params)
+                want = oracles.contract_per_atom(ext, params)
+                assert list(run.counts.items()) == list(want.counts.items())
+                assert list(run.nu.items()) == [(x, Fraction(c, n))
+                                                for x, c in want.counts.items()]
+                assert list(run.p_b0.items()) == [(x, Fraction(c, n * f))
+                                                  for x, c in want.counts.items()]
+                assert run.sum_nu == Fraction(sum(want.counts.values()), n)
+                assert run.total_mass == Fraction(sum(want.counts.values()), n * f)
+                assert run.alpha == want.alpha
+                assert repr(run.height) == repr(want.height)
+                assert run.coverage == want.coverage != run.rough_bound_used
+                assert repr(run.ikd_upper) == repr(want.ikd_upper)
+                assert list(run.xprime.spaces) == list(want.spaces)
+                for obj, space in want.spaces.items():
+                    got = run.xprime.spaces[obj]
+                    assert (got.atoms, got.masses, got.denom) == (
+                        space.atoms, space.masses, space.denom)
+                assert list(run.xprime.prime_maps) == list(want.maps)
+                for cover, mapping in want.maps.items():
+                    assert list(run.xprime.prime_maps[cover].mapping.items()) == list(
+                        mapping.items())
+                partial += not run.coverage
+        assert partial >= 8
 
 
 @pytest.mark.parametrize("kw, name", [

@@ -9,12 +9,14 @@ from probdiag.distances import single_space_diagram
 from probdiag.errors import ConfigError
 from probdiag.fixtures import coord_lambda3, coord_two_fan
 from probdiag.jsonio import (
+    MAX_ATOM_DEPTH,
     atom_from_key,
     atom_key,
     category_from_obj,
     category_to_obj,
     decode_atom,
     diagram_from_obj,
+    encode_atom,
     diagram_to_obj,
     fan_from_obj,
     fan_to_obj,
@@ -107,3 +109,41 @@ def test_too_deep_atom_is_config_error():
         value = [value]
     with pytest.raises(ConfigError, match="nested too deeply"):
         decode_atom(value)
+
+
+def test_atom_nested_900_deep_decodes(tmp_path):
+    value = 1
+    for _ in range(900):
+        value = [value]
+    atom = decode_atom(value)
+    depth = 0
+    while isinstance(atom, tuple):
+        assert len(atom) == 1
+        atom, depth = atom[0], depth + 1
+    assert (atom, depth) == (1, 900)
+    assert encode_atom(decode_atom(value)) == value
+    # and a one-atom diagram holding it loads from a file and saves again
+    path = tmp_path / "deep.json"
+    path.write_text('{"category": {"objects": ["a"], "covers": []}, "spaces": {"a": '
+                    '{"atoms": [' + _nested(900) + '], "weights": ["1"]}}, "maps": {}}')
+    loaded = load_diagram(path)
+    assert loaded.spaces["a"].atoms == (decode_atom(json.loads(_nested(900))),)
+    save_diagram(loaded, tmp_path / "again.json")
+    assert load_diagram(tmp_path / "again.json") == loaded
+
+
+def test_atom_depth_cap():
+    value = 1
+    for _ in range(MAX_ATOM_DEPTH):
+        value = [value]
+    decode_atom(value)
+    with pytest.raises(ConfigError, match="nested too deeply"):
+        decode_atom([value])
+    with pytest.raises(ConfigError, match="is a JSON object"):
+        decode_atom([[1, [{"a": 1}]]])
+    atom = decode_atom(value)
+    assert encode_atom(atom) == value
+    with pytest.raises(ConfigError, match="nested too deeply"):
+        encode_atom((atom,))
+    with pytest.raises(ConfigError, match="1.5 is not JSON-serializable"):
+        encode_atom((1, (2, 1.5)))

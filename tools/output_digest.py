@@ -34,6 +34,20 @@ cli("contract", "--seeds", 5, "--workers", 3)
 jsonio.save_diagram(coord_lambda3()[0], tmp / "l3.json")
 cli("contract", "--input", tmp / "l3.json", "--fan", "x,z,u", "--seeds", 3)
 """,
+    "cli_contract_partial": """
+from probdiag import contraction
+from probdiag.fixtures import coord_lambda3
+cli("contract", "--N", 3, "--seeds", 5)
+jsonio.save_diagram(coord_lambda3()[0], tmp / "l3.json")
+cli("contract", "--input", tmp / "l3.json", "--fan", "x,z,u", "--N", 3, "--seeds", 5)
+ext = contraction.extend_admissible_fan(*coord_lambda3())
+for seed in range(10):
+    run = contraction.contract_once(ext, contraction.ContractionParams(3, 0.5, ext.rho, seed))
+    print(run.coverage, json.dumps(jsonio.diagram_to_obj(run.xprime)))
+""",
+    "cli_contract_regime": """
+cli("contract", "--l", 17, "--I", "1..15", "--J", "14..17", "--seeds", 2)
+""",
     "cli_expand": """
 for fixture in ("two_fan", "lambda3"):
     cli("expand", "--fixture", fixture, "--output", tmp / "e.json")
