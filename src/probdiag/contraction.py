@@ -26,7 +26,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +44,6 @@ from .diagrams import (
     _from_initial_measure,
     _initial_lifts,
     _joint_size,
-    _pair_fan,
 )
 from .distances import local_estimate_bound
 from .errors import (
@@ -301,10 +300,11 @@ class ContractionRun:
 
     Exact identities: nu sums to rho * |x0| and the conditioned weights sum
     to 1, both as rationals with zero tolerance.  fan_prime is materialized
-    only when the conditioned sample space is below the cap; all statistics
-    are derived from the integer fiber counts either way, which the run
-    keeps per fiber pattern (`ExtendedFan.fiber_patterns`); `counts` is the
-    per-atom view of them, built on first read.
+    on first read, from the sampled u atoms the run keeps, and only when
+    N f is at most DEFAULT_MATERIALIZE_CAP (else it reads None); all
+    statistics are derived from the integer fiber counts either way, which
+    the run keeps per fiber pattern (`ExtendedFan.fiber_patterns`); `counts`
+    is the per-atom view of them, built on first read.
     """
 
     params: ContractionParams
@@ -317,22 +317,29 @@ class ContractionRun:
     rough_bound_used: bool
     xprime: Diagram
     vspace: ProbSpace
-    fan_prime: FanOfDiagrams | None
     x0_card: int
     fiber_size: int
     size_h: int
     size_g: int
     _ext: ExtendedFan = field(repr=False, compare=False)
-    _sampled_rows: np.ndarray = field(repr=False, compare=False)
+    _u_bar: tuple = field(repr=False, compare=False)  # the N sampled u atoms
+
+    @cached_property
+    def fan_prime(self) -> FanOfDiagrams | None:
+        """The conditioned two-fan (x' <- y' -> V), or None when N f exceeds
+        DEFAULT_MATERIALIZE_CAP."""
+        if self.params.N * self.fiber_size > DEFAULT_MATERIALIZE_CAP:
+            return None
+        return _materialize_fan(self._ext, self._u_bar, self.xprime, self.vspace)
 
     @cached_property
     def counts(self) -> dict:
         """x0 atom -> sample count, positive entries only, in the order the
         atoms are first counted (`_first_counted`)."""
-        ext, rows = self._ext, self._sampled_rows
+        ext, sampled = self._ext, dict.fromkeys(self._u_bar)
+        rows = np.array([ext._patterns.u_row[u] for u in sampled], dtype=np.int64)
         fresh = _first_counted(ext._patterns, rows)
-        fibers = itertools.chain.from_iterable(ext.fibers[ext.u_space.atoms[row]]
-                                               for row in rows.tolist())
+        fibers = itertools.chain.from_iterable(map(ext.fibers.__getitem__, sampled))
         atoms = itertools.compress(fibers, fresh.ravel().tolist())
         groups = ext._patterns.fiber_pattern[rows][fresh].tolist()
         return dict(zip(atoms, map(self.pattern_counts.__getitem__, groups)))
@@ -476,7 +483,6 @@ def contract_once(ext: ExtendedFan, params: ContractionParams) -> ContractionRun
     height = float(np.add.accumulate(terms[in_order])[-1])
 
     xprime = _conditioned_xprime(ext, counts, nf)
-    vspace = ProbSpace(range(1, n + 1), [1] * n, denom=n)
 
     # conditioned-fiber isomorphism against the reference atom of u; the
     # verdicts are run-independent and cached on the fan
@@ -490,28 +496,63 @@ def contract_once(ext: ExtendedFan, params: ContractionParams) -> ContractionRun
         ikd_upper = 2.0 * ext.size_h * math.log(card)
         rough = True
 
-    fan_prime = None
-    if nf <= DEFAULT_MATERIALIZE_CAP:
-        fan_prime = _materialize_fan(ext, u_bar, xprime, vspace)
-
     return ContractionRun(params=params, pattern_counts=tuple(counts.tolist()),
                           alpha=alpha, height=height,
                           coverage=coverage, fiber_iso_ok=fiber_iso_ok,
                           ikd_upper=ikd_upper, rough_bound_used=rough,
-                          xprime=xprime, vspace=vspace, fan_prime=fan_prime,
+                          xprime=xprime, vspace=_sample_space(n),
                           x0_card=card, fiber_size=f,
                           size_h=ext.size_h, size_g=ext.size_g,
-                          _ext=ext, _sampled_rows=rows)
+                          _ext=ext, _u_bar=u_bar)
+
+
+@lru_cache(maxsize=8)
+def _sample_space(n: int) -> ProbSpace:
+    """V, uniform on the sample indices 1..N; one space per N, shared by
+    every run that samples N times."""
+    return ProbSpace(range(1, n + 1), [1] * n, denom=n)
 
 
 def _materialize_fan(ext: ExtendedFan, u_bar: tuple, xprime: Diagram,
                      vspace: ProbSpace) -> FanOfDiagrams:
-    """The conditioned two-fan (x' <- y' -> V) with y' built explicitly:
-    y'0 is uniform on the pairs (x, k) with x in the fiber over the k-th
-    sampled u atom, a coupling of x'0 and V."""
-    y0_atoms = [(x, k) for k, u in enumerate(u_bar, 1) for x in ext.fibers[u]]
-    y0 = ProbSpace(y0_atoms, [1] * len(y0_atoms), denom=len(y0_atoms))
-    return _pair_fan(y0, xprime, constant_diagram(ext.shape, vspace))
+    """The conditioned two-fan (x' <- y' -> V) with y' built explicitly.
+
+    y' is the tagged union of the sampled fibers: y'0 is uniform on the
+    pairs (x, k) with x in the fiber over the k-th sampled u atom u_k, a
+    coupling of x'0 and V.  So at each object y' holds the atoms (a, k) of
+    the x-side conditioned on u_k, in sample order, each a's weight there
+    over N; each map sends (a, k) to (its image under the conditioned
+    x-side's map, k), and the projections send (a, k) to a and to k.  Each
+    distinct sampled u's conditioned x-side is built once and read for every
+    k it is drawn at."""
+    pieces = {u: ext.conditioned_x_side(u) for u in dict.fromkeys(u_bar)}
+    f = ext.fiber_size
+    spaces: dict = {}
+    proj_left: dict = {}
+    proj_right: dict = {}
+    for o in ext.shape.objects:
+        # a piece's masses over f: its weights are masses / denom, denom | f
+        scaled = {u: [m * (f // d.spaces[o].denom) for m in d.spaces[o].masses]
+                  for u, d in pieces.items()}
+        atoms, masses, firsts, tags = [], [], [], []
+        for k, u in enumerate(u_bar, 1):
+            piece = pieces[u].spaces[o].atoms
+            atoms.extend(zip(piece, itertools.repeat(k)))
+            masses.extend(scaled[u])
+            firsts.extend(piece)
+            tags.extend(itertools.repeat(k, len(piece)))
+        space = spaces[o] = ProbSpace(atoms, masses, denom=len(u_bar) * f)
+        proj_left[o] = Reduction._trusted(space, xprime.spaces[o], dict(zip(space.atoms, firsts)))
+        proj_right[o] = Reduction._trusted(space, vspace, dict(zip(space.atoms, tags)))
+    maps: dict = {}
+    for (i, j) in ext.shape.covers:
+        images = itertools.chain.from_iterable(
+            zip(pieces[u].prime_maps[(i, j)].mapping.values(), itertools.repeat(k))
+            for k, u in enumerate(u_bar, 1))
+        maps[(i, j)] = Reduction._trusted(spaces[i], spaces[j], dict(zip(spaces[i].atoms, images)))
+    top = Diagram._trusted(ext.shape, spaces, maps)
+    return FanOfDiagrams._trusted(top, xprime, constant_diagram(ext.shape, vspace),
+                                  proj_left, proj_right)
 
 
 def recover_collapsed_diagram(diagram: Diagram, fi: FanIndices,

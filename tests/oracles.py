@@ -13,8 +13,10 @@ coupling as its own loop, Monte-Carlo tail statistics atom by atom over
 dense sample x |x0| count arrays, and a contraction run atom by atom with
 Fraction total variation and the conditioned x-side pushed forward.
 
-`recheck` is the one exception: it runs the library's public checks on what
-its unchecked internal builders produced."""
+Two exceptions run library code: `recheck` runs the library's public
+checks on what its unchecked internal builders produced, and
+`materialized_fan` builds a contraction's conditioned fan as the library
+once did, through the coupling fan of every sampled pair."""
 from __future__ import annotations
 
 import itertools
@@ -431,6 +433,19 @@ def contract_per_atom(ext, params) -> SimpleNamespace:
                  else 2.0 * ext.size_h * math.log(card))
     return SimpleNamespace(counts=counts, alpha=alpha, height=height, coverage=coverage,
                            ikd_upper=ikd_upper, spaces=spaces, maps=maps)
+
+
+def materialized_fan(ext, u_bar, xprime, vspace):
+    """The conditioned two-fan (x' <- y' -> V) of a contraction run, with y'0
+    the uniform law on every pair (x, k), x in the fiber over the k-th
+    sampled u atom, pushed through the coupling fan of x' and the constant
+    diagram on V (`diagrams._pair_fan`)."""
+    from probdiag.diagrams import _pair_fan, constant_diagram
+    from probdiag.spaces import ProbSpace
+
+    y0_atoms = [(x, k) for k, u in enumerate(u_bar, 1) for x in ext.fibers[u]]
+    y0 = ProbSpace(y0_atoms, [1] * len(y0_atoms), denom=len(y0_atoms))
+    return _pair_fan(y0, xprime, constant_diagram(ext.shape, vspace))
 
 
 def recheck(diagram_or_fan):

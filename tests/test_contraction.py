@@ -11,6 +11,7 @@ import oracles
 from probdiag import (
     ContractionParams,
     FanIndices,
+    ProbSpace,
     build_category,
     contract_once,
     coordinate_diagram,
@@ -22,6 +23,7 @@ from probdiag import (
     tail_bounds,
 )
 from probdiag import contraction
+from probdiag.cli import main
 from probdiag.errors import (
     NotAdmissibleError,
     NotFanGeneratedError,
@@ -488,6 +490,91 @@ class TestPerPatternAgainstPerAtomOracle:
                         mapping.items())
                 partial += not run.coverage
         assert partial >= 8
+
+
+def _loaded(build):
+    diagram, fi = build()
+    return diagram_from_obj(json.loads(json.dumps(diagram_to_obj(diagram)))), fi
+
+
+def _fan_fields(fan) -> tuple:
+    """Every atom, mass, denominator and map entry of a fan, in key order."""
+    def space(s):
+        return s.atoms, s.masses, s.denom
+
+    def reductions(reds):
+        return [(key, space(r.domain), space(r.target), list(r.mapping.items()))
+                for key, r in reds.items()]
+
+    return tuple((list(map(space, d.spaces.values())), list(d.spaces),
+                  reductions(d.prime_maps))
+                 for d in (fan.top, fan.left, fan.right)) + (
+        reductions(fan.proj_left), reductions(fan.proj_right))
+
+
+class TestMaterializedFan:
+    @pytest.mark.parametrize("build, runs", [
+        (lambda: _loaded(lambda: reduced_lambda3(3, 7, range(6, 8))), [(None, 0), (None, 1)]),
+        (lambda: _loaded(coord_lambda3), [(1, 0), (1, 5), (3, 6), (3, 0)]),
+        (lambda: coord_two_fan(7, range(1, 6), range(5, 8)), [(1, 2), (40, 5)]),
+        (_shuffled_chain, [(1, 3), (2, 1), (12, 4)]),
+    ], ids=["loaded_reduced_lambda3", "loaded_coord_lambda3", "coord_two_fan",
+            "shuffled_chain"])
+    def test_tagged_union_equals_the_pair_fan(self, build, runs):
+        # the fan built per sampled fiber equals the coupling fan of every
+        # sampled pair (x, k), field by field and in key order; N = None is
+        # the default N, which covers x0
+        ext = extend_admissible_fan(*build())
+        for n, seed in runs:
+            n = quiet_default_parameters(ext, seed=0).N if n is None else n
+            run = contract_once(ext, ContractionParams(N=n, t=0.5, rho=ext.rho, seed=seed))
+            if n == 1 or (n, seed) == (3, 6):
+                assert not run.coverage
+            want = oracles.materialized_fan(ext, run._u_bar, run.xprime, run.vspace)
+            assert _fan_fields(run.fan_prime) == _fan_fields(want)
+            oracles.recheck(run.fan_prime)
+
+
+class TestLazyFan:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        build = contraction._materialize_fan
+
+        def counted(*args):
+            made.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(contraction, "_materialize_fan", counted)
+        return made
+
+    def _run(self, n=18):
+        ext = extend_admissible_fan(*coord_lambda3())
+        return contract_once(ext, ContractionParams(N=n, t=0.5, rho=ext.rho, seed=6))
+
+    def test_unread_fan_is_never_built(self, calls, capsys):
+        self._run()
+        assert main(["contract", "--fixture", "lambda3", "--N", "18", "--seeds", "3"]) == 0
+        assert calls == []
+
+    def test_two_reads_build_once(self, calls):
+        run = self._run()
+        first = run.fan_prime
+        assert first is not None and run.fan_prime is first
+        assert len(calls) == 1
+
+    def test_above_the_cap_reads_none_without_building(self, calls, monkeypatch):
+        run = self._run()
+        monkeypatch.setattr(contraction, "DEFAULT_MATERIALIZE_CAP",
+                            run.params.N * run.fiber_size - 1)
+        assert run.fan_prime is None
+        with pytest.raises(TooLargeError, match="materialization cap"):
+            recover_collapsed_diagram(*coord_lambda3(), run)
+        assert calls == []
+
+    def test_one_sample_space_per_n(self):
+        assert self._run().vspace is self._run().vspace
+        assert self._run(19).vspace == ProbSpace(range(1, 20), [1] * 19, denom=19)
 
 
 @pytest.mark.parametrize("kw, name", [

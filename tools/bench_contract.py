@@ -1,16 +1,18 @@
-"""Time the phases of `contract_once` at the paper's regime scale.
+"""Time the phases of a contraction, per phase and per checkout.
 
-    python3 tools/bench_contract.py [NAME=]CHECKOUT ... [--ops K] [--rounds R]
+    python3 tools/bench_contract.py [NAME=]CHECKOUT ... [--case CASE]
+                                    [--ops K] [--rounds R]
 
 Each CHECKOUT (default: the repository this script sits in) runs in fresh
 interpreters on its own src/, R rounds (default 3), the checkouts taking
-turns within a round.  A run builds coord_two_fan(17, I=1..15, J=14..17)
-(|x0| = 2^15, |u| = 16, default N = 4496), times one warm-up contraction
-and then K more (default 30) at the run seeds subseed(1, "run", k).
+turns within a round.  A run times one warm-up operation and then K more
+(default 30) at the run seeds subseed(1, "run", k).  CASE is one of:
 
-The phases of an operation are timed by wrapping, for the length of the
-run, what `contract_once` calls; a call inside an already timed phase
-counts towards that phase only:
+regime (default): `contract_once` at the paper's regime scale, on
+coord_two_fan(17, I=1..15, J=14..17) (|x0| = 2^15, |u| = 16, default
+N = 4496).  Its phases are timed by wrapping, for the length of the run,
+what `contract_once` calls; a call inside an already timed phase counts
+towards that phase only:
 - sampling: `CategoricalSampler.draw_many`;
 - xprime: building the conditioned x-side and the sample space V, that is
   every `ProbSpace` construction, `_from_initial_measure` and, where the
@@ -19,6 +21,18 @@ counts towards that phase only:
 - counts: the rest of `contract_once`: counting, alpha, height, coverage.
 `precompute` is the first read of each cached pattern table the checkout
 has on a fresh extended fan (`fiber_patterns`, `_x_side_tables`).
+
+roundtrip: the benchmark's `roundtrip_loaded` operation, on
+reduced_lambda3(3, 7, U=6..7) saved and reloaded as JSON, at the default
+N = 457 and with m = 2, 3, 4 in turn.  Its phases run one after another:
+- contract: `contract_once`, less any time in `_materialize_fan`;
+- materialize: `_materialize_fan`, wherever the checkout calls it (inside
+  `contract_once`, or on the first read of `fan_prime`, read here right
+  after the contraction);
+- recover: `recover_collapsed_diagram`;
+- classify: `classify_fan` of the recovered diagram;
+- expand: `expand_diagram`;
+- verify: `verify_expansion`.
 
 Prints one JSON object: per checkout, the median over rounds of each
 run's median milliseconds per phase; `moved`, each phase's change from the
@@ -31,21 +45,34 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 from pathlib import Path
 
-PHASES = ("sampling", "counts", "xprime", "fiber_iso")
+import numpy as np
 
 
-def child(checkout: Path, ops: int) -> dict:
+def _import_checkout(checkout: Path):
     sys.path.insert(0, str(checkout / "src"))
-    import numpy as np
     import probdiag
-    from probdiag import contraction, fixtures, sampling, spaces
 
     if not Path(probdiag.__file__).resolve().is_relative_to(checkout / "src"):
         raise SystemExit(f"probdiag imported from {probdiag.__file__}, not {checkout}")
-    totals = dict.fromkeys(PHASES, 0.0)
+
+
+def _medians(per_op: list) -> dict:
+    """The first op's total, and the median over the rest of each phase."""
+    return {"first_op_ms": 1000 * per_op[0]["total"],
+            "op_ms": {key: 1000 * statistics.median(op[key] for op in per_op[1:])
+                      for key in per_op[0]}}
+
+
+def regime_child(checkout: Path, ops: int) -> dict:
+    _import_checkout(checkout)
+    from probdiag import contraction, fixtures, sampling, spaces
+
+    totals = dict.fromkeys(REGIME_PHASES, 0.0)
     active = []
 
     def timed(phase, fn):
@@ -88,22 +115,75 @@ def child(checkout: Path, ops: int) -> dict:
     for k in range(ops + 1):
         params = contraction.ContractionParams(base.N, base.t, ext.rho,
                                                sampling.subseed(1, "run", k))
-        for phase in PHASES:
+        for phase in REGIME_PHASES:
             totals[phase] = 0.0
         start = time.perf_counter()
         contraction.contract_once(ext, params)
         total = time.perf_counter() - start
-        totals["counts"] = total - sum(totals[p] for p in PHASES if p != "counts")
+        totals["counts"] = total - sum(totals[p] for p in REGIME_PHASES if p != "counts")
         per_op.append({"total": total, **totals})
-    first, rest = per_op[0], per_op[1:]
-    return {
-        "extend_ms": extend_ms,
-        "precompute_ms": precompute,
-        "first_op_ms": 1000 * first["total"],
-        "op_ms": {key: 1000 * statistics.median(op[key] for op in rest)
-                  for key in ("total", *PHASES)},
-        "numpy": np.__version__,
-    }
+    return {"extend_ms": extend_ms, "precompute_ms": precompute, **_medians(per_op)}
+
+
+def roundtrip_child(checkout: Path, ops: int) -> dict:
+    _import_checkout(checkout)
+    from probdiag import contraction, expansion, fixtures, jsonio, sampling
+    from probdiag.diagrams import classify_fan
+
+    inside = {"materialize": 0.0}
+    build = contraction._materialize_fan
+
+    def materialize(*args):
+        start = time.perf_counter()
+        try:
+            return build(*args)
+        finally:
+            inside["materialize"] += time.perf_counter() - start
+
+    contraction._materialize_fan = materialize
+    diagram, fan = fixtures.reduced_lambda3(3, 7, range(6, 8))
+    with tempfile.TemporaryDirectory() as tmp:
+        jsonio.save_diagram(diagram, Path(tmp) / "lambda3.json")
+        diagram = jsonio.load_diagram(Path(tmp) / "lambda3.json")
+    ext = contraction.extend_admissible_fan(diagram, fan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        base = contraction.default_parameters(ext, seed=0)
+    per_op = []
+    for k in range(ops + 1):
+        params = contraction.ContractionParams(base.N, base.t, ext.rho,
+                                               sampling.subseed(1, "run", k))
+        spec = expansion.ExpansionSpec(diagram, fan, 2 + k % 3)
+        inside["materialize"] = 0.0
+        marks = [time.perf_counter()]
+        run = contraction.contract_once(ext, params)
+        assert run.fan_prime is not None
+        marks.append(time.perf_counter())
+        recovered = contraction.recover_collapsed_diagram(diagram, fan, run)
+        marks.append(time.perf_counter())
+        assert classify_fan(recovered, fan).admissible
+        marks.append(time.perf_counter())
+        expanded = expansion.expand_diagram(spec)
+        marks.append(time.perf_counter())
+        assert expansion.verify_expansion(diagram, expanded, spec).recovered_exactly
+        marks.append(time.perf_counter())
+        spans = [b - a for a, b in zip(marks, marks[1:])]
+        per_op.append({"total": marks[-1] - marks[0],
+                       "contract": spans[0] - inside["materialize"],
+                       "materialize": inside["materialize"],
+                       **dict(zip(ROUNDTRIP_PHASES[2:], spans[1:]))})
+    return _medians(per_op)
+
+
+REGIME_PHASES = ("sampling", "counts", "xprime", "fiber_iso")
+ROUNDTRIP_PHASES = ("contract", "materialize", "recover", "classify", "expand", "verify")
+CASES = {
+    "regime": (regime_child, REGIME_PHASES,
+               "contract_once phases at |x0| = 2^15, N = 4496"),
+    "roundtrip": (roundtrip_child, ROUNDTRIP_PHASES,
+                  "roundtrip_loaded phases on JSON-loaded reduced_lambda3(3, 7, 6..7), "
+                  "N = 457"),
+}
 
 
 def _cpu_model() -> str:
@@ -116,59 +196,68 @@ def _cpu_model() -> str:
     return platform.machine()
 
 
+def _median_of_runs(runs: list):
+    """The median over runs of every number, key by key; anything else is
+    taken from the first run."""
+    first = runs[0]
+    if isinstance(first, dict):
+        return {key: _median_of_runs([r[key] for r in runs]) for key in first}
+    if isinstance(first, (int, float)):
+        return statistics.median(runs)
+    return first
+
+
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--child"]:
-        print(json.dumps(child(Path(argv[1]).resolve(), int(argv[2]))))
+        child = CASES[argv[1]][0]
+        print(json.dumps(child(Path(argv[2]).resolve(), int(argv[3]))))
         return 0
-    ops, rounds, named = 30, 3, []
+    ops, rounds, case, named = 30, 3, "regime", []
     args = iter(argv)
     for arg in args:
         if arg in ("--ops", "--rounds"):
             value = int(next(args))
             ops, rounds = (value, rounds) if arg == "--ops" else (ops, value)
+        elif arg == "--case":
+            case = next(args)
+            if case not in CASES:
+                raise SystemExit(f"unknown case {case!r}; choose from {sorted(CASES)}")
         else:
             name, _, path = arg.rpartition("=")
             named.append((name or path, Path(path).resolve()))
     if not named:
         root = Path(__file__).resolve().parent.parent
         named = [("checkout", root)]
+    _, phases, title = CASES[case]
     runs: dict = {name: [] for name, _ in named}
     for _ in range(rounds):
         for name, checkout in named:
-            done = subprocess.run([sys.executable, __file__, "--child", str(checkout), str(ops)],
-                                  capture_output=True, text=True)
+            done = subprocess.run([sys.executable, __file__, "--child", case, str(checkout),
+                                   str(ops)], capture_output=True, text=True)
             if done.returncode:
                 print(done.stderr, file=sys.stderr)
                 return 1
             runs[name].append(json.loads(done.stdout))
-    results = {}
-    for name, rs in runs.items():
-        results[name] = {
-            "extend_ms": statistics.median(r["extend_ms"] for r in rs),
-            "precompute_ms": {key: statistics.median(r["precompute_ms"][key] for r in rs)
-                              for key in rs[0]["precompute_ms"]},
-            "first_op_ms": statistics.median(r["first_op_ms"] for r in rs),
-            "op_ms": {key: statistics.median(r["op_ms"][key] for r in rs)
-                      for key in rs[0]["op_ms"]},
-        }
+    results = {name: _median_of_runs(rs) for name, rs in runs.items()}
     first, last = results[named[0][0]], results[named[-1][0]]
     moved = {key: {"from_ms": first["op_ms"][key], "to_ms": last["op_ms"][key],
                    "delta_ms": last["op_ms"][key] - first["op_ms"][key]}
-             for key in ("total", *PHASES)}
+             for key in ("total", *phases)}
     report = {
-        "bench": "contract_once phases at |x0| = 2^15, N = 4496",
+        "bench": title,
         "command": " ".join(["python3 tools/bench_contract.py",
                              *(f"{name}=<{name}>" for name, _ in named),
+                             *(["--case", case] if case != "regime" else []),
                              f"--ops {ops} --rounds {rounds}"]),
         "ops_per_run": ops,
         "rounds": rounds,
         "python": platform.python_version(),
-        "numpy": runs[named[0][0]][0]["numpy"],
+        "numpy": np.__version__,
         "cpu": _cpu_model(),
         "nproc": os.cpu_count(),
         "results": results,
         "moved": moved,
-        "layer_moved": max(PHASES, key=lambda key: abs(moved[key]["delta_ms"])),
+        "layer_moved": max(phases, key=lambda key: abs(moved[key]["delta_ms"])),
     }
     print(json.dumps(report, indent=2))
     return 0

@@ -83,6 +83,20 @@ rng = random.Random(5)
 for _ in range(400):
     collapse_all(random_diagram(rng))
 """,
+    "recover_partial": """
+from probdiag import contraction
+from probdiag.fixtures import coord_lambda3, reduced_lambda3
+for name, (d, fan) in (("l3", coord_lambda3()), ("r3", reduced_lambda3(3, 7, range(6, 8)))):
+    jsonio.save_diagram(d, tmp / f"{name}.json")
+    loaded = jsonio.load_diagram(tmp / f"{name}.json")
+    ext = contraction.extend_admissible_fan(loaded, fan)
+    for n in (1, 3, 5):
+        for seed in range(4):
+            run = contraction.contract_once(ext, contraction.ContractionParams(n, 0.5, ext.rho, seed))
+            recovered = contraction.recover_collapsed_diagram(loaded, fan, run)
+            jsonio.save_diagram(recovered, tmp / "recovered.json")
+            print(name, n, seed, run.coverage, (tmp / "recovered.json").read_text())
+""",
     "roundtrip_loaded": """
 from probdiag import contraction, expansion
 from workloads import RoundtripLoaded
