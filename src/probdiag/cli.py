@@ -1,6 +1,11 @@
 """Batch experiment runner: validation, entropies, distance bounds,
 contraction and expansion experiments, tail-verification sweeps.
 
+Every option is a flag or a config key, declared once in COMMANDS and
+converted, range-checked and defaulted once, by its command's body.  Flags
+left unset never override a --config file.  Any malformed input, a usage
+error among them, exits 1.
+
 Exit codes: 0 success, 1 input/config error, 2 verification failure.
 Every output file records the tool version and the root seed; identical
 config and seed give byte-identical output regardless of worker count."""
@@ -42,9 +47,8 @@ DEFAULT_TAIL_GRID = {
 def emit_results(rows: list[dict], fmt: str, path, *, seed) -> None:
     """Write rows with a stable column order and a version+seed header.
 
-    Fractions become "num/den" strings in JSON and decimals in CSV."""
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
+    fmt is "csv" or "json" (run_config checks it).  Fractions become
+    "num/den" strings in JSON and decimals in CSV."""
     columns: list[str] = []
     for row in rows:
         for key in row:
@@ -76,12 +80,6 @@ def emit_results(rows: list[dict], fmt: str, path, *, seed) -> None:
         Path(path).write_text(text)
 
 
-def _check_keys(config: dict, allowed: set) -> None:
-    unknown = set(config) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
@@ -99,7 +97,7 @@ def _number(config: dict, key: str, kind, default=None):
         number = kind(str(value)) if kind is Fraction else kind(value)
         if kind is int and not isinstance(value, str) and number != value:
             raise ValueError(value)
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         name = {int: "an integer", float: "a number", Fraction: "a rational"}[kind]
         raise ConfigError(f"{_flag(key)} must be {name}, got {value!r}") from None
     return number
@@ -164,7 +162,6 @@ def cmd_validate(config: dict) -> int:
     that skips an atom) and 2 when it is well-formed but fails validation,
     such as a map that does not preserve measure or paths that do not
     commute: a verification failure."""
-    _check_keys(config, {"command", "input", "fixture", "l", "I", "J", "U", "fan"})
     try:
         diagram, _ = _load_input(config)
     except ConfigError:
@@ -178,8 +175,6 @@ def cmd_validate(config: dict) -> int:
 
 
 def cmd_entropy(config: dict) -> int:
-    _check_keys(config, {"command", "input", "fixture", "l", "I", "J", "U", "fan",
-                         "output", "format", "seed"})
     seed = _number(config, "seed", int, 0)
     diagram, _ = _load_input(config)
     vec = entropy_vector(diagram)
@@ -189,9 +184,8 @@ def cmd_entropy(config: dict) -> int:
 
 
 def cmd_distance(config: dict) -> int:
-    _check_keys(config, {"command", "input", "input2", "output", "format", "seed"})
-    if "input" not in config or "input2" not in config:
-        raise ConfigError("distance needs input and input2")
+    if config.get("input") is None or config.get("input2") is None:
+        raise ConfigError("distance needs --input and --input2")
     seed = _number(config, "seed", int, 0)
     left = load_diagram(config["input"])
     right = load_diagram(config["input2"])
@@ -229,8 +223,6 @@ def _contract_row(index: int, run) -> dict:
 
 
 def cmd_contract(config: dict) -> int:
-    _check_keys(config, {"command", "input", "fixture", "l", "I", "J", "U", "fan",
-                         "N", "t", "seeds", "seed", "output", "format", "workers"})
     n_runs = _positive(config, "seeds", int, 1)
     n_override = _positive(config, "N", int)
     t_override = _positive(config, "t", float)
@@ -258,8 +250,6 @@ def cmd_contract(config: dict) -> int:
 
 
 def cmd_expand(config: dict) -> int:
-    _check_keys(config, {"command", "fixture", "l", "split", "J", "m",
-                         "output", "format", "seed"})
     name = config.get("fixture", "two_fan")
     ell = _number(config, "l", int, 4)
     u_coords = _coords(config, "J", "3..4")
@@ -288,8 +278,8 @@ def cmd_expand(config: dict) -> int:
 
 
 def cmd_tails(config: dict) -> int:
-    _check_keys(config, {"command", "grid", "kind", "N", "rho", "t", "trials",
-                         "seed", "output", "format"})
+    if config.get("grid") not in (None, "default"):
+        raise ConfigError(f"--grid must be default, got {config['grid']!r}")
     seed = _number(config, "seed", int, 0)
     trials = _number(config, "trials", int, 10000)
     checks = []
@@ -317,7 +307,6 @@ def cmd_tails(config: dict) -> int:
 
 
 def cmd_sweep(config: dict) -> int:
-    _check_keys(config, {"command", "config"})
     path = config.get("config")
     if not path:
         raise ConfigError("sweep needs a config file")
@@ -333,8 +322,6 @@ def cmd_sweep(config: dict) -> int:
 
 
 def cmd_epsilons(config: dict) -> int:
-    _check_keys(config, {"command", "C", "D_phi", "size_g", "log_card", "target",
-                         "n", "output", "format", "seed"})
     params = TropicalBoundParams(
         c=_number(config, "C", float, 1.0), d_phi=_number(config, "D_phi", float, 1.0),
         size_g=_number(config, "size_g", int, 3), log_card=_number(config, "log_card", float, 1.0))
@@ -356,7 +343,6 @@ def cmd_epsilons(config: dict) -> int:
 
 
 def cmd_demo(config: dict) -> int:
-    _check_keys(config, {"command", "seed", "output"})
     seed = _number(config, "seed", int, 0)
     out_dir = Path(config["output"]) if config.get("output") else None
     if out_dir:
@@ -401,16 +387,66 @@ def cmd_demo(config: dict) -> int:
     return 0 if ok else 2
 
 
+_INPUT_KEYS = {
+    "input": "diagram JSON file, in place of a fixture",
+    "fixture": "coord (default), two_fan or lambda3",
+    "l": "bit coordinates of the top space",
+    "I": "left-foot coordinates, a range a..b or a list like 1,3,5",
+    "J": "right-foot coordinates",
+    "U": "third-foot coordinates (lambda3)",
+}
+_OUTPUT_KEYS = {
+    "output": "output path (default stdout)",
+    "format": "csv (default) or json",
+    "seed": "root seed (default 0)",
+}
+
+# command -> (body, help, {config key: help}).  Each key is both a config
+# entry and the flag _flag(key), and only these keys are accepted; the body
+# converts, range-checks and defaults every value, from a flag or a file.
 COMMANDS = {
-    "validate": cmd_validate,
-    "entropy": cmd_entropy,
-    "distance": cmd_distance,
-    "contract": cmd_contract,
-    "expand": cmd_expand,
-    "tails": cmd_tails,
-    "sweep": cmd_sweep,
-    "epsilons": cmd_epsilons,
-    "demo": cmd_demo,
+    "validate": (cmd_validate, "validate a diagram file or fixture", _INPUT_KEYS),
+    "entropy": (cmd_entropy, "entropy vector of a diagram", {**_INPUT_KEYS, **_OUTPUT_KEYS}),
+    "distance": (cmd_distance, "certified distance bounds between two diagrams", {
+        "input": "first diagram JSON file",
+        "input2": "second diagram JSON file",
+        **_OUTPUT_KEYS}),
+    "contract": (cmd_contract, "sampled arrow-contraction runs", {
+        **_INPUT_KEYS,
+        "fan": "x,z,u object ids for a loaded diagram",
+        "N": "sample size (default: from the fan)",
+        "t": "threshold (default: from the fan)",
+        "seeds": "number of independent runs (default 1)",
+        "workers": "accepted for older configs; runs are computed serially",
+        **_OUTPUT_KEYS}),
+    "expand": (cmd_expand, "arrow expansion with verification", {
+        "fixture": "two_fan (default) or lambda3",
+        "l": "bit coordinates of the top space (default 4)",
+        "split": "lambda3: x1 takes coordinates 1..split (default l // 2)",
+        "J": "coordinates of the reduced foot (default 3..4)",
+        "m": "expansion factor (default 2)",
+        **_OUTPUT_KEYS}),
+    "tails": (cmd_tails, "Monte-Carlo tail checks against analytic bounds", {
+        "grid": "default: the built-in grid, run when --kind is absent",
+        "kind": "one cell of this kind, such as binomial_i or binomial_ii",
+        "N": "sample size of the cell",
+        "rho": "rational rate of the cell",
+        "t": "threshold of the cell",
+        "trials": "Monte-Carlo trials per cell (default 10000)",
+        **_OUTPUT_KEYS}),
+    "sweep": (cmd_sweep, "run a list of configured commands", {
+        "config": "JSON file holding a list of command objects"}),
+    "epsilons": (cmd_epsilons, "error schedule for the limiting argument", {
+        "C": "approximation constant (default 1)",
+        "D_phi": "sub-additivity constant (default 1)",
+        "size_g": "objects of the ambient shape (default 3)",
+        "log_card": "growth of the log-cardinality per step (default 1)",
+        "n": "block length to evaluate the schedule at",
+        "target": "error target to find the least block length for",
+        **_OUTPUT_KEYS}),
+    "demo": (cmd_demo, "worked contraction narratives on fixtures", {
+        "seed": "root seed (default 0)",
+        "output": "directory for the contracted diagrams"}),
 }
 
 
@@ -420,127 +456,58 @@ PATH_KEYS = ("input", "input2", "config", "output")
 
 
 def run_config(config: dict) -> int:
+    """Run one command object after checking its keys against COMMANDS, its
+    path entries and its output format."""
     command = config.get("command")
-    if command not in COMMANDS:
+    if not isinstance(command, str) or command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
+    body, _, keys = COMMANDS[command]
+    unknown = set(config) - set(keys) - {"command"}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key in PATH_KEYS:
         value = config.get(key)
-        if value is not None and not isinstance(value, str):
+        if value is not None and not (isinstance(value, str) and "\0" not in value):
             raise ConfigError(f"{_flag(key)} must be a file path, got {value!r}")
-    return COMMANDS[command](config)
+    if config.get("format", "csv") not in ("csv", "json"):
+        raise ConfigError(f"--format must be csv or json, got {config['format']!r}")
+    return body(config)
 
 
-def _add_io(parser, with_seed=True):
-    parser.add_argument("--output", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", default="csv", choices=["csv", "json"])
-    if with_seed:
-        parser.add_argument("--seed", type=int, default=0)
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError (exit 1) instead of exiting 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="probdiag",
-                                     description=__doc__.splitlines()[0])
+    """One flag per COMMANDS key, with no type, choices or default: a flag
+    left unset is absent from the parsed namespace's non-None values."""
+    parser = _Parser(prog="probdiag", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"probdiag {__version__}")
-    parser.add_argument("--config", default=None,
-                        help="JSON config; flags given on the command line win")
+    parser.add_argument("--config", dest="config_file",
+                        help="JSON config object; flags given on the command line win")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("validate", help="validate a diagram file or fixture")
-    p.add_argument("--input", default=None)
-    p.add_argument("--fixture", default=None)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--I", default=None)
-    p.add_argument("--J", default=None)
-    p.add_argument("--U", default=None)
-
-    p = sub.add_parser("entropy", help="entropy vector of a diagram")
-    p.add_argument("--input", default=None)
-    p.add_argument("--fixture", default=None)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--I", default=None)
-    p.add_argument("--J", default=None)
-    p.add_argument("--U", default=None)
-    _add_io(p)
-
-    p = sub.add_parser("distance", help="certified distance bounds between two diagrams")
-    p.add_argument("--input", required=True)
-    p.add_argument("--input2", required=True)
-    _add_io(p)
-
-    p = sub.add_parser("contract", help="sampled arrow-contraction runs")
-    p.add_argument("--input", default=None)
-    p.add_argument("--fan", default=None, help="x,z,u object ids for a loaded diagram")
-    p.add_argument("--fixture", default="coord")
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--I", default=None)
-    p.add_argument("--J", default=None)
-    p.add_argument("--U", default=None)
-    p.add_argument("--N", type=int, default=None, help="override the default sample size")
-    p.add_argument("--t", type=float, default=None, help="override the default threshold")
-    p.add_argument("--seeds", type=int, default=1, help="number of independent runs")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; runs are computed serially")
-    _add_io(p)
-
-    p = sub.add_parser("expand", help="arrow expansion with verification")
-    p.add_argument("--fixture", default="two_fan", choices=["two_fan", "lambda3"])
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--split", type=int, default=None)
-    p.add_argument("--J", default=None)
-    p.add_argument("--m", type=int, default=2)
-    _add_io(p)
-
-    p = sub.add_parser("tails", help="Monte-Carlo tail checks against analytic bounds")
-    p.add_argument("--grid", default=None, choices=["default"])
-    p.add_argument("--kind", default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--rho", default=None)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--trials", type=int, default=10000)
-    _add_io(p)
-
-    p = sub.add_parser("sweep", help="run a list of configured commands")
-    p.add_argument("--config", dest="sweep_config", required=True)
-
-    p = sub.add_parser("epsilons", help="error schedule for the limiting argument")
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--D-phi", dest="D_phi", type=float, default=1.0)
-    p.add_argument("--size-g", dest="size_g", type=int, default=3)
-    p.add_argument("--log-card", dest="log_card", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--target", type=float, default=None)
-    _add_io(p)
-
-    p = sub.add_parser("demo", help="worked contraction narratives on fixtures")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default=None)
-
+    for name, (_, help_text, keys) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for key, key_help in keys.items():
+            command.add_argument(_flag(key), dest=key, help=key_help)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None and not args.config:
-        parser.print_help()
-        return 1
-    config: dict = {}
-    if args.config:
-        try:
-            config = read_json(args.config)
-            if not isinstance(config, dict):
-                raise ConfigError(f"{args.config} must hold a JSON object")
-        except (OSError, json.JSONDecodeError, ConfigError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-    cli = {k: v for k, v in vars(args).items()
-           if k not in ("config", "command") and v is not None}
-    if "sweep_config" in cli:
-        cli["config"] = cli.pop("sweep_config")
-    config.update(cli)
-    if args.command:
-        config["command"] = args.command
     try:
+        flags = {k: v for k, v in vars(parser.parse_args(argv)).items() if v is not None}
+        config_file = flags.pop("config_file", None)
+        if config_file is None and "command" not in flags:
+            parser.print_help()
+            return 1
+        config = {} if config_file is None else read_json(config_file)
+        if not isinstance(config, dict):
+            raise ConfigError(f"{config_file} must hold a JSON object")
+        config.update(flags)
         return run_config(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -213,9 +213,11 @@ def fan_from_obj(obj: dict) -> FanOfDiagrams:
 
 def read_json(path):
     """The JSON document in the file at path; ConfigError naming the file
-    when it nests too deeply to decode."""
+    when it is not UTF-8 text or nests too deeply to decode."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except RecursionError:
         raise ConfigError(f"{path}: JSON nested too deeply to decode") from None
 

@@ -31,8 +31,9 @@ class TropicalBoundParams:
     log_card: float = 1.0
 
     def __post_init__(self):
-        if self.c < 0 or self.d_phi < 0 or self.log_card < 0 or self.size_g < 1:
-            raise BadParamError("parameters must be nonnegative (size_g >= 1)")
+        finite = (self.c, self.d_phi, self.log_card)
+        if not all(math.isfinite(v) and v >= 0 for v in finite) or self.size_g < 1:
+            raise BadParamError("parameters must be finite and nonnegative (size_g >= 1)")
 
 
 def aep_rate(params: TropicalBoundParams, n: float) -> float:
@@ -110,6 +111,8 @@ def min_n_for_epsilon(params: TropicalBoundParams, target: float,
     prefix plus a binary search on the tail finds the exact minimum."""
     if target <= 0:
         raise OutOfRangeError("target must be positive")
+    if params.log_card == 0:
+        raise OutOfRangeError("height term needs log_card > 0")
     start = max(2, math.ceil(math.e / params.log_card) + 1)
 
     def ok(n: int) -> bool:

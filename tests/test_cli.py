@@ -1,9 +1,11 @@
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from probdiag import constant_diagram, standard_category, uniform
-from probdiag.cli import main, run_config
+from probdiag.cli import COMMANDS, PATH_KEYS, main, run_config
 from probdiag.errors import ConfigError
 from probdiag.fixtures import coord_two_fan
 from probdiag.jsonio import diagram_to_obj, save_diagram
@@ -116,6 +118,9 @@ def test_contract_rejects_nonpositive_n_and_t(tmp_path, capsys, flag, value):
     ({"command": "demo", "seed": "0x"}, "--seed"),
     ({"command": "entropy", "seed": "abc"}, "--seed"),
     ({"command": "epsilons", "n": 10, "seed": 1.5}, "--seed"),
+    ({"command": "entropy", "seed": math.inf}, "--seed"),
+    ({"command": "contract", "l": 6, "seed": -math.inf}, "--seed"),
+    ({"command": "tails", "trials": math.inf}, "--trials"),
 ])
 def test_bad_numeric_config_value_is_config_error(tmp_path, capsys, config, flag):
     path = tmp_path / "cfg.json"
@@ -133,6 +138,7 @@ def test_bad_numeric_config_value_is_config_error(tmp_path, capsys, config, flag
     ({"command": "contract", "input": True, "fan": "left,top,right"}, "--input"),
     ({"command": "sweep", "config": [1]}, "--config"),
     ({"command": "entropy", "output": 3}, "--output"),
+    ({"command": "validate", "input": "\x00"}, "--input"),
 ])
 def test_non_string_path_is_config_error(tmp_path, capsys, config, flag):
     path = tmp_path / "cfg.json"
@@ -324,3 +330,153 @@ def test_contract_on_a_loaded_diagram_of_a_thousand_atoms(tmp_path, capsys):
     assert main(["contract", "--input", str(path), "--fan", "left,top,right"]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows[1].startswith("run,") and len(rows) == 3
+
+
+# -- one declaration per option: flags and config files agree ---------------
+
+
+def _write_config(tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_bare_subcommand_keeps_the_config_file_values(tmp_path, capsys):
+    path = _write_config(tmp_path, {"command": "contract", "seeds": 3, "seed": 5,
+                                    "N": 10, "t": 0.5, "format": "json"})
+    assert main(["--config", path, "contract"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["seed"] == 5
+    assert [row["run"] for row in payload["rows"]] == [0, 1, 2]
+    assert all(row["N"] == 10 for row in payload["rows"])
+
+
+def test_flags_given_on_the_command_line_win_over_the_config_file(tmp_path, capsys):
+    path = _write_config(tmp_path, {"command": "contract", "seeds": 3, "seed": 5,
+                                    "N": 10, "t": 0.5, "format": "json"})
+    assert main(["--config", path, "contract", "--seeds", "1", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("seed=5") and len(lines) == 3
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["contract", "--N", "x"], "--N must be an integer, got 'x'"),
+    (["expand", "--fixture", "nope"], "unknown expand fixture 'nope'"),
+    (["distance", "--input", "a.json"], "distance needs --input and --input2"),
+    (["tails", "--grid", "foo"], "--grid must be default, got 'foo'"),
+    (["contract", "--bogus", "1"], "bogus"),
+    (["entropy", "--format", "xml"], "--format must be csv or json, got 'xml'"),
+], ids=["N", "expand-fixture", "distance-input2", "tails-grid", "unknown-flag", "format"])
+def test_bad_value_exits_1_from_a_flag_and_from_a_config_file(tmp_path, capsys, argv, message):
+    assert main(argv) == 1
+    from_flags = capsys.readouterr().err
+    config = {"command": argv[0]}
+    config.update((flag[2:], value) for flag, value in zip(argv[1::2], argv[2::2]))
+    assert main(["--config", _write_config(tmp_path, config)]) == 1
+    from_file = capsys.readouterr().err
+    for err in (from_flags, from_file):
+        assert err.startswith("config error: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["validate", "entropy"])
+def test_fan_is_not_a_key_of_commands_that_never_read_it(command):
+    with pytest.raises(ConfigError, match="unknown config keys: \\['fan'\\]"):
+        run_config({"command": command, "fan": "left,top,right"})
+
+
+def test_distance_with_a_null_input_is_config_error(tmp_path, capsys):
+    path = _write_config(tmp_path, {"command": "distance", "input": None,
+                                    "input2": str(tmp_path / "b.json")})
+    assert main(["--config", path]) == 1
+    assert capsys.readouterr().err == "config error: distance needs --input and --input2\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--log-card", "0", "--target", "0.1"], "log_card > 0"),
+    (["--log-card", "nan", "--target", "0.1"], "finite"),
+    (["--C", "nan", "--n", "10"], "finite"),
+])
+def test_epsilons_rejects_degenerate_constants(capsys, argv, message):
+    assert main(["epsilons"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "nan" not in captured.out
+
+
+# -- fuzzing the CLI boundary over the command table ------------------------
+
+JUNK = [math.nan, math.inf, -math.inf, True, False, None, [], [1], {}, {"a": 1},
+        "", "x", "1/2", "1..3", 2.5, -1.5]
+# values of the keys that set problem size stay small, so each example runs fast
+SIZE_BOUNDS = {"l": 8, "N": 40, "seeds": 2, "trials": 20, "m": 3}
+CHOICES = {
+    "fixture": ["coord", "two_fan", "lambda3", "nope"],
+    "kind": ["binomial_i", "binomial_ii", "totalvar", "nope"],
+    "format": ["csv", "json", "xml"],
+    "grid": ["default", "foo"],
+    "rho": ["1/2", "1/4", "0", "-1/2", "3/2", "1/0"],
+    "fan": ["left,top,right", "x,z,u", "a,b"],
+    "I": ["1..4", "1,2", "0..2", "2..1"],
+    "J": ["3..6", "2,3", "3..4", "9"],
+    "U": ["3,4,5", "3..4", "1"],
+    # path values are names inside the fuzz directory, and junk never
+    # holds free text for them
+    "input": ["d.json", "missing.json", "bad.json", "latin1.json", "\x00"],
+    "input2": ["d.json", "missing.json", "bad.json"],
+    "config": ["steps.json", "d.json", "missing.json", "\x00"],
+    "output": ["out", "missing/out", "\x00"],
+}
+_junk = st.one_of(st.sampled_from(JUNK), st.text(max_size=6))
+
+
+def _value(key):
+    """Values for key: in range three times in four, junk otherwise."""
+    if key in SIZE_BOUNDS:
+        valid = st.integers(-2, SIZE_BOUNDS[key])
+    elif key in CHOICES:
+        valid = st.sampled_from(CHOICES[key])
+    else:
+        valid = st.one_of(st.integers(-3, 12), st.floats(-2, 12))
+    junk = st.sampled_from(JUNK) if key in PATH_KEYS else _junk
+    return st.integers(0, 3).flatmap(lambda i: junk if i == 0 else valid)
+
+
+def _configs(command):
+    keys = COMMANDS[command][2]
+    return st.fixed_dictionaries({"command": st.just(command)},
+                                 optional={key: _value(key) for key in keys})
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    save_diagram(coord_two_fan(3, [1, 2], [2, 3])[0], root / "d.json")
+    (root / "bad.json").write_text("{not json")
+    (root / "latin1.json").write_bytes(b'{"category": "\xff"}')
+    (root / "steps.json").write_text(json.dumps([{"command": "epsilons", "n": 10}]))
+    return root
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(config=st.sampled_from(sorted(COMMANDS)).flatmap(_configs))
+@example(config={"command": "entropy", "seed": math.inf})
+@example(config={"command": "contract", "seed": math.inf})
+@example(config={"command": "tails", "seed": math.inf, "trials": 5})
+@example(config={"command": "distance", "input": None, "input2": "d.json"})
+@example(config={"command": "validate", "input": "latin1.json"})
+@example(config={"command": "epsilons", "log_card": 0, "target": 0.1})
+@example(config={"command": "epsilons", "log_card": math.nan, "target": 0.1})
+@example(config={"command": "epsilons", "C": math.nan, "n": 10})
+@example(config={"command": "contract", "seeds": 3, "seed": 5, "N": 10, "t": 0.5,
+                 "format": "json"})
+@example(config={"command": "contract", "N": "x"})
+@example(config={"command": "expand", "fixture": "nope"})
+@example(config={"command": "distance", "input": "d.json"})
+@example(config={"command": "tails", "grid": "foo"})
+@example(config={"command": "contract", "bogus": 1})
+def test_any_config_exits_0_1_or_2_without_a_traceback(fuzz_dir, config):
+    config = {key: str(fuzz_dir / value) if key in PATH_KEYS and isinstance(value, str)
+              else value for key, value in config.items()}
+    path = fuzz_dir / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path)]) in (0, 1, 2)

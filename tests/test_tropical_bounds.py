@@ -98,6 +98,16 @@ class TestEpsilonSchedule:
         with pytest.raises(OutOfRangeError):
             contraction_epsilons(TropicalBoundParams(log_card=0.0), 10)
 
+    @pytest.mark.parametrize("field", ["c", "d_phi", "log_card"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_params_rejected(self, field, value):
+        with pytest.raises(BadParamError):
+            TropicalBoundParams(**{field: value})
+
+    def test_min_n_needs_positive_log_card(self):
+        with pytest.raises(OutOfRangeError):
+            min_n_for_epsilon(TropicalBoundParams(log_card=0.0), 0.1)
+
 
 class TestChainCone:
     def test_zero_vector(self):

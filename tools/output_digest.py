@@ -65,6 +65,28 @@ for k in range(12):
         cli("validate", "--input", tmp / f"{s}.json")
     cli("distance", "--input", tmp / "0.json", "--input2", tmp / "1.json")
 """,
+    "cli_config": """
+from probdiag import ProbSpace, build_category, make_diagram
+from probdiag.fixtures import coord_lambda3
+from workloads import DistanceBounds
+def from_config(**config):
+    (tmp / "config.json").write_text(json.dumps(config))
+    cli("--config", tmp / "config.json")
+from_config(command="contract", seeds=5, workers=3)
+jsonio.save_diagram(coord_lambda3()[0], tmp / "l3.json")
+from_config(command="contract", input=str(tmp / "l3.json"), fan="x,z,u", seeds=3)
+for fixture in ("two_fan", "lambda3"):
+    from_config(command="expand", fixture=fixture, output=str(tmp / "e.json"))
+    print((tmp / "e.json").read_text())
+for k in range(12):
+    inst = DistanceBounds().prepare({"seed": 7}, "run", k)
+    cat = build_category(inst["objects"], inst["covers"])
+    for s, side in enumerate(inst["sides"]):
+        d = make_diagram(cat, {o: ProbSpace(*side[o]) for o in inst["objects"]}, inst["maps"])
+        jsonio.save_diagram(d, tmp / f"{s}.json")
+        from_config(command="validate", input=str(tmp / f"{s}.json"))
+    from_config(command="distance", input=str(tmp / "0.json"), input2=str(tmp / "1.json"))
+""",
     "arrow_collapse": """
 from probdiag import arrow_collapse
 from probdiag.fixtures import reduced_lambda3, reduced_two_fan
