@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -306,18 +307,27 @@ def cmd_tails(config: dict) -> int:
     return 0 if all(c.passed for c in checks) else 2
 
 
-def cmd_sweep(config: dict) -> int:
+def cmd_sweep(config: dict, running: tuple = ()) -> int:
+    """Run each step of the sweep file; `running` holds (real path, path as
+    given) of each sweep file this one runs inside, outermost first."""
     path = config.get("config")
     if not path:
         raise ConfigError("sweep needs a config file")
+    real = os.path.realpath(path)
+    paths = [r for r, _ in running]
+    if real in paths:
+        cycle = [given for _, given in running[paths.index(real):]] + [path]
+        raise ConfigError(f"sweep cycle: {' -> '.join(cycle)}")
     steps = read_json(path)
     if not isinstance(steps, list):
         raise ConfigError("sweep config must be a list of command objects")
+    running += ((real, path),)
     worst = 0
     for step in steps:
         if not isinstance(step, dict) or "command" not in step:
             raise ConfigError("each sweep step needs a 'command'")
-        worst = max(worst, run_config(step))
+        body = _checked_body(step)
+        worst = max(worst, cmd_sweep(step, running) if body is cmd_sweep else body(step))
     return worst
 
 
@@ -458,6 +468,12 @@ PATH_KEYS = ("input", "input2", "config", "output")
 def run_config(config: dict) -> int:
     """Run one command object after checking its keys against COMMANDS, its
     path entries and its output format."""
+    return _checked_body(config)(config)
+
+
+def _checked_body(config: dict):
+    """The body of a command object, once its keys, path entries and output
+    format pass the checks."""
     command = config.get("command")
     if not isinstance(command, str) or command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
@@ -471,7 +487,7 @@ def run_config(config: dict) -> int:
             raise ConfigError(f"{_flag(key)} must be a file path, got {value!r}")
     if config.get("format", "csv") not in ("csv", "json"):
         raise ConfigError(f"--format must be csv or json, got {config['format']!r}")
-    return body(config)
+    return body
 
 
 class _Parser(argparse.ArgumentParser):

@@ -253,13 +253,12 @@ def extend_admissible_fan(diagram: Diagram, fi: FanIndices) -> ExtendedFan:
     u_space = diagram.spaces[fi.u_obj]
 
     # the x0 atoms over each u in first-appearance order, as in ydiag's
-    # initial space (each dict is an ordered set)
-    cx = diagram.composite_mapping(diagram.initial, shape.initial)
-    cu = diagram.composite_mapping(diagram.initial, fi.u_obj)
-    fibers: dict = {u: {} for u in u_space.atoms}
-    for z in diagram.initial_space.atoms:
-        fibers[cu[z]][cx[z]] = None
-    fibers = {u: tuple(xs) for u, xs in fibers.items()}
+    # initial space (each dict is an ordered set), read off the two lifts
+    x_atoms = diagram.spaces[shape.initial].atoms
+    rows: list = [{} for _ in u_space.atoms]
+    for p, q in zip(diagram._lift(shape.initial), diagram._lift(fi.u_obj)):
+        rows[q][x_atoms[p]] = None
+    fibers = {u: tuple(xs) for u, xs in zip(u_space.atoms, rows)}
     sizes = {len(xs) for xs in fibers.values()}
     if len(sizes) != 1:
         raise NotHomogeneousError("fibers over u have unequal sizes")
@@ -524,32 +523,41 @@ def _materialize_fan(ext: ExtendedFan, u_bar: tuple, xprime: Diagram,
     over N; each map sends (a, k) to (its image under the conditioned
     x-side's map, k), and the projections send (a, k) to a and to k.  Each
     distinct sampled u's conditioned x-side is built once and read for every
-    k it is drawn at."""
+    k it is drawn at.  Every map is stored as target positions: the k-th
+    block of y' at an object starts after the earlier blocks' atoms there,
+    so a map's positions are the piece's own, offset by its block's start in
+    the target."""
     pieces = {u: ext.conditioned_x_side(u) for u in dict.fromkeys(u_bar)}
-    f = ext.fiber_size
+    f, n = ext.fiber_size, len(u_bar)
+
+    def joined(per_piece: dict) -> list:
+        """The pieces' lists, one per sample in sample order, end to end."""
+        return list(itertools.chain.from_iterable(map(per_piece.__getitem__, u_bar)))
+
     spaces: dict = {}
+    sizes: dict = {}
     proj_left: dict = {}
     proj_right: dict = {}
     for o in ext.shape.objects:
+        own = {u: d.spaces[o] for u, d in pieces.items()}
+        sizes[o] = np.array([len(own[u]) for u in u_bar])
+        # the k-th block is the (k-1)-th atom of V, k itself
+        tags = np.repeat(np.arange(n), sizes[o]).tolist()
+        atoms = zip(joined({u: sp.atoms for u, sp in own.items()}),
+                    map(vspace.atoms.__getitem__, tags))
         # a piece's masses over f: its weights are masses / denom, denom | f
-        scaled = {u: [m * (f // d.spaces[o].denom) for m in d.spaces[o].masses]
-                  for u, d in pieces.items()}
-        atoms, masses, firsts, tags = [], [], [], []
-        for k, u in enumerate(u_bar, 1):
-            piece = pieces[u].spaces[o].atoms
-            atoms.extend(zip(piece, itertools.repeat(k)))
-            masses.extend(scaled[u])
-            firsts.extend(piece)
-            tags.extend(itertools.repeat(k, len(piece)))
-        space = spaces[o] = ProbSpace(atoms, masses, denom=len(u_bar) * f)
-        proj_left[o] = Reduction._trusted(space, xprime.spaces[o], dict(zip(space.atoms, firsts)))
-        proj_right[o] = Reduction._trusted(space, vspace, dict(zip(space.atoms, tags)))
+        masses = joined({u: [m * (f // sp.denom) for m in sp.masses] for u, sp in own.items()})
+        space = spaces[o] = ProbSpace(list(atoms), masses, denom=n * f)
+        index = dict(zip(xprime.spaces[o].atoms, itertools.count()))
+        left = {u: list(map(index.__getitem__, sp.atoms)) for u, sp in own.items()}
+        proj_left[o] = Reduction._trusted(space, xprime.spaces[o], positions=joined(left))
+        proj_right[o] = Reduction._trusted(space, vspace, positions=tags)
     maps: dict = {}
     for (i, j) in ext.shape.covers:
-        images = itertools.chain.from_iterable(
-            zip(pieces[u].prime_maps[(i, j)].mapping.values(), itertools.repeat(k))
-            for k, u in enumerate(u_bar, 1))
-        maps[(i, j)] = Reduction._trusted(spaces[i], spaces[j], dict(zip(spaces[i].atoms, images)))
+        local = {u: d.prime_maps[(i, j)].positions for u, d in pieces.items()}
+        starts = np.cumsum(sizes[j]) - sizes[j]
+        positions = np.array(joined(local)) + np.repeat(starts, sizes[i])
+        maps[(i, j)] = Reduction._trusted(spaces[i], spaces[j], positions=positions.tolist())
     top = Diagram._trusted(ext.shape, spaces, maps)
     return FanOfDiagrams._trusted(top, xprime, constant_diagram(ext.shape, vspace),
                                   proj_left, proj_right)

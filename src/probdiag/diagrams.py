@@ -2,12 +2,18 @@
 
 A diagram assigns a ProbSpace to every object and a measure-preserving
 surjection to every cover of its indexing category; all paths commute.
-Every space is a quotient of the initial one, so a diagram's maps compose
-through its lifts, the composites out of the initial object: the lift of an
-object is the map from its first parent after that parent's lift, and any
-other composite is read off two lifts (`Diagram.composite_mapping`).  All
-paths agree exactly when every cover carries its source's lift onto its
-target's, because lifts are onto.
+Maps are target positions: a `Reduction` holds the index in its target's
+atoms of each domain atom's image, and its atom dict is a view (see
+`Reduction`).  Every space is a quotient of the initial one, so a diagram's
+maps compose through its lifts, the composites out of the initial object,
+held as positions aligned with the initial atoms: the lift of an object is
+the map from its first parent after that parent's lift, and any other
+composite is read off two lifts (`Diagram.composite_mapping` builds its
+atom dict only when asked).  All paths agree exactly when every cover
+carries its source's lift onto its target's, because lifts are onto; the
+check compares lists of ints and hashes no atoms.  The checked constructor
+re-keys a map whose domain or target is an equal space listed in another
+order, so positions are always taken in the diagram's own spaces.
 
 Checks sit at the trust boundary: the public `Reduction(...)`,
 `Reduction.from_map`, `make_diagram`, `Diagram(...)`, `FanOfDiagrams(...)`
@@ -22,6 +28,7 @@ stay checked.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -74,7 +81,7 @@ class Diagram:
     """A commutative functor from an indexing category to probability spaces."""
 
     __slots__ = ("category", "spaces", "prime_maps", "coord_meta",
-                 "certified_homogeneous", "_composites")
+                 "certified_homogeneous", "_composites", "_lifts")
 
     def __init__(self, category: IndexingCategory, spaces: Mapping[str, ProbSpace],
                  prime_maps: Mapping[tuple[str, str], Reduction]):
@@ -82,10 +89,17 @@ class Diagram:
             raise MapError("need exactly one space per object")
         if set(prime_maps) != set(category.covers):
             raise MapError("need exactly one map per cover of the category")
+        maps = {}
         for (i, j), red in prime_maps.items():
             if red.domain != spaces[i] or red.target != spaces[j]:
                 raise MapError(f"map on cover {(i, j)!r} does not match the declared spaces")
-        self._store(category, dict(spaces), dict(prime_maps))
+            if red.domain is not spaces[i] or red.target is not spaces[j]:
+                # an equal space may list its atoms in another order, and
+                # positions are taken in the diagram's own spaces
+                m = red.mapping
+                red = Reduction._trusted(spaces[i], spaces[j], {a: m[a] for a in spaces[i]})
+            maps[(i, j)] = red
+        self._store(category, dict(spaces), maps)
         self._check_commutativity()
 
     @classmethod
@@ -106,42 +120,70 @@ class Diagram:
         self.coord_meta = coord_meta
         self.certified_homogeneous = certified_homogeneous
         self._composites: dict = {}
+        self._lifts: dict = {}
 
     # -- composites -----------------------------------------------------
 
     def composite_mapping(self, src: str, dst: str) -> dict:
         """The composed atom map src -> dst, keyed in src's atom order: on
-        a cover the prime map's own mapping, from the initial object the
-        lift, and otherwise lift_src[z] -> lift_dst[z] over the initial
-        atoms z.  Cached and shared; callers must not mutate it."""
+        a cover the prime map's own mapping, and otherwise built from the
+        lifts (`_composite_positions`), with dst's own atoms as images.
+        Cached and shared; callers must not mutate it."""
         key = (src, dst)
         cached = self._composites.get(key)
         if cached is not None:
             return cached
         mapping = self._cover_mapping(key)
         if mapping is None:
-            if not self.category.reaches(src, dst):
-                raise MapError(f"no morphism {src!r} -> {dst!r}")
-            init = self.category.initial
-            if src == dst:
-                mapping = {a: a for a in self._atoms(src)}
-            elif src == init:
-                parent = self.category.first_parent[dst]
-                via = self._cover_mapping((parent, dst))
-                mapping = {z: via[a] for z, a in self.composite_mapping(init, parent).items()}
-            else:
-                induced = _induced(self.composite_mapping(init, src),
-                                   self.composite_mapping(init, dst))
-                mapping = {a: induced[a] for a in self._atoms(src)}
+            images = map(self._atoms(dst).__getitem__, self._composite_positions(src, dst))
+            mapping = dict(zip(self._atoms(src), images))
         self._composites[key] = mapping
         return mapping
 
-    # The two lookups of composite_mapping and _check_commutativity;
-    # SetDiagram shares both and supplies its own.
+    def _lift(self, obj: str):
+        """The lift of obj: the position in obj's atoms of the image of each
+        initial atom, in initial order.  The initial object's is a range;
+        any other's is a list, its first parent's cover positions after the
+        parent's lift.  Cached and shared; callers must not mutate it."""
+        lift = self._lifts.get(obj)
+        if lift is None:
+            init = self.category.initial
+            if obj == init:
+                lift = range(len(self._atoms(obj)))
+            else:
+                parent = self.category.first_parent[obj]
+                via = self._cover_positions((parent, obj))
+                if parent != init:
+                    lift = list(map(via.__getitem__, self._lift(parent)))
+                else:  # the cover's own positions, as a list (an identity's are a range)
+                    lift = via if isinstance(via, list) else list(via)
+            self._lifts[obj] = lift
+        return lift
+
+    def _composite_positions(self, src: str, dst: str):
+        """The composite src -> dst as positions in dst's atoms, in src's
+        atom order: lift_src[z] goes to lift_dst[z] for every initial atom
+        z, which is well defined when src reaches dst."""
+        if not self.category.reaches(src, dst):
+            raise MapError(f"no morphism {src!r} -> {dst!r}")
+        lift_dst = self._lift(dst)
+        if src == self.category.initial:
+            return lift_dst
+        positions = [0] * len(self._atoms(src))
+        for a, b in zip(self._lift(src), lift_dst):
+            positions[a] = b
+        return positions
+
+    # The three lookups that composite_mapping, _lift, _composite_positions
+    # and _check_commutativity read; SetDiagram shares those four methods
+    # and supplies its own lookups.
     def _cover_mapping(self, cover: tuple[str, str]) -> dict | None:
         """The atom map on a cover; None when the pair is not a cover."""
         prime = self.prime_maps.get(cover)
         return None if prime is None else prime.mapping
+
+    def _cover_positions(self, cover: tuple[str, str]):
+        return self.prime_maps[cover].positions
 
     def _atoms(self, obj: str) -> tuple:
         return self.spaces[obj].atoms
@@ -154,27 +196,28 @@ class Diagram:
         if prime is not None:
             return prime
         return Reduction._trusted(self.spaces[src], self.spaces[dst],
-                                  self.composite_mapping(src, dst))
+                                  positions=self._composite_positions(src, dst))
 
     def _check_commutativity(self) -> None:
         # Every cover (i, j) other than the one from j's first parent must
         # carry i's lift onto j's.  Then every path from the initial object
         # composes to the lift at its end, by induction on its length, and
         # two paths from any src agree after src's lift, which is onto, so
-        # they agree.  A failure names the other path by its first step.
+        # they agree.  A failure names the other path by its first step and
+        # the first initial atom where the two disagree.
         init = self.category.initial
         for (i, j) in self.category.covers:
             if self.category.first_parent[j] == i:
                 continue
-            via = self._cover_mapping((i, j))
-            lift_j = self.composite_mapping(init, j)
-            for z, a in self.composite_mapping(init, i).items():
-                if via[a] != lift_j[z]:
-                    step = j
-                    while i != init:
-                        step, i = i, self.category.first_parent[i]
-                    raise CommutativityError(
-                        f"paths {init!r}->{j!r} via {step!r} disagree at atom {z!r}")
+            carried = list(map(self._cover_positions((i, j)).__getitem__, self._lift(i)))
+            lift_j = self._lift(j)
+            if carried != lift_j:
+                k = next(k for k, (a, b) in enumerate(zip(carried, lift_j)) if a != b)
+                step = j
+                while i != init:
+                    step, i = i, self.category.first_parent[i]
+                raise CommutativityError(f"paths {init!r}->{j!r} via {step!r} "
+                                         f"disagree at atom {self._atoms(init)[k]!r}")
 
     # -- basic queries ----------------------------------------------------
 
@@ -273,16 +316,14 @@ def coordinate_diagram(category: IndexingCategory, coord_sets: Mapping[str, Iter
         spaces[obj] = ProbSpace(range(n), [1] * n, denom=n)
     maps = {}
     for (i, j) in category.covers:
-        positions = tuple(coords[i].index(c) for c in coords[j])
-        # images are the target's own atom objects, not one fresh int per
-        # atom: a composite on a cover is this very mapping, and the joint
-        # spaces and fibers built from it are then keyed by the same objects
-        # as the spaces they are looked up in
+        bits = tuple(coords[i].index(c) for c in coords[j])
+        # an atom of {0,1}^T is its own position; the positions are the
+        # target's own int objects, not one fresh int per atom
         target = spaces[j].atoms
-        mapping = {a: target[_project_bits(a, positions)] for a in spaces[i].atoms}
+        positions = [target[_project_bits(a, bits)] for a in spaces[i].atoms]
         # a coordinate projection pushes the uniform measure on {0,1}^S to
         # the uniform measure on {0,1}^T
-        maps[(i, j)] = Reduction._trusted(spaces[i], spaces[j], mapping)
+        maps[(i, j)] = Reduction._trusted(spaces[i], spaces[j], positions=positions)
     return Diagram._trusted(category, spaces, maps, coord_meta=CoordMeta(ell, coords),
                             certified_homogeneous=True)
 
@@ -320,9 +361,14 @@ def _induced(lift_src: Mapping, lift_dst: Mapping) -> dict:
 def _joint_size(diagram: Diagram, objs) -> int:
     """How many distinct tuples of atoms at objs the initial atoms lift to:
     the joint's support.  A space over all of objs embeds in their joint
-    exactly when this is its size, since its lift is onto."""
-    lifts = [diagram.composite_mapping(diagram.initial, o) for o in objs]
-    return len(set(zip(*[[lift[z] for z in lifts[0]] for lift in lifts])))
+    exactly when this is its size, since its lift is onto.  Each tuple of
+    positions is counted as one mixed-radix int, which the cyclic garbage
+    collector does not track, as it would tuples."""
+    first, *rest = objs
+    keys = diagram._lift(first)
+    for o in rest:
+        keys = map(operator.add, map(len(diagram.spaces[o]).__mul__, keys), diagram._lift(o))
+    return len(set(keys))
 
 
 def _unnatural_at(source: Diagram, target: Diagram, maps: Mapping) -> str | None:

@@ -13,6 +13,7 @@ all the downstream contraction analysis needs.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,7 @@ from .diagrams import (
 )
 from .errors import (
     CapExceededError,
+    DuplicateAtomError,
     MapError,
     ShapeMismatchError,
     SliceMismatchError,
@@ -369,12 +371,15 @@ class SetDiagram:
     that every path agrees.  Cover maps are stored keyed in their source
     set's order, as a diagram's prime maps are."""
 
-    __slots__ = ("category", "sets", "maps", "_composites")
+    __slots__ = ("category", "sets", "maps", "_composites", "_lifts")
 
     def __init__(self, category: IndexingCategory, sets: Mapping[str, tuple],
                  maps: Mapping[tuple[str, str], Mapping]):
         self.category = category
         self.sets = {o: tuple(sets[o]) for o in category.objects}
+        for o, atoms in self.sets.items():
+            if len(set(atoms)) < len(atoms):
+                raise DuplicateAtomError(f"the set at {o!r} lists an atom twice")
         self.maps = {}
         for (i, j) in category.covers:
             mapping = maps[(i, j)]
@@ -383,6 +388,7 @@ class SetDiagram:
                                f"from the set at {i!r}")
             self.maps[(i, j)] = {a: mapping[a] for a in self.sets[i]}
         self._composites: dict = {}
+        self._lifts: dict = {}
         self._check_commutativity()
 
     @classmethod
@@ -399,10 +405,16 @@ class SetDiagram:
         return self.sets[self.category.initial]
 
     composite_mapping = Diagram.composite_mapping
+    _lift = Diagram._lift
+    _composite_positions = Diagram._composite_positions
     _check_commutativity = Diagram._check_commutativity
 
     def _cover_mapping(self, cover: tuple[str, str]) -> dict | None:
         return self.maps.get(cover)
+
+    def _cover_positions(self, cover: tuple[str, str]) -> list:
+        index = dict(zip(self.sets[cover[1]], itertools.count()))
+        return list(map(index.__getitem__, self.maps[cover].values()))
 
     def _atoms(self, obj: str) -> tuple:
         return self.sets[obj]

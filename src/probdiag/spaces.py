@@ -12,6 +12,7 @@ is measured in nats.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
@@ -255,17 +256,21 @@ def pushforward(space: ProbSpace, mapping: Mapping) -> ProbSpace:
 class Reduction:
     """A measure-preserving surjection between finite probability spaces.
 
-    The map is stored as an atom-to-atom assignment on the domain support;
-    the pushforward of the domain weights must equal the target weights
-    exactly.  `mapping` is the reduction's own copy, keyed by the domain's
-    atoms in domain order, and is shared, unchanged, by everything that
-    reads it (a diagram's composite on a cover is this mapping, and its
-    lifts compose it after the lift of the domain): treat it as read-only.
-    The constructor checks the map; the package's own builders, whose maps
-    hold by construction, use `_trusted` instead.
+    The pushforward of the domain weights must equal the target weights
+    exactly.  The map is stored in one of two forms, and the other is a view
+    built on first read and cached, as a space's Fraction weights are a view
+    of its integer masses: `positions`, the index in `target.atoms` of each
+    domain atom's image, in domain order, and `mapping`, the atom dict keyed
+    in domain order.  The checked constructor and the builders that have
+    atom dicts store the dict; the builders that have positions store those,
+    and then the dict's images are the target's own atoms.  Both are shared,
+    unchanged, by everything that reads them (a diagram's composite on a
+    cover is this mapping, and its lifts compose these positions): treat
+    them as read-only.  The constructor checks the map; the package's own
+    builders, whose maps hold by construction, use `_trusted` instead.
     """
 
-    __slots__ = ("domain", "target", "mapping")
+    __slots__ = ("domain", "target", "_mapping", "_positions")
 
     def __init__(self, domain: ProbSpace, target: ProbSpace, mapping: Mapping):
         # One pass copies the map and sums the image masses over the
@@ -291,20 +296,35 @@ class Reduction:
             raise NotSurjectiveError(
                 "pushforward of the domain does not equal the declared target"
             )
-        self.domain = domain
-        self.target = target
-        self.mapping = own
+        self.domain, self.target, self._mapping, self._positions = domain, target, own, None
 
     @classmethod
-    def _trusted(cls, domain: ProbSpace, target: ProbSpace, mapping: dict) -> "Reduction":
+    def _trusted(cls, domain: ProbSpace, target: ProbSpace, mapping: dict | None = None, *,
+                 positions=None) -> "Reduction":
         """A reduction measure-preserving by construction, stored unchecked
-        and uncopied; `mapping` must have exactly the domain's atoms, in
-        domain order, as the checked constructor stores them."""
+        and uncopied in the form given: `mapping` with exactly the domain's
+        atoms, in domain order, as the checked constructor stores it, or
+        `positions`."""
         red = cls.__new__(cls)
-        red.domain = domain
-        red.target = target
-        red.mapping = mapping
+        red.domain, red.target, red._mapping, red._positions = domain, target, mapping, positions
         return red
+
+    @property
+    def mapping(self) -> dict:
+        """Domain atom -> image atom, keyed in domain order."""
+        if self._mapping is None:
+            images = map(self.target.atoms.__getitem__, self._positions)
+            self._mapping = dict(zip(self.domain.atoms, images))
+        return self._mapping
+
+    @property
+    def positions(self):
+        """The index in `target.atoms` of each domain atom's image, in domain
+        order: a list, or a range for an identity."""
+        if self._positions is None:
+            index = dict(zip(self.target.atoms, itertools.count()))
+            self._positions = list(map(index.__getitem__, self._mapping.values()))
+        return self._positions
 
     @classmethod
     def from_map(cls, domain: ProbSpace, mapping: Mapping, target_atoms=None) -> "Reduction":
@@ -322,7 +342,7 @@ class Reduction:
 
     @classmethod
     def identity(cls, space: ProbSpace) -> "Reduction":
-        return cls._trusted(space, space, {a: a for a in space.atoms})
+        return cls._trusted(space, space, positions=range(len(space)))
 
     def preimage(self, atom) -> tuple:
         if atom not in self.target:

@@ -91,9 +91,16 @@ def contraction_epsilons(params: TropicalBoundParams, n: int) -> EpsilonSchedule
     conditional side: 2 d_phi phi(n) / n;
     x side: 20 size_g / n + d_phi phi(n) / n;
     arrow height: 4 ln ln|x0(n)| / n + 2 d_phi phi(n) / n,
-    with |x0(n)| modeled as exp(n * log_card)."""
+    with |x0(n)| modeled as exp(n * log_card).  n and size_g must fit a
+    float."""
     if n < 2:
         raise OutOfRangeError(f"schedule needs n >= 2, got {n}")
+    for name, value in (("n", n), ("size_g", params.size_g)):
+        try:
+            float(value)
+        except OverflowError:
+            raise OutOfRangeError(f"schedule needs {name} to fit a float "
+                                  f"(below 2^1024)") from None
     if n * params.log_card <= 0:
         raise OutOfRangeError("height term needs log_card > 0")
     phi_over_n = phi_defect(params, n) / n

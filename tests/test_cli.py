@@ -288,6 +288,35 @@ def test_sweep(tmp_path):
     assert (tmp_path / "s1.csv").exists()
 
 
+def test_sweep_that_runs_itself_is_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "self.json").write_text(json.dumps([{"command": "sweep", "config": "self.json"}]))
+    assert main(["sweep", "--config", "self.json"]) == 1
+    assert capsys.readouterr().err == "config error: sweep cycle: self.json -> self.json\n"
+
+
+def test_sweep_cycle_through_two_files_is_named(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.json").write_text(json.dumps([{"command": "epsilons", "n": 10},
+                                                 {"command": "sweep", "config": "b.json"}]))
+    (tmp_path / "b.json").write_text(json.dumps([{"command": "sweep", "config": "./a.json"}]))
+    assert main(["sweep", "--config", "a.json"]) == 1
+    assert capsys.readouterr().err == "config error: sweep cycle: a.json -> b.json -> ./a.json\n"
+    # a file run twice in sequence, not nested, is no cycle
+    twice = [{"command": "sweep", "config": "b2.json"}] * 2
+    (tmp_path / "twice.json").write_text(json.dumps(twice))
+    (tmp_path / "b2.json").write_text(json.dumps([{"command": "epsilons", "n": 10}]))
+    assert main(["sweep", "--config", "twice.json"]) == 0
+
+
+@pytest.mark.parametrize("argv", [["--n", "1" + "0" * 400],
+                                  ["--n", "10", "--size-g", "1" + "0" * 400]], ids=["n", "size-g"])
+def test_epsilons_integers_past_float_range_exit_1(capsys, argv):
+    assert main(["epsilons"] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "fit a float" in err and "Traceback" not in err
+
+
 def test_json_output_rationals(tmp_path):
     out = tmp_path / "r.json"
     assert main(["contract", "--fixture", "coord", "--l", "7", "--I", "1..5",

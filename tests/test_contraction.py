@@ -220,6 +220,28 @@ class TestRecover:
         plain = {cover: dict(r.mapping) for cover, r in out.prime_maps.items()}
         assert make_diagram(out.category, out.spaces, plain) == out
 
+    @pytest.mark.parametrize("build, n, seed", [
+        (lambda: _loaded(lambda: reduced_lambda3(3, 7, range(6, 8))), None, 0),
+        (lambda: _loaded(coord_lambda3), 3, 6),
+        (coord_lambda3, 18, 6),
+    ], ids=["loaded_reduced_lambda3", "loaded_coord_lambda3_partial", "coord_lambda3"])
+    def test_recovered_diagram_passes_the_public_checks(self, build, n, seed):
+        d, fi = build()
+        ext = extend_admissible_fan(d, fi)
+        n = quiet_default_parameters(ext, seed=0).N if n is None else n
+        run = contract_once(ext, ContractionParams(N=n, t=0.5, rho=ext.rho, seed=seed))
+        out = recover_collapsed_diagram(d, fi, run)
+        assert oracles.recheck(out) == out
+        if n < 100:
+            # every path of covers composes, atom by atom, to the composite
+            # read off the lifts
+            cat = out.category
+            atoms = {o: s.atoms for o, s in out.spaces.items()}
+            maps = {c: r.mapping for c, r in out.prime_maps.items()}
+            composites = oracles.path_composites(cat.objects, cat.covers, atoms, maps)
+            for (src, dst), by_path in composites.items():
+                assert all(out.composite_mapping(src, dst) == m for m in by_path.values())
+
     def test_not_fan_generated(self):
         cat = build_category(["z", "x", "w", "u"],
                              [("z", "x"), ("z", "w"), ("w", "u")])
@@ -530,9 +552,18 @@ class TestMaterializedFan:
             run = contract_once(ext, ContractionParams(N=n, t=0.5, rho=ext.rho, seed=seed))
             if n == 1 or (n, seed) == (3, 6):
                 assert not run.coverage
+            fan = run.fan_prime
+            # y' stores every map as target positions; the atom dicts are
+            # views of them, built on first read, with the targets' own atoms
+            reductions = [*fan.top.prime_maps.values(), *fan.proj_left.values(),
+                          *fan.proj_right.values()]
+            assert all(r._mapping is None for r in reductions)
             want = oracles.materialized_fan(ext, run._u_bar, run.xprime, run.vspace)
-            assert _fan_fields(run.fan_prime) == _fan_fields(want)
-            oracles.recheck(run.fan_prime)
+            assert _fan_fields(fan) == _fan_fields(want)
+            for r in reductions:
+                assert all(r.mapping[a] is r.target.atoms[p]
+                           for a, p in zip(r.domain.atoms, r.positions))
+            oracles.recheck(fan)
 
 
 class TestLazyFan:

@@ -519,6 +519,7 @@ class TestPathOracle:
             except CommutativityError as exc:
                 assert not agree
                 self._check_names_disagreeing_path(str(exc), cat, atoms, composites)
+                assert str(exc) == self._first_disagreement(cat, atoms, composites)
                 verdicts.add(False)
                 continue
             assert agree
@@ -541,6 +542,31 @@ class TestPathOracle:
         by_path = composites[(init, j)]
         named = {by_path[p][z] for p in by_path if p[1] == step}
         assert named and len(named | {m[z] for m in by_path.values()}) > 1
+
+    @staticmethod
+    def _first_disagreement(cat, atoms, composites) -> str:
+        # The message the check gives, from the path oracle: the canonical
+        # path to an object steps back through first parents; the first
+        # cover (i, j), in cover order, off j's canonical path whose path
+        # (canonical path to i, then j) disagrees with j's canonical path,
+        # at the first initial atom in initial order where they differ.
+        init = cat.initial
+
+        def canonical(obj):
+            path = (obj,)
+            while path[0] != init:
+                path = (cat.first_parent[path[0]],) + path
+            return path
+
+        for (i, j) in cat.covers:
+            if cat.first_parent[j] == i:
+                continue
+            by_path = composites[(init, j)]
+            other, lift = canonical(i) + (j,), by_path[canonical(j)]
+            for z in atoms[init]:
+                if by_path[other][z] != lift[z]:
+                    return f"paths {init!r}->{j!r} via {other[1]!r} disagree at atom {z!r}"
+        raise AssertionError("every path agrees")
 
     def test_naturality_verdicts_match_square_oracle(self):
         rng = random.Random(9)

@@ -108,6 +108,12 @@ class TestEpsilonSchedule:
         with pytest.raises(OutOfRangeError):
             min_n_for_epsilon(TropicalBoundParams(log_card=0.0), 0.1)
 
+    @pytest.mark.parametrize("size_g, n", [(3, 10 ** 400), (10 ** 400, 10)],
+                             ids=["n", "size_g"])
+    def test_integers_past_float_range_rejected(self, size_g, n):
+        with pytest.raises(OutOfRangeError, match="fit a float"):
+            contraction_epsilons(TropicalBoundParams(size_g=size_g), n)
+
 
 class TestChainCone:
     def test_zero_vector(self):

@@ -44,7 +44,7 @@ from probdiag import (
 )
 from probdiag import contraction, distances, jsonio
 from probdiag.cli import main
-from probdiag.errors import ProbdiagError
+from probdiag.errors import DuplicateAtomError, ProbdiagError
 from probdiag.expansion import ExpansionSpec
 from probdiag.fixtures import coord_lambda3, coord_two_fan, reduced_lambda3, reduced_two_fan
 from probdiag.sampling import subseed
@@ -322,6 +322,14 @@ def test_set_diagram_rejects_bad_maps(cover, mapping):
     maps[cover] = mapping
     with pytest.raises(ProbdiagError):
         SetDiagram(DIAMOND, {o: s.atoms for o, s in spaces.items()}, maps)
+
+
+def test_set_diagram_rejects_a_set_listing_an_atom_twice():
+    spaces, maps = _diamond()
+    sets = {o: s.atoms for o, s in spaces.items()}
+    sets["left"] += sets["left"][:1]
+    with pytest.raises(DuplicateAtomError, match="'left' lists an atom twice"):
+        SetDiagram(DIAMOND, sets, maps)
 
 
 def test_good_diamond_passes_every_entry():

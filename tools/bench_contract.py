@@ -34,10 +34,17 @@ N = 457 and with m = 2, 3, 4 in turn.  Its phases run one after another:
 - expand: `expand_diagram`;
 - verify: `verify_expansion`.
 
+Whatever the case, each round also measures, in a fresh interpreter per
+checkout, the memory of the regime set-up: building
+coord_two_fan(17, I=1..15, J=14..17) and `extend_admissible_fan` on it,
+under tracemalloc (`regime_setup_mb`: the peak, and what the diagram and
+the extended fan still hold after it).
+
 Prints one JSON object: per checkout, the median over rounds of each
-run's median milliseconds per phase; `moved`, each phase's change from the
-first checkout to the last; and `layer_moved`, the phase that changed
-most.  Uses the standard library and numpy only.
+run's median milliseconds per phase and of the set-up memory; `moved`,
+each phase's change from the first checkout to the last, and the set-up
+memory's; and `layer_moved`, the phase that changed most.  Uses the
+standard library and numpy only.
 """
 import json
 import os
@@ -47,6 +54,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -175,6 +183,19 @@ def roundtrip_child(checkout: Path, ops: int) -> dict:
     return _medians(per_op)
 
 
+def memory_child(checkout: Path, ops: int) -> dict:
+    _import_checkout(checkout)
+    from probdiag import contraction, fixtures
+
+    tracemalloc.start()
+    diagram, fan = fixtures.coord_two_fan(17, range(1, 16), range(14, 18))
+    ext = contraction.extend_admissible_fan(diagram, fan)
+    held, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert ext.x0_card == 2 ** 15
+    return {"peak": peak / 2 ** 20, "held": held / 2 ** 20}
+
+
 REGIME_PHASES = ("sampling", "counts", "xprime", "fiber_iso")
 ROUNDTRIP_PHASES = ("contract", "materialize", "recover", "classify", "expand", "verify")
 CASES = {
@@ -209,7 +230,7 @@ def _median_of_runs(runs: list):
 
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--child"]:
-        child = CASES[argv[1]][0]
+        child = memory_child if argv[1] == "memory" else CASES[argv[1]][0]
         print(json.dumps(child(Path(argv[2]).resolve(), int(argv[3]))))
         return 0
     ops, rounds, case, named = 30, 3, "regime", []
@@ -232,17 +253,25 @@ def main(argv: list[str]) -> int:
     runs: dict = {name: [] for name, _ in named}
     for _ in range(rounds):
         for name, checkout in named:
-            done = subprocess.run([sys.executable, __file__, "--child", case, str(checkout),
-                                   str(ops)], capture_output=True, text=True)
-            if done.returncode:
-                print(done.stderr, file=sys.stderr)
-                return 1
-            runs[name].append(json.loads(done.stdout))
+            run = {}
+            for child, key in ((case, None), ("memory", "regime_setup_mb")):
+                done = subprocess.run([sys.executable, __file__, "--child", child,
+                                       str(checkout), str(ops)], capture_output=True, text=True)
+                if done.returncode:
+                    print(done.stderr, file=sys.stderr)
+                    return 1
+                out = json.loads(done.stdout)
+                run.update(out if key is None else {key: out})
+            runs[name].append(run)
     results = {name: _median_of_runs(rs) for name, rs in runs.items()}
     first, last = results[named[0][0]], results[named[-1][0]]
     moved = {key: {"from_ms": first["op_ms"][key], "to_ms": last["op_ms"][key],
                    "delta_ms": last["op_ms"][key] - first["op_ms"][key]}
              for key in ("total", *phases)}
+    moved["regime_setup_mb"] = {
+        key: {"from_mb": first["regime_setup_mb"][key], "to_mb": last["regime_setup_mb"][key],
+              "delta_mb": last["regime_setup_mb"][key] - first["regime_setup_mb"][key]}
+        for key in ("peak", "held")}
     report = {
         "bench": title,
         "command": " ".join(["python3 tools/bench_contract.py",
