@@ -731,8 +731,7 @@ def _check_deviation_fits(n: int, f: int, card: int) -> None:
 def monte_carlo_tails(kind: str, *, t: float, trials: int, seed: int,
                       n: int | None = None, rho=None,
                       ext: ExtendedFan | None = None,
-                      params: ContractionParams | None = None,
-                      chunk: int = 2000) -> TailCheck:
+                      params: ContractionParams | None = None) -> TailCheck:
     """Empirical tail frequency against the analytic bound.
 
     binomial kinds sample the scaled binomial directly; fan kinds simulate
@@ -744,13 +743,12 @@ def monte_carlo_tails(kind: str, *, t: float, trials: int, seed: int,
     atoms of a group share one count, so total variation and the ikd
     witness come from the exact integer sum of w_p |c_p |x0| - N f| over
     the groups, divided once by N f |x0|, and the height from
-    sum_p w_p c_p ln c_p / (N f).  Samples are drawn `chunk` rows at a time,
-    fewer when the rows would exceed MC_BATCH_BYTES; the rows are drawn in
-    sequence, so neither changes the result.  trials, chunk and N (n for
-    binomial kinds, params.N for fan kinds) must be positive integers.
+    sum_p w_p c_p ln c_p / (N f).  A batch holds as many sample rows as fit
+    in MC_BATCH_BYTES, at least one; the rows are drawn in sequence, so the
+    batch size does not change the result.  trials and N (n for binomial
+    kinds, params.N for fan kinds) must be positive integers.
     """
     _require_positive_int("trials", trials)
-    _require_positive_int("chunk", chunk)
     if kind in ("binomial_i", "binomial_ii"):
         if n is None or rho is None:
             raise OutOfRangeError("binomial kinds need n and rho")
@@ -788,7 +786,7 @@ def monte_carlo_tails(kind: str, *, t: float, trials: int, seed: int,
         done = 0
         log_card = math.log(card)
         while done < trials:
-            batch = min(chunk, rows_cap, trials - done)
+            batch = min(rows_cap, trials - done)
             mult = gen.multinomial(n, pvals, size=batch)
             counts = mult @ pattern
             if kind == "height":

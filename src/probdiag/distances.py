@@ -24,7 +24,6 @@ from .diagrams import (
     Diagram,
     FanOfDiagrams,
     constant_diagram,
-    coupling_fan,
     diagonal_fan,
     tensor_fan,
     _from_initial_measure,
@@ -325,8 +324,7 @@ def random_coupling(x: ProbSpace, y: ProbSpace, rng) -> ProbSpace:
 
 
 def single_space_diagram(space: ProbSpace, obj: str = "1") -> Diagram:
-    cat = IndexingCategory([obj], [])
-    return Diagram(cat, {obj: space}, {})
+    return Diagram._trusted(IndexingCategory([obj], []), {obj: space}, {})
 
 
 def min_entropy_coupling(x: ProbSpace, y: ProbSpace, *,
@@ -349,12 +347,12 @@ def min_entropy_coupling(x: ProbSpace, y: ProbSpace, *,
             raise CapExceededError(
                 f"{len(x)}x{len(y)} coupling exceeds the exact-mode cap {cap}")
         coupling = _coupling_space(x, y, _greedy_coupling(x, y, denom), denom)
-        fan = coupling_fan(left, right, coupling)
+        fan = _pair_fan(coupling, left, right)
         return CouplingWitness(fan, kd_of_fan(fan), exact=False, method="greedy")
     best = min(_coupling_vertices(x, y, prune=True),
                key=lambda cells: (_vertex_value(cells.values(), denom, x, y), sorted(cells)))
     coupling = _coupling_space(x, y, dict(sorted(best.items())), denom)
-    fan = coupling_fan(left, right, coupling)
+    fan = _pair_fan(coupling, left, right)
     return CouplingWitness(fan, kd_of_fan(fan), exact=True, method="vertex-enumeration")
 
 
@@ -528,7 +526,7 @@ def _mixture_witness(left: Diagram, right: Diagram) -> CouplingWitness:
     cells.update(((a, b), ma * mb) for a, ma in zip(overlap.atoms, overlap.rest_left) if ma
                  for b, mb in rights)
     coupling = ProbSpace(cells, cells.values(), denom=overlap.denom * scale)
-    fan = coupling_fan(left, right, coupling)
+    fan = _pair_fan(coupling, left, right)
     return CouplingWitness(fan, kd_of_fan(fan), method="common-rest mixture")
 
 
@@ -630,7 +628,9 @@ def ikd_bounds(left: Diagram, right: Diagram) -> IkdBounds:
         x, y = left.spaces[obj], right.spaces[obj]
         if len(x) * len(y) <= DEFAULT_COUPLING_CAP:
             candidates.append(min_entropy_coupling(x, y))
-    if SetDiagram.from_diagram(left) == SetDiagram.from_diagram(right):
+    same_sets = all(set(left.spaces[o]) == set(right.spaces[o]) for o in left.category.objects)
+    if same_sets and all(left.prime_maps[c].mapping == right.prime_maps[c].mapping
+                         for c in left.category.covers):
         # one skeleton means equal supports, so the measures overlap
         candidates.append(_mixture_witness(left, right))
     independent = tensor_fan(left, right)

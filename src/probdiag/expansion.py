@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .diagrams import Diagram, FanIndices, Reduction, classify_fan, condition_diagram, sub_diagram
 from .errors import BadParamError, NotReducedError, VerificationError
-from .spaces import ProbSpace, pushforward, tensor_spaces
+from .spaces import ProbSpace, pushforward, tensor_spaces, _tensor_positions
 
 ENTROPY_TOL = 1e-9
 SHIFT_TOL = 1e-12
@@ -52,7 +52,8 @@ def _u_side(spec: ExpansionSpec) -> set:
 
 
 def expand_diagram(spec: ExpansionSpec) -> Diagram:
-    """The inflated diagram; m = 1 returns the base unchanged."""
+    """The inflated diagram; m = 1 returns the base unchanged.  W is
+    independent and uniform, so the maps hold by construction."""
     if spec.m == 1:
         return spec.base
     base = spec.base
@@ -63,17 +64,17 @@ def expand_diagram(spec: ExpansionSpec) -> Diagram:
         spaces[obj] = tensor_spaces(base.spaces[obj], w) if obj in inflate else base.spaces[obj]
     maps = {}
     for (i, j) in base.category.covers:
-        old = base.prime_maps[(i, j)].mapping
-        if i in inflate and j in inflate:
-            mapping = {(v, wk): (old[v], wk) for (v, wk) in spaces[i].atoms}
-        elif i in inflate:
-            mapping = {(v, wk): old[v] for (v, wk) in spaces[i].atoms}
-        else:
+        old = base.prime_maps[(i, j)]
+        if i not in inflate:
             # a morphism cannot enter the u-side from outside it: its source
             # would then be an ancestor of u as well
-            mapping = dict(old)
-        maps[(i, j)] = Reduction(spaces[i], spaces[j], mapping)
-    return Diagram(base.category, spaces, maps)
+            maps[(i, j)] = old
+            continue
+        # map x identity within the u-side; leaving it, W goes to one point
+        w_map, width = (range(spec.m), spec.m) if j in inflate else ([0] * spec.m, 1)
+        positions = _tensor_positions(old.positions, w_map, width)
+        maps[(i, j)] = Reduction._trusted(spaces[i], spaces[j], positions=positions)
+    return Diagram._trusted(base.category, spaces, maps)
 
 
 def strip_expansion(expanded: Diagram, spec: ExpansionSpec) -> Diagram:
@@ -142,7 +143,6 @@ def verify_expansion(original: Diagram, expanded: Diagram,
             raise VerificationError(f"space at {obj!r} changed outside the u-side")
 
     x_ideal = original.category.descendants(fan.x_obj)
-    slices_equal = True
     old_slices: dict = {}  # base atom -> its conditioned x-side, built once
     for atom in expanded.spaces[fan.u_obj].atoms:
         cond_new = sub_diagram(condition_diagram(expanded, fan.u_obj, atom), x_ideal)
@@ -152,7 +152,6 @@ def verify_expansion(original: Diagram, expanded: Diagram,
             cond_old = sub_diagram(condition_diagram(original, fan.u_obj, base_atom), x_ideal)
             old_slices[base_atom] = cond_old
         if cond_new != cond_old:
-            slices_equal = False
             raise VerificationError(f"conditioned x-side changed at u-atom {atom!r}")
 
     cls = classify_fan(expanded, fan)
@@ -170,7 +169,7 @@ def verify_expansion(original: Diagram, expanded: Diagram,
         arrow_entropy_after=after,
         added=added,
         shifted_objects=tuple(sorted(inflate)),
-        conditioned_slices_equal=slices_equal,
+        conditioned_slices_equal=True,
         admissible_after=cls.admissible,
         reduced_after=cls.reduced,
         recovered_exactly=True,

@@ -237,6 +237,12 @@ def tensor_spaces(x: ProbSpace, y: ProbSpace) -> ProbSpace:
     return ProbSpace(atoms, masses, denom=x.denom * y.denom)
 
 
+def _tensor_positions(first, second, width: int) -> list:
+    """Two maps' product as positions in a `tensor_spaces` product, where
+    (v, w) sits at p_v * width + p_w, width being the second factor's size."""
+    return [p * width + q for p in first for q in second]
+
+
 def pushforward(space: ProbSpace, mapping: Mapping) -> ProbSpace:
     """Image measure under a total map on the support.
 
@@ -328,7 +334,7 @@ class Reduction:
 
     @classmethod
     def from_map(cls, domain: ProbSpace, mapping: Mapping, target_atoms=None) -> "Reduction":
-        """Build the reduction whose target is the pushforward measure.
+        """Build the reduction onto its own pushforward, so it needs no check.
 
         When target_atoms is given, every listed atom must receive positive
         mass (otherwise the declared target class would be empty).
@@ -338,7 +344,7 @@ class Reduction:
             missing = [a for a in target_atoms if a not in target]
             if missing:
                 raise NotSurjectiveError(f"target atoms {missing!r} receive no mass")
-        return cls(domain, target, mapping)
+        return cls._trusted(domain, target, {a: mapping[a] for a in domain.atoms})
 
     @classmethod
     def identity(cls, space: ProbSpace) -> "Reduction":

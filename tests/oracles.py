@@ -1,7 +1,8 @@
 """Independent brute-force oracles.
 
 These deliberately avoid the library's own algorithms: reachability by raw
-closure, least common ancestors by ancestor-set intersection, composites
+closure, least common ancestors by ancestor-set intersection, the quotient
+of a category by a merged pair by closing the renamed relation, composites
 and commutativity by composing every path of covers atom by atom,
 naturality square by square on every cover, transport
 vertices by solving every candidate support with exact Gaussian
@@ -55,6 +56,28 @@ def brute_lca(objects, covers, i, j):
     common = anc[i] & anc[j]
     least = [c for c in common if all((a, c) in pairs for a in common)]
     return least[0] if len(least) == 1 else None
+
+
+def brute_collapse(objects, covers, i, j):
+    """The quotient of a poset category by merging i into j: the renamed
+    relation closed again, and its covers, the pairs that no third object
+    splits.  (objects, covers) as sets, or None when two objects of the
+    quotient reach each other or have no least common ancestor."""
+    rename = {o: (j if o == i else o) for o in objects}
+    kept = [o for o in objects if o != i]
+    pairs = closure_pairs(kept, {(rename[a], rename[b])
+                                 for (a, b) in closure_pairs(objects, covers)})
+    if any(a != b and (b, a) in pairs for (a, b) in pairs):
+        return None
+    for x in kept:
+        for y in kept:
+            common = {c for c in kept if (c, x) in pairs and (c, y) in pairs}
+            if len([c for c in common if all((a, c) in pairs for a in common)]) != 1:
+                return None
+    cover_set = {(a, b) for (a, b) in pairs
+                 if a != b and not any((a, c) in pairs and (c, b) in pairs
+                                       for c in kept if c not in (a, b))}
+    return set(kept), cover_set
 
 
 def cover_paths(objects, covers) -> dict:

@@ -91,6 +91,13 @@ def test_contract_rejects_nonpositive_seeds(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_contract_refuses_too_many_coordinates(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert main(["contract", "--l", "1000000", "--output", str(out)]) == 1
+    assert "exceeds the cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--N", "0"), ("--N", "-5"), ("--t", "0"),
                                          ("--t", "-0.5"), ("--t", "nan"), ("--t", "inf")])
 def test_contract_rejects_nonpositive_n_and_t(tmp_path, capsys, flag, value):

@@ -360,6 +360,11 @@ def _cell_draws(ext, kind, params, t, seed, trials):
     return gen.multinomial(params.N, pvals / pvals.sum(), size=trials)
 
 
+def _row_bytes(ext) -> int:
+    """The bytes of one row of a fan cell's int64 sample and count arrays."""
+    return 8 * sum(ext.fiber_patterns[0].shape)
+
+
 class TestFanTailsByPattern:
     def test_fiber_patterns_group_atoms_by_fiber_membership(self, small_exts):
         for ext in small_exts.values():
@@ -381,14 +386,15 @@ class TestFanTailsByPattern:
 
     @pytest.mark.parametrize("name", ["two_fan", "lambda3", "reduced_lambda3"])
     @pytest.mark.parametrize("kind", ["totalvar", "height", "ikd"])
-    def test_hits_match_dense_oracle(self, small_exts, name, kind):
+    def test_hits_match_dense_oracle(self, small_exts, name, kind, monkeypatch):
         ext = small_exts[name]
         t, trials, seed = INTERIOR_T[kind], 1500, 11
         params = ContractionParams(N=40, t=0.5, rho=ext.rho, seed=0)
+        monkeypatch.setattr(contraction, "MC_BATCH_BYTES", 400 * _row_bytes(ext))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             check = monte_carlo_tails(kind, t=t, trials=trials, seed=seed,
-                                      ext=ext, params=params, chunk=400)
+                                      ext=ext, params=params)
         mult = _cell_draws(ext, kind, params, t, seed, trials)
         hits = oracles.dense_fan_tail_hits(ext, kind, t, mult)
         assert 0 < hits < trials
@@ -429,8 +435,8 @@ class TestFanTailsByPattern:
 
         default = cell()
         assert 0 < default.empirical < 1
-        assert cell(chunk=trials) == default
-        assert cell(chunk=7) == default
+        monkeypatch.setattr(contraction, "MC_BATCH_BYTES", 7 * _row_bytes(ext))
+        assert cell() == default
         # a byte budget smaller than one row still draws one row per batch
         monkeypatch.setattr(contraction, "MC_BATCH_BYTES", 1)
         assert cell() == default
@@ -609,9 +615,9 @@ class TestLazyFan:
 
 
 @pytest.mark.parametrize("kw, name", [
-    ({"chunk": 0}, "chunk"),
-    ({"chunk": -1}, "chunk"),
-    ({"chunk": 2.5}, "chunk"),
+    ({"trials": -1}, "trials"),
+    ({"trials": 2.5}, "trials"),
+    ({"n": 2.5}, "n"),
     ({"n": 0}, "n"),
     ({"n": -3}, "n"),
     ({"trials": 0}, "trials"),
@@ -623,13 +629,13 @@ def test_monte_carlo_tails_rejects_bad_sizes(kw, name):
         monte_carlo_tails("binomial_i", **args)
 
 
-@pytest.mark.parametrize("N, chunk", [(0, 2000), (-3, 2000), (40, 0)])
-def test_fan_tails_reject_bad_sizes(small_exts, N, chunk):
+@pytest.mark.parametrize("N, trials", [(0, 2000), (-3, 2000)])
+def test_fan_tails_reject_bad_sizes(small_exts, N, trials):
     ext = small_exts["two_fan"]
     params = ContractionParams(N=N, t=0.5, rho=ext.rho, seed=0)
     with pytest.raises(OutOfRangeError):
-        monte_carlo_tails("totalvar", t=0.5, trials=100, seed=0, ext=ext,
-                          params=params, chunk=chunk)
+        monte_carlo_tails("totalvar", t=0.5, trials=trials, seed=0, ext=ext,
+                          params=params)
 
 
 def test_extend_rejects_inhomogeneous():

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -34,8 +35,10 @@ from probdiag.errors import (
     NotIsoError,
     NotMonotoneError,
     ShapeMismatchError,
+    TooLargeError,
     UnknownAtomError,
 )
+from probdiag.diagrams import MAX_COORDINATE_BITS
 from probdiag.fixtures import coord_lambda3, coord_two_fan, reduced_two_fan
 from probdiag.automorphisms import verify_explicit_iso
 from probdiag.diagrams import FanOfDiagrams, Reduction
@@ -159,6 +162,19 @@ class TestCoordinateDiagrams:
         with pytest.raises(NotMonotoneError):
             coordinate_diagram(cat, {"top": range(1, 7), "left": range(1, 5),
                                      "right": range(1, 8)}, 6)
+
+    @pytest.mark.parametrize("ell", [MAX_COORDINATE_BITS + 1, 10 ** 6])
+    def test_ell_cap_is_checked_before_any_allocation(self, ell):
+        cat = standard_category("two_fan")
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeError, match=f"ell = {ell} exceeds the cap"):
+                coordinate_diagram(cat, {"top": range(1, ell + 1), "left": [1],
+                                         "right": [2]}, ell)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
 
 
 class TestEntropyVector:

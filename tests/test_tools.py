@@ -1,0 +1,34 @@
+"""The command-line tools under tools/ parse their arguments before doing
+any work."""
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "tools" / "bench_contract.py"
+
+
+def _bench(*argv):
+    return subprocess.run([sys.executable, str(BENCH), *argv], capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_bench_contract_help():
+    done = _bench("--help")
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: tools/bench_contract.py")
+    assert "--case {regime,roundtrip}" in done.stdout
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--ops",), "expected one argument"),
+    (("--rounds", "0"), "must be a positive integer"),
+    (("--case", "nope"), "invalid choice"),
+    (("no/such/checkout",), "has no src/probdiag"),
+])
+def test_bench_contract_usage_errors_exit_2(argv, message):
+    done = _bench(*argv)
+    assert done.returncode == 2
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == ""

@@ -2,9 +2,11 @@
 
 Internal builders construct their diagrams, maps and fans unchecked; here
 `oracles.recheck` rebuilds each of their outputs through the public checked
-constructors.  Every public entry must reject a map that does not preserve
-measure and a square that does not commute.  The benchmark's tracer must
-still find every entry point it wraps."""
+constructors, and a counting test pins that the constructions derived from
+valid objects call no checked constructor at all.  Every public entry must
+reject a map that does not preserve measure and a square that does not
+commute.  The benchmark's tracer must still find every entry point it
+wraps."""
 import importlib.util
 import json
 import random
@@ -14,7 +16,13 @@ from pathlib import Path
 import pytest
 
 import oracles
-from conftest import random_diagram, random_distribution, random_set_diagram
+from conftest import (
+    random_category,
+    random_diagram,
+    random_distribution,
+    random_set_diagram,
+    random_surjection,
+)
 from probdiag import (
     ContractionParams,
     Diagram,
@@ -23,6 +31,8 @@ from probdiag import (
     ProbSpace,
     Reduction,
     SetDiagram,
+    arrow_collapse,
+    collapse_object_pair,
     condition_diagram,
     cone_diagram,
     constant_diagram,
@@ -42,9 +52,10 @@ from probdiag import (
     tensor_fan,
     verify_expansion,
 )
-from probdiag import contraction, distances, jsonio
+from probdiag import contraction, diagrams, distances, jsonio
 from probdiag.cli import main
-from probdiag.errors import DuplicateAtomError, ProbdiagError
+from probdiag.distances import single_space_diagram
+from probdiag.errors import DuplicateAtomError, ProbdiagError, QuotientError
 from probdiag.expansion import ExpansionSpec
 from probdiag.fixtures import coord_lambda3, coord_two_fan, reduced_lambda3, reduced_two_fan
 from probdiag.sampling import subseed
@@ -190,6 +201,146 @@ def test_recheck_loaded_roundtrip(root, tmp_path):
         expanded = expand_diagram(spec)
         oracles.recheck(expanded)
         assert verify_expansion(loaded, expanded, spec).recovered_exactly
+
+
+def _shuffled_json_copy(diagram: Diagram, seed: int) -> Diagram:
+    """The diagram saved as JSON with every space's atoms listed in a
+    shuffled order, and loaded again."""
+    obj = jsonio.diagram_to_obj(diagram)
+    rng = random.Random(seed)
+    for space in obj["spaces"].values():
+        order = list(range(len(space["atoms"])))
+        rng.shuffle(order)
+        for key in ("atoms", "weights"):
+            space[key] = [space[key][k] for k in order]
+    return jsonio.diagram_from_obj(json.loads(json.dumps(obj)))
+
+
+REDUCED = {
+    "reduced_two_fan": lambda: reduced_two_fan(4, (3, 4)),
+    "reduced_lambda3": lambda: reduced_lambda3(2, 5, (4, 5)),
+    "reduced_lambda3_wide": lambda: reduced_lambda3(3, 7, range(6, 8)),
+}
+
+
+@pytest.mark.parametrize("name", REDUCED)
+def test_recheck_arrow_collapse(name):
+    """Every isomorphism cover collapsed, on the fixture and on a JSON-loaded
+    copy with shuffled atoms, and on random diagrams."""
+    diagram, _ = REDUCED[name]()
+    rng = random.Random(611)
+    inputs = [diagram, _shuffled_json_copy(diagram, 5)] + [random_diagram(rng) for _ in range(60)]
+    collapsed = 0
+    for d in inputs:
+        for cover in d.category.covers:
+            if not d.prime_maps[cover].is_isomorphism():
+                continue
+            try:
+                out = arrow_collapse(d, cover)
+            except QuotientError:
+                continue
+            oracles.recheck(out)
+            collapsed += 1
+    assert collapsed >= 2
+
+
+def test_collapse_object_pair_matches_brute_quotient():
+    """On every cover of seeded random shapes, and of named shapes where
+    some collapses break the least-common-ancestor property."""
+    rng = random.Random(610)
+    shapes = [random_category(rng, 6) for _ in range(200)]
+    shapes += [standard_category("diamond"), standard_category("full_lambda", 3),
+               coord_lambda3()[0].category]
+    for cat in shapes:
+        for (i, j) in cat.covers:
+            expected = oracles.brute_collapse(cat.objects, cat.covers, i, j)
+            if expected is None:
+                with pytest.raises(QuotientError):
+                    collapse_object_pair(cat, i, j)
+                continue
+            quotient, mapping = collapse_object_pair(cat, i, j)
+            assert (set(quotient.objects), set(quotient.covers)) == expected
+            assert mapping == {o: (j if o == i else o) for o in cat.objects}
+
+
+# -- checks run once, where data enters ------------------------------------
+
+
+@pytest.fixture
+def checked_calls(monkeypatch):
+    """The name of every call of a checked constructor or of `coupling_fan`,
+    wherever the package binds it."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner in (Reduction, Diagram, SetDiagram):
+        monkeypatch.setattr(owner, "__init__", counted(owner.__name__, owner.__init__))
+    coupling = diagrams.coupling_fan
+    for name, module in list(sys.modules.items()):
+        if name.startswith("probdiag") and getattr(module, "coupling_fan", None) is coupling:
+            monkeypatch.setattr(module, "coupling_fan", counted("coupling_fan", coupling))
+    return calls
+
+
+def _same_skeleton_pair(rng):
+    """A random diagram and one on its skeleton under another initial
+    measure, positive on every atom."""
+    d = random_diagram(rng)
+    other = _random_space(rng, "", len(d.initial_space))
+    pi = dict(zip(d.initial_space.atoms, other.weights))
+    return d, DistributionOnSetDiagram(SetDiagram.from_diagram(d), pi).to_diagram()
+
+
+def test_derived_constructions_make_no_checked_call(checked_calls):
+    rng = random.Random(609)
+    pairs = []
+    for _ in range(10):
+        d = random_diagram(rng)
+        pairs.append((d, random_diagram(rng, d.category)))
+        pairs.append(_same_skeleton_pair(rng))
+        for size in (3, 6):  # within the exact cap, then beyond it
+            pairs.append((single_space_diagram(_random_space(rng, "x", size)),
+                          single_space_diagram(_random_space(rng, "y", size + 1))))
+    fixtures = [REDUCED[name]() for name in ("reduced_two_fan", "reduced_lambda3")]
+    fixtures += [(_shuffled_json_copy(d, 7), fan) for d, fan in fixtures]
+    domain = _random_space(rng, "a", 6)
+    mapping = random_surjection(rng, domain.atoms, 3)
+    checked_calls.clear()
+
+    methods = set()
+    for left, right in pairs:
+        methods.add(ikd_bounds(left, right).witness.method)
+        tensor_fan(left, right)
+        tensor_diagrams(left, right)
+        x, y = left.initial_space, right.initial_space
+        methods.add(min_entropy_coupling(x, y).method)
+        methods.add(min_entropy_coupling(x, y, cap=0).method)
+    for diagram, fan in fixtures:
+        for m in (2, 3):
+            expand_diagram(ExpansionSpec(diagram, fan, m))
+        for cover in diagram.category.covers:
+            if diagram.prime_maps[cover].is_isomorphism():
+                try:
+                    arrow_collapse(diagram, cover)
+                except QuotientError:
+                    pass
+    Reduction.from_map(domain, mapping, target_atoms=["t0", "t1", "t2"])
+    assert checked_calls == []
+    assert {"common-rest mixture", "vertex-enumeration", "greedy", "tensor"} <= methods
+
+
+def test_recovery_checks_its_result_once(checked_calls):
+    diagram, fan = reduced_lambda3(2, 5, (4, 5))
+    ext = extend_admissible_fan(diagram, fan)
+    run = contract_once(ext, ContractionParams(N=40, t=0.5, rho=ext.rho, seed=3))
+    checked_calls.clear()
+    recover_collapsed_diagram(diagram, fan, run)
+    assert checked_calls == ["Diagram"]
 
 
 # -- every public entry rejects bad maps and squares -----------------------

@@ -4,9 +4,10 @@
                                     [--ops K] [--rounds R]
 
 Each CHECKOUT (default: the repository this script sits in) runs in fresh
-interpreters on its own src/, R rounds (default 3), the checkouts taking
-turns within a round.  A run times one warm-up operation and then K more
-(default 30) at the run seeds subseed(1, "run", k).  CASE is one of:
+interpreters on its own src/, --rounds R rounds (default 3), the checkouts
+taking turns within a round.  A run times one warm-up operation and then
+--ops K more (default 30) at the run seeds subseed(1, "run", k).  --case
+CASE is one of:
 
 regime (default): `contract_once` at the paper's regime scale, on
 coord_two_fan(17, I=1..15, J=14..17) (|x0| = 2^15, |u| = 16, default
@@ -46,6 +47,7 @@ each phase's change from the first checkout to the last, and the set-up
 memory's; and `layer_moved`, the phase that changed most.  Uses the
 standard library and numpy only.
 """
+import argparse
 import json
 import os
 import platform
@@ -228,24 +230,47 @@ def _median_of_runs(runs: list):
     return first
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _parser() -> argparse.ArgumentParser:
+    summary, _usage, details = __doc__.split("\n\n", 2)
+    parser = argparse.ArgumentParser(
+        prog="tools/bench_contract.py", description=f"{summary}\n\n{details}",
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("checkouts", nargs="*", metavar="[NAME=]CHECKOUT",
+                        help="a checkout to time, named NAME in the report "
+                             "(default: the repository this script sits in)")
+    parser.add_argument("--case", choices=sorted(CASES), default="regime",
+                        help="what to time (default regime)")
+    parser.add_argument("--ops", type=_positive_int, default=30,
+                        help="timed operations per run, after one warm-up (default 30)")
+    parser.add_argument("--rounds", type=_positive_int, default=3,
+                        help="rounds, the checkouts taking turns in each (default 3)")
+    return parser
+
+
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--child"]:
         child = memory_child if argv[1] == "memory" else CASES[argv[1]][0]
         print(json.dumps(child(Path(argv[2]).resolve(), int(argv[3]))))
         return 0
-    ops, rounds, case, named = 30, 3, "regime", []
-    args = iter(argv)
-    for arg in args:
-        if arg in ("--ops", "--rounds"):
-            value = int(next(args))
-            ops, rounds = (value, rounds) if arg == "--ops" else (ops, value)
-        elif arg == "--case":
-            case = next(args)
-            if case not in CASES:
-                raise SystemExit(f"unknown case {case!r}; choose from {sorted(CASES)}")
-        else:
-            name, _, path = arg.rpartition("=")
-            named.append((name or path, Path(path).resolve()))
+    parser = _parser()
+    args = parser.parse_args(argv)
+    ops, rounds, case, named = args.ops, args.rounds, args.case, []
+    for arg in args.checkouts:
+        name, _, path = arg.rpartition("=")
+        checkout = Path(path).resolve()
+        if not (checkout / "src" / "probdiag").is_dir():
+            parser.error(f"{path!r} is not a checkout: it has no src/probdiag")
+        named.append((name or path, checkout))
     if not named:
         root = Path(__file__).resolve().parent.parent
         named = [("checkout", root)]

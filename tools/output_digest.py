@@ -133,6 +133,46 @@ for seed in (1, 42):
                     expansion.expand_diagram(expansion.ExpansionSpec(d, fan, m))):
             print(json.dumps(jsonio.diagram_to_obj(out)))
 """,
+    "builders": """
+from probdiag import (ProbSpace, arrow_collapse, build_category, ikd_bounds, make_diagram,
+                      min_entropy_coupling, tensor_diagrams, tensor_fan)
+from probdiag.expansion import ExpansionSpec, expand_diagram
+from probdiag.fixtures import reduced_lambda3
+from workloads import DistanceBounds
+def show(obj):
+    print(json.dumps(obj))
+for k in range(12):
+    inst = DistanceBounds().prepare({"seed": 7}, "run", k)
+    cat = build_category(inst["objects"], inst["covers"])
+    left, right = (make_diagram(cat, {o: ProbSpace(*side[o]) for o in inst["objects"]},
+                                inst["maps"]) for side in inst["sides"])
+    bounds = ikd_bounds(left, right)
+    print(bounds.lower, bounds.upper, bounds.witness.method)
+    show(jsonio.fan_to_obj(bounds.witness.fan))
+    show(jsonio.fan_to_obj(tensor_fan(left, right)))
+    show(jsonio.diagram_to_obj(tensor_diagrams(left, right)))
+    for cap in (30, 0):  # exact up to 30 cells, then the greedy coupling
+        coupling = min_entropy_coupling(left.initial_space, right.initial_space, cap=cap)
+        print(coupling.method, coupling.kd_value)
+        show(jsonio.fan_to_obj(coupling.fan))
+# a JSON-loaded diagram whose atoms are listed in a shuffled order
+diagram, fan = reduced_lambda3(3, 7, range(6, 8))
+obj = jsonio.diagram_to_obj(diagram)
+rng = random.Random(3)
+for space in obj["spaces"].values():
+    order = list(range(len(space["atoms"])))
+    rng.shuffle(order)
+    for key in ("atoms", "weights"):
+        space[key] = [space[key][k] for k in order]
+loaded = jsonio.diagram_from_obj(json.loads(json.dumps(obj)))
+for m in (2, 3):
+    show(jsonio.diagram_to_obj(expand_diagram(ExpansionSpec(loaded, fan, m))))
+for cover in loaded.category.covers:
+    try:
+        show(jsonio.diagram_to_obj(arrow_collapse(loaded, cover)))
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+""",
 }
 
 
