@@ -32,7 +32,7 @@ from .contraction import (
 )
 from .diagrams import FanIndices, entropy_vector
 from .distances import ikd_bounds
-from .errors import ConfigError, ProbdiagError
+from .errors import ConfigError, ProbdiagError, TooLargeError
 from .expansion import ExpansionSpec, expand_diagram, verify_expansion
 from .fixtures import coord_lambda3, coord_two_fan, parse_coords, reduced_lambda3, reduced_two_fan
 from .jsonio import diagram_to_obj, load_diagram, read_json
@@ -122,6 +122,8 @@ def _coords(config: dict, key: str, default: str) -> tuple[int, ...]:
     except ValueError:
         raise ConfigError(f"{_flag(key)} must be a range a..b or a list like 1,3,5, "
                           f"got {config[key]!r}") from None
+    except TooLargeError as exc:
+        raise ConfigError(f"{_flag(key)}: {exc}") from None
 
 
 def _fixture(config: dict):

@@ -26,7 +26,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -55,7 +55,7 @@ from .errors import (
     UnknownKindError,
 )
 from .sampling import CategoricalSampler, np_rng_for
-from .spaces import ProbSpace
+from .spaces import Frame, ProbSpace
 
 DEFAULT_MATERIALIZE_CAP = 500_000
 # cap on the bytes of int64 sample and count rows in one Monte-Carlo batch
@@ -138,11 +138,11 @@ class ExtendedFan:
 
     @cached_property
     def _patterns(self) -> _FiberPatterns:
-        # One pass over the fibers indexes their atoms.  The u rows holding
-        # an atom are then the bits of its row of int64 words, 63 rows a
-        # word, and equal rows of words are equal patterns.
+        # One pass over the fibers reads their atoms' x0 positions.  The u
+        # rows holding an atom are then the bits of its row of int64 words,
+        # 63 rows a word, and equal rows of words are equal patterns.
         u_atoms = self.u_space.atoms
-        index = dict(zip(self.x0_space.atoms, itertools.count()))
+        index = self.x0_space.frame.index
         u_card, f = len(u_atoms), self.fiber_size
         fiber_atoms = np.fromiter(
             itertools.chain.from_iterable(map(index.__getitem__, self.fibers[u])
@@ -166,11 +166,13 @@ class ExtendedFan:
 
     @cached_property
     def _x_side_tables(self) -> tuple[dict, dict]:
-        """The x-side ideal against the fiber patterns: at each object its
-        atoms in first-appearance order over the x0 atoms, the index among
-        them of each x0 atom's image, and the integer incidence (atoms x P)
-        counting each pattern's atoms over each atom; on each cover, the
-        map between the lifts' images, keyed in the source's order."""
+        """The x-side ideal against the fiber patterns: at each object the
+        frame of its atoms in first-appearance order over the x0 atoms,
+        which every covering run's conditioned x-side shares, the index
+        among them of each x0 atom's image, and the integer incidence
+        (atoms x P) counting each pattern's atoms over each atom; on each
+        cover, the map between the lifts' images, keyed in the source's
+        order."""
         lifts = _initial_lifts(self.xdiag)
         x0_atoms = self.x0_space.atoms
         atom_pattern = self._patterns.atom_pattern
@@ -184,7 +186,7 @@ class ExtendedFan:
                                 count=len(x0_atoms))
             incidence = np.bincount(image * n_patterns + atom_pattern,
                                     minlength=len(position) * n_patterns)
-            objects[o] = (tuple(position), image,
+            objects[o] = (Frame(tuple(position)), image,
                           incidence.reshape(len(position), n_patterns))
         covers = {(i, j): dict(zip(images[i], images[j])) for (i, j) in self.shape.covers}
         return objects, covers
@@ -206,7 +208,7 @@ class ExtendedFan:
         cached = self._fiber_iso_cache.get(("diagram", u_atom))
         if cached is None:
             fiber = self.fibers[u_atom]
-            measure = ProbSpace(fiber, [1] * len(fiber), denom=len(fiber))
+            measure = ProbSpace(Frame(fiber), [1] * len(fiber), denom=len(fiber))
             cached = _from_initial_measure(self.shape, measure, _initial_lifts(self.xdiag))
             if u_atom == self.u_space.atoms[0]:
                 self._fiber_iso_cache[("diagram", u_atom)] = cached
@@ -424,18 +426,21 @@ def _conditioned_xprime(ext: ExtendedFan, counts: np.ndarray, nf: int) -> Diagra
     """The x-side under the conditioned x0 law count / (N f): at each object
     the masses are its incidence times the pattern counts, over its atoms in
     first-appearance order over the counted x0 atoms (all of them, in x0
-    order, when the sample covers x0), as pushing the law forward gives."""
+    order, when the sample covers x0), as pushing the law forward gives.
+    When the sample covers x0, each space is on the frame the fan's tables
+    hold."""
     objects, covers = ext._x_side_tables
     covered = None if counts.all() else counts[ext._patterns.atom_pattern] > 0
     spaces: dict = {}
-    for o, (atoms, image, incidence) in objects.items():
+    for o, (frame, image, incidence) in objects.items():
         masses = incidence @ counts
         if covered is not None:
             seen = image[covered]
             _, first = np.unique(seen, return_index=True)
             order = seen[np.sort(first)]
-            atoms, masses = [atoms[k] for k in order.tolist()], masses[order]
-        spaces[o] = ProbSpace(atoms, masses.tolist(), denom=nf)
+            frame = Frame(tuple(map(frame.atoms.__getitem__, order.tolist())))
+            masses = masses[order]
+        spaces[o] = ProbSpace(frame, masses.tolist(), denom=nf)
     maps: dict = {}
     for (i, j), mapping in covers.items():
         if covered is not None:
@@ -526,7 +531,10 @@ def _materialize_fan(ext: ExtendedFan, u_bar: tuple, xprime: Diagram,
     k it is drawn at.  Every map is stored as target positions: the k-th
     block of y' at an object starts after the earlier blocks' atoms there,
     so a map's positions are the piece's own, offset by its block's start in
-    the target."""
+    the target.  y' at an object is on a frame whose atoms (a, k) are built
+    only if something reads them (`_tagged_atoms`): its masses, maps and
+    projections are integers and positions, and so are the checks,
+    recovery and classification that read them."""
     pieces = {u: ext.conditioned_x_side(u) for u in dict.fromkeys(u_bar)}
     f, n = ext.fiber_size, len(u_bar)
 
@@ -540,27 +548,33 @@ def _materialize_fan(ext: ExtendedFan, u_bar: tuple, xprime: Diagram,
     proj_right: dict = {}
     for o in ext.shape.objects:
         own = {u: d.spaces[o] for u, d in pieces.items()}
-        sizes[o] = np.array([len(own[u]) for u in u_bar])
+        sizes[o] = [len(own[u]) for u in u_bar]
         # the k-th block is the (k-1)-th atom of V, k itself
         tags = np.repeat(np.arange(n), sizes[o]).tolist()
-        atoms = zip(joined({u: sp.atoms for u, sp in own.items()}),
-                    map(vspace.atoms.__getitem__, tags))
+        frame = Frame(build=partial(_tagged_atoms, list(map(own.__getitem__, u_bar)),
+                                    tags, vspace))
         # a piece's masses over f: its weights are masses / denom, denom | f
         masses = joined({u: [m * (f // sp.denom) for m in sp.masses] for u, sp in own.items()})
-        space = spaces[o] = ProbSpace(list(atoms), masses, denom=n * f)
-        index = dict(zip(xprime.spaces[o].atoms, itertools.count()))
+        space = spaces[o] = ProbSpace(frame, masses, denom=n * f)
+        index = xprime.spaces[o].frame.index
         left = {u: list(map(index.__getitem__, sp.atoms)) for u, sp in own.items()}
         proj_left[o] = Reduction._trusted(space, xprime.spaces[o], positions=joined(left))
         proj_right[o] = Reduction._trusted(space, vspace, positions=tags)
     maps: dict = {}
     for (i, j) in ext.shape.covers:
         local = {u: d.prime_maps[(i, j)].positions for u, d in pieces.items()}
-        starts = np.cumsum(sizes[j]) - sizes[j]
-        positions = np.array(joined(local)) + np.repeat(starts, sizes[i])
-        maps[(i, j)] = Reduction._trusted(spaces[i], spaces[j], positions=positions.tolist())
+        starts = itertools.accumulate(sizes[j], initial=0)
+        positions = [p + start for u, start in zip(u_bar, starts) for p in local[u]]
+        maps[(i, j)] = Reduction._trusted(spaces[i], spaces[j], positions=positions)
     top = Diagram._trusted(ext.shape, spaces, maps)
     return FanOfDiagrams._trusted(top, xprime, constant_diagram(ext.shape, vspace),
                                   proj_left, proj_right)
+
+
+def _tagged_atoms(pieces: list, tags: list, vspace: ProbSpace):
+    """The atoms of y' at one object: (a, k) for each atom a of the piece
+    drawn k-th, pieces in sample order, k being the k-th atom of V."""
+    return zip(itertools.chain.from_iterable(pieces), map(vspace.atoms.__getitem__, tags))
 
 
 def recover_collapsed_diagram(diagram: Diagram, fi: FanIndices,

@@ -48,7 +48,7 @@ from .errors import (
     TooLargeError,
     UnknownAtomError,
 )
-from .spaces import ProbSpace, Reduction, pushforward, tensor_spaces, _tensor_positions
+from .spaces import Frame, ProbSpace, Reduction, pushforward, tensor_spaces, _tensor_positions
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ class Diagram:
         if lift is None:
             init = self.category.initial
             if obj == init:
-                lift = range(len(self._atoms(obj)))
+                lift = range(self._size(obj))
             else:
                 parent = self.category.first_parent[obj]
                 via = self._cover_positions((parent, obj))
@@ -169,11 +169,13 @@ class Diagram:
         lift_dst = self._lift(dst)
         if src == self.category.initial:
             return lift_dst
-        return _induced_positions(self._lift(src), lift_dst, len(self._atoms(src)))
+        return _induced_positions(self._lift(src), lift_dst, self._size(src))
 
-    # The three lookups that composite_mapping, _lift, _composite_positions
+    # The four lookups that composite_mapping, _lift, _composite_positions
     # and _check_commutativity read; SetDiagram shares those four methods
-    # and supplies its own lookups.
+    # and supplies its own lookups.  Only an atom map or a failure message
+    # reads atoms; lifts and the commutativity check read sizes and
+    # positions.
     def _cover_mapping(self, cover: tuple[str, str]) -> dict | None:
         """The atom map on a cover; None when the pair is not a cover."""
         prime = self.prime_maps.get(cover)
@@ -184,6 +186,9 @@ class Diagram:
 
     def _atoms(self, obj: str) -> tuple:
         return self.spaces[obj].atoms
+
+    def _size(self, obj: str) -> int:
+        return len(self.spaces[obj])
 
     def composite_reduction(self, src: str, dst: str) -> Reduction:
         """The composite src -> dst as a Reduction; on a cover it is the
@@ -316,7 +321,7 @@ def coordinate_diagram(category: IndexingCategory, coord_sets: Mapping[str, Iter
     spaces = {}
     for obj, cs in coords.items():
         n = 1 << len(cs)
-        spaces[obj] = ProbSpace(range(n), [1] * n, denom=n)
+        spaces[obj] = ProbSpace(Frame(tuple(range(n))), [1] * n, denom=n)
     maps = {}
     for (i, j) in category.covers:
         bits = tuple(coords[i].index(c) for c in coords[j])

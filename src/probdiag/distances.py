@@ -417,6 +417,9 @@ class SetDiagram:
     def _atoms(self, obj: str) -> tuple:
         return self.sets[obj]
 
+    def _size(self, obj: str) -> int:
+        return len(self.sets[obj])
+
     def __eq__(self, other):
         if not isinstance(other, SetDiagram):
             return NotImplemented

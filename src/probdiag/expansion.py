@@ -13,11 +13,15 @@ import math
 from dataclasses import dataclass
 
 from .diagrams import Diagram, FanIndices, Reduction, classify_fan, condition_diagram, sub_diagram
-from .errors import BadParamError, NotReducedError, VerificationError
+from .errors import BadParamError, NotReducedError, TooLargeError, VerificationError
 from .spaces import ProbSpace, pushforward, tensor_spaces, _tensor_positions
 
 ENTROPY_TOL = 1e-9
 SHIFT_TOL = 1e-12
+# cap on the atoms of the inflated u-side, m times its support; at the cap,
+# reduced_two_fan(4, 3..4) with m = 52428: CLI expand 0.7 s, 163 MB on a
+# 2 vCPU Xeon
+MAX_EXPANDED_ATOMS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,10 @@ class ExpansionSpec:
         cls = classify_fan(self.base, self.fan)
         if not cls.reduced:
             raise NotReducedError(f"fan {self.fan} is not a reduced admissible fan")
+        support = sum(len(self.base.spaces[o]) for o in _u_side(self))
+        if support * self.m > MAX_EXPANDED_ATOMS:
+            raise TooLargeError(f"m = {self.m} inflates the u-side's {support} atoms to "
+                                f"{support * self.m}, over the cap of {MAX_EXPANDED_ATOMS}")
 
     @property
     def added_entropy(self) -> float:

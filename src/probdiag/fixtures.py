@@ -2,16 +2,22 @@
 from __future__ import annotations
 
 from .categories import build_category, standard_category
-from .diagrams import Diagram, FanIndices, coordinate_diagram
-from .errors import BadParamError
+from .diagrams import MAX_COORDINATE_BITS, Diagram, FanIndices, coordinate_diagram
+from .errors import BadParamError, TooLargeError
 
 
 def parse_coords(text: str) -> tuple[int, ...]:
-    """Coordinate sets from "a..b" ranges or comma lists like "1,3,5"."""
+    """Coordinate sets from "a..b" ranges or comma lists like "1,3,5".  A
+    range is bounded before it is built: no coordinate diagram has more than
+    MAX_COORDINATE_BITS coordinates, so no longer range can be valid."""
     text = text.strip()
     if ".." in text:
         lo, _, hi = text.partition("..")
-        return tuple(range(int(lo), int(hi) + 1))
+        lo, hi = int(lo), int(hi)
+        if hi - lo >= MAX_COORDINATE_BITS:
+            raise TooLargeError(f"range {lo}..{hi} spans more than the cap of "
+                                f"{MAX_COORDINATE_BITS} coordinates")
+        return tuple(range(lo, hi + 1))
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
@@ -45,6 +51,8 @@ def coord_lambda3(left_coords=(1, 2), right_coords=(2, 3), u_coords=(3, 4, 5),
     union = a | b | c
     if ell is None:
         ell = max(union)
+    if ell > MAX_COORDINATE_BITS:
+        raise TooLargeError(f"ell = {ell} exceeds the cap of {MAX_COORDINATE_BITS} coordinates")
     if union != set(range(1, ell + 1)):
         raise BadParamError("feet coordinates must cover 1..ell")
     cat = build_category(LAMBDA3_OBJECTS, LAMBDA3_COVERS)

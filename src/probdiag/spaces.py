@@ -1,21 +1,26 @@
 """Finite probability spaces with exact rational weights.
 
-A space stores its atoms and one integer mass per atom over a single
-denominator: the weight of an atom is its mass divided by `denom`.  The
-denominator is canonical, the lcm of the reduced weight denominators, so the
-masses share no common factor with it and two spaces are equal exactly when
-their denominators and atom-to-mass tables are.  Pushforward, products and
-conditioning are integer operations, so mass conservation is exact and
-assertable with zero tolerance; `fractions.Fraction` weights are views built
-on demand.  Floating point enters only at the entropy/log boundary.  Entropy
-is measured in nats.
+A space is a frame of atoms and one integer mass per atom over a single
+denominator: the weight of an atom is its mass divided by `denom`.  A frame
+(`Frame`) is checked once, where it is made, and shared with its atom ->
+position index by every space on it.  The index is built on first read, and
+so are the atoms of a frame made lazily (the conditioned fan's y'), so
+`len`, the masses and all work on positions leave atom labels unbuilt.
+
+The denominator is canonical, the lcm of the reduced weight denominators,
+so the masses share no common factor with it, and two spaces are equal
+exactly when their denominators and atom-to-mass tables are, in any atom
+order.  Pushforward, products and conditioning are integer operations, so
+mass conservation is exact and assertable with zero tolerance;
+`fractions.Fraction` weights are views built on demand.  Floating point
+enters only at the entropy/log boundary.  Entropy is measured in nats.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import (
     BadParamError,
@@ -43,20 +48,64 @@ def as_fraction(value) -> Fraction:
     raise BadParamError(f"cannot interpret {value!r} as an exact rational")
 
 
+class Frame:
+    """The atoms of a space: distinct, in a fixed order, and read-only.
+
+    Made from a tuple of atoms, or from `build`, a callable returning an
+    iterable of them that runs on the first read of `atoms`, and then never
+    again.  `index`, atom -> position, is built on first read unless given.
+    A frame is not checked: the public `ProbSpace` constructor checks the
+    atoms it makes one of, and the package's builders make frames whose
+    atoms are distinct by construction."""
+
+    __slots__ = ("_atoms", "_index", "_build")
+
+    def __init__(self, atoms: tuple | None = None, *, index: dict | None = None,
+                 build: Callable[[], Iterable] | None = None):
+        self._atoms, self._index, self._build = atoms, index, build
+
+    @property
+    def atoms(self) -> tuple:
+        if self._atoms is None:
+            self._atoms, self._build = tuple(self._build()), None
+        return self._atoms
+
+    @property
+    def index(self) -> dict:
+        """Atom -> position in `atoms`."""
+        if self._index is None:
+            self._index = dict(zip(self.atoms, itertools.count()))
+        return self._index
+
+
 class ProbSpace:
     """A finite probability space: atoms with positive rational weights.
 
-    Built from rational weights, or from integer masses over `denom`.  Atoms
-    of zero weight are dropped at construction, so every atom in the
-    support has strictly positive weight and the weights sum exactly to 1.
-    Atom labels are opaque hashable values; construction order is preserved
-    and used wherever deterministic iteration matters.
+    Built from atoms and rational weights, or integer masses over `denom`:
+    the atoms must be distinct and the weights non-negative, summing exactly
+    to 1, and atoms of zero weight are dropped.  The package's builders pass
+    a `Frame` instead of atoms, with one positive integer mass per frame
+    atom over `denom`: the frame holds by construction and only the sum is
+    checked.  Either way the masses are reduced to the canonical
+    denominator.  Atom labels are opaque hashable values; their order is
+    kept and used wherever deterministic iteration matters.
+
+    `atoms` is the frame's, built on the first read if the frame is lazy
+    and then a plain attribute; `len`, `masses`, `weights` and `entropy`
+    never build it.  `==` and `hash` compare denominators and atom-to-mass
+    tables in any atom order; spaces on one frame compare masses only.
     """
 
-    __slots__ = ("atoms", "masses", "denom", "_index", "_fractions", "_entropy", "_hash")
+    __slots__ = ("atoms", "frame", "masses", "denom", "_fractions", "_entropy", "_hash")
 
-    def __init__(self, atoms: Iterable, weights: Iterable, denom: int | None = None):
-        atoms = list(atoms)
+    def __init__(self, atoms: Iterable | Frame, weights: Iterable, denom: int | None = None):
+        if isinstance(atoms, Frame):
+            masses = list(weights)
+            if sum(masses) != denom:
+                raise WeightSumError(f"masses sum to {sum(masses)}, not {denom}")
+            self._settle(atoms, masses, denom)
+            return
+        atoms = tuple(atoms)
         if denom is None:
             fractions = [as_fraction(w) for w in weights]
             denom = math.lcm(*[w.denominator for w in fractions])
@@ -67,7 +116,7 @@ class ProbSpace:
                 raise BadParamError(f"denominator must be a positive int, got {denom!r}")
         if len(atoms) != len(masses):
             raise BadParamError("atoms and weights must have equal length")
-        index = dict(zip(atoms, masses))
+        index = dict(zip(atoms, itertools.count()))
         if len(index) != len(atoms) or (masses and min(masses) < 0):
             _reject_atom(atoms, masses, denom)
         total = sum(masses)
@@ -76,21 +125,39 @@ class ProbSpace:
         if total != denom:
             raise WeightSumError(f"weights sum to {Fraction(total, denom)}, not 1")
         if not all(masses):
-            atoms = [a for a, m in zip(atoms, masses) if m]
+            atoms = tuple(a for a, m in zip(atoms, masses) if m)
             masses = [m for m in masses if m]
-            index = dict(zip(atoms, masses))
-        common = math.gcd(denom, *masses)
+            index = None
+        self._settle(Frame(atoms, index=index), masses, denom)
+
+    def _settle(self, frame: Frame, masses: list, denom: int) -> None:
+        """Store masses summing to denom on a frame, over the canonical
+        denominator.  The common factor is taken 64 masses at a time, as it
+        is usually 1 after the first few."""
+        common = denom
+        for start in range(0, len(masses), 64):
+            if common == 1:
+                break
+            common = math.gcd(common, *masses[start:start + 64])
         if common > 1:
             masses = [m // common for m in masses]
             denom //= common
-            index = dict(zip(atoms, masses))
-        self.atoms = tuple(atoms)
+        self.frame = frame
         self.masses = tuple(masses)
         self.denom = denom
-        self._index = index
+        if frame._atoms is not None:
+            self.atoms = frame._atoms
         self._fractions = None
         self._entropy = None
         self._hash = None
+
+    def __getattr__(self, name):
+        # reached only while the `atoms` slot is unset: a lazy frame's
+        # atoms, read once and then kept in the slot
+        if name != "atoms":
+            raise AttributeError(name)
+        atoms = self.atoms = self.frame.atoms
+        return atoms
 
     # -- basic queries ------------------------------------------------------
 
@@ -98,12 +165,13 @@ class ProbSpace:
         """Atom -> exact Fraction weight, built on first use."""
         if self._fractions is None:
             d = self.denom
-            self._fractions = {a: Fraction(m, d) for a, m in self._index.items()}
+            self._fractions = {a: Fraction(m, d) for a, m in zip(self.atoms, self.masses)}
         return self._fractions
 
     @property
     def weights(self) -> tuple:
-        return tuple(self._weight_view().values())
+        d = self.denom
+        return tuple(Fraction(m, d) for m in self.masses)
 
     def weight(self, atom) -> Fraction:
         try:
@@ -119,13 +187,14 @@ class ProbSpace:
 
     def mass(self, atom) -> int:
         """Integer mass of an atom over `denom`; 0 outside the support."""
-        return self._index.get(atom, 0)
+        position = self.frame.index.get(atom)
+        return 0 if position is None else self.masses[position]
 
     def __contains__(self, atom) -> bool:
-        return atom in self._index
+        return atom in self.frame.index
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.masses)
 
     def __iter__(self):
         return iter(self.atoms)
@@ -135,11 +204,17 @@ class ProbSpace:
             return True
         if not isinstance(other, ProbSpace):
             return NotImplemented
-        return self.denom == other.denom and self._index == other._index
+        if self.denom != other.denom or len(self.masses) != len(other.masses):
+            return False
+        if self.frame is other.frame or self.atoms == other.atoms:
+            return self.masses == other.masses
+        index, masses = other.frame.index, other.masses
+        return all(a in index and masses[index[a]] == m
+                   for a, m in zip(self.atoms, self.masses))
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.denom, frozenset(self._index.items())))
+            self._hash = hash((self.denom, frozenset(zip(self.atoms, self.masses))))
         return self._hash
 
     def __repr__(self) -> str:
@@ -232,9 +307,9 @@ def entropy(space: ProbSpace) -> float:
 
 def tensor_spaces(x: ProbSpace, y: ProbSpace) -> ProbSpace:
     """Independent product; atoms are (a, b) pairs, entropy is additive."""
-    atoms = [(a, b) for a in x.atoms for b in y.atoms]
+    frame = Frame(tuple(itertools.product(x.atoms, y.atoms)))
     masses = [ma * mb for ma in x.masses for mb in y.masses]
-    return ProbSpace(atoms, masses, denom=x.denom * y.denom)
+    return ProbSpace(frame, masses, denom=x.denom * y.denom)
 
 
 def _tensor_positions(first, second, width: int) -> list:
@@ -256,7 +331,7 @@ def pushforward(space: ProbSpace, mapping: Mapping) -> ProbSpace:
         except KeyError:
             raise UnknownAtomError(f"map undefined on atom {atom!r}") from None
         acc[image] = acc.get(image, 0) + mass
-    return ProbSpace(acc, acc.values(), denom=space.denom)
+    return ProbSpace(Frame(tuple(acc)), acc.values(), denom=space.denom)
 
 
 class Reduction:
@@ -295,9 +370,7 @@ class Reduction:
             own[atom] = b
             image[b] = image.get(b, 0) + mass
         scale, remainder = divmod(domain.denom, target.denom)
-        expected = target._index
-        if scale != 1 and not remainder:
-            expected = {b: m * scale for b, m in expected.items()}
+        expected = dict(zip(target.atoms, (m * scale for m in target.masses)))
         if remainder or image != expected:
             raise NotSurjectiveError(
                 "pushforward of the domain does not equal the declared target"
@@ -328,7 +401,7 @@ class Reduction:
         """The index in `target.atoms` of each domain atom's image, in domain
         order: a list, or a range for an identity."""
         if self._positions is None:
-            index = dict(zip(self.target.atoms, itertools.count()))
+            index = self.target.frame.index
             self._positions = list(map(index.__getitem__, self._mapping.values()))
         return self._positions
 
@@ -399,7 +472,7 @@ def _overlap(p, q) -> _Overlap:
     """The overlap of two spaces or atom -> weight mappings."""
     p, q = (d if isinstance(d, ProbSpace) else ProbSpace(d, d.values()) for d in (p, q))
     denom = math.lcm(p.denom, q.denom)
-    atoms = p.atoms + tuple(b for b in q.atoms if b not in p._index)
+    atoms = p.atoms + tuple(b for b in q.atoms if b not in p)
     left = [p.mass(a) * (denom // p.denom) for a in atoms]
     right = [q.mass(a) * (denom // q.denom) for a in atoms]
     common = [min(a, b) for a, b in zip(left, right)]

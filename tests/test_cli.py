@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from probdiag import constant_diagram, standard_category, uniform
 from probdiag.cli import COMMANDS, PATH_KEYS, main, run_config
-from probdiag.errors import ConfigError
+from probdiag.errors import ConfigError, ProbdiagError
 from probdiag.fixtures import coord_two_fan
 from probdiag.jsonio import diagram_to_obj, save_diagram
 
@@ -96,6 +97,32 @@ def test_contract_refuses_too_many_coordinates(tmp_path, capsys):
     assert main(["contract", "--l", "1000000", "--output", str(out)]) == 1
     assert "exceeds the cap" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"command": "contract", "I": "1..2000000"},
+    {"command": "contract", "I": f"1..{10 ** 9}"},
+    {"command": "expand", "J": f"1..{10 ** 9}"},
+    {"command": "contract", "fixture": "lambda3", "U": f"3,4,5,{10 ** 9}"},
+], ids=["range_2e6", "range_1e9", "expand_range_1e9", "lambda3_ell_1e9"])
+def test_huge_coordinates_fail_before_allocating(config, capsys):
+    # a range or an ell over MAX_COORDINATE_BITS is refused before any
+    # coordinate tuple or set is built
+    argv = [config["command"]] + [arg for key, value in config.items() if key != "command"
+                                  for arg in (f"--{key}", value)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "cap" in err
+    if "fixture" not in config:
+        assert err.startswith("config error: --")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProbdiagError, match="cap"):
+            run_config(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("flag, value", [("--N", "0"), ("--N", "-5"), ("--t", "0"),

@@ -10,7 +10,8 @@ from probdiag import (
     strip_expansion,
     verify_expansion,
 )
-from probdiag.errors import BadParamError, NotReducedError
+from probdiag.errors import BadParamError, NotReducedError, TooLargeError
+from probdiag.expansion import MAX_EXPANDED_ATOMS
 from probdiag.fixtures import coord_two_fan, reduced_lambda3, reduced_two_fan
 
 
@@ -24,6 +25,16 @@ class TestExpansionSpec:
         d, fi = reduced_two_fan(4, (3, 4))
         with pytest.raises(BadParamError):
             ExpansionSpec(d, fi, 0)
+
+    def test_caps_the_expanded_support(self):
+        # the u-side (top, 16 atoms, and u, 4 atoms) holds 20 atoms, so the
+        # largest m under the cap is its 20th part
+        d, fi = reduced_two_fan(4, (3, 4))
+        largest = MAX_EXPANDED_ATOMS // 20
+        assert ExpansionSpec(d, fi, largest).m == largest
+        for m in (largest + 1, 10 ** 30):
+            with pytest.raises(TooLargeError, match="over the cap"):
+                ExpansionSpec(d, fi, m)
 
 
 class TestExpandDiagram:

@@ -32,3 +32,22 @@ def test_bench_contract_usage_errors_exit_2(argv, message):
     assert done.returncode == 2
     assert message in done.stderr
     assert "Traceback" not in done.stderr and done.stdout == ""
+
+
+def test_gc_meter_counts_and_times_collector_passes():
+    import gc
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench_contract", BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    meter = bench._GcMeter()
+    try:
+        meter.take()
+        gc.collect()
+        gc.collect(0)
+        taken = meter.take()
+        assert taken["gc_passes"] >= 2 and taken["gc"] > 0
+        assert meter.take() == {"gc_passes": 0, "gc": 0.0}
+    finally:
+        gc.callbacks.remove(meter._callback)

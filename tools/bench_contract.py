@@ -16,8 +16,9 @@ what `contract_once` calls; a call inside an already timed phase counts
 towards that phase only:
 - sampling: `CategoricalSampler.draw_many`;
 - xprime: building the conditioned x-side and the sample space V, that is
-  every `ProbSpace` construction, `_from_initial_measure` and, where the
-  checkout has it, `_conditioned_xprime`;
+  every `ProbSpace` construction (on given atoms or on a frame),
+  `_from_initial_measure` and, where the checkout has it,
+  `_conditioned_xprime`;
 - fiber_iso: `ExtendedFan.fiber_isomorphic_to_reference`;
 - counts: the rest of `contract_once`: counting, alpha, height, coverage.
 `precompute` is the first read of each cached pattern table the checkout
@@ -35,19 +36,27 @@ N = 457 and with m = 2, 3, 4 in turn.  Its phases run one after another:
 - expand: `expand_diagram`;
 - verify: `verify_expansion`.
 
-Whatever the case, each round also measures, in a fresh interpreter per
+Whatever the case, each timed operation also counts the cyclic garbage
+collector's passes and times them, through `gc.callbacks`: `gc` is their
+mean over the timed operations, passes and milliseconds per operation.  A
+pass runs inside whichever phase allocated, so its time is part of the
+phase times, not a phase of its own.
+
+Each round also measures, in a fresh interpreter per
 checkout, the memory of the regime set-up: building
 coord_two_fan(17, I=1..15, J=14..17) and `extend_admissible_fan` on it,
 under tracemalloc (`regime_setup_mb`: the peak, and what the diagram and
 the extended fan still hold after it).
 
 Prints one JSON object: per checkout, the median over rounds of each
-run's median milliseconds per phase and of the set-up memory; `moved`,
-each phase's change from the first checkout to the last, and the set-up
+run's median milliseconds per phase, of its mean collector passes and time
+per operation and of the set-up memory; `moved`, each phase's change from
+the first checkout to the last, and the collector's and the set-up
 memory's; and `layer_moved`, the phase that changed most.  Uses the
 standard library and numpy only.
 """
 import argparse
+import gc
 import json
 import os
 import platform
@@ -71,11 +80,36 @@ def _import_checkout(checkout: Path):
         raise SystemExit(f"probdiag imported from {probdiag.__file__}, not {checkout}")
 
 
+class _GcMeter:
+    """The cyclic garbage collector's passes and their time since the
+    last `take`, from `gc.callbacks`."""
+
+    def __init__(self):
+        self.passes, self.seconds, self._start = 0, 0.0, 0.0
+        gc.callbacks.append(self._callback)
+
+    def _callback(self, phase, info):
+        if phase == "start":
+            self._start = time.perf_counter()
+        else:
+            self.passes += 1
+            self.seconds += time.perf_counter() - self._start
+
+    def take(self) -> dict:
+        taken = {"gc_passes": self.passes, "gc": self.seconds}
+        self.passes, self.seconds = 0, 0.0
+        return taken
+
+
 def _medians(per_op: list) -> dict:
-    """The first op's total, and the median over the rest of each phase."""
+    """The first op's total, the median over the rest of each phase, and
+    the mean over the rest of the collector's passes and time."""
+    timed = per_op[1:]
     return {"first_op_ms": 1000 * per_op[0]["total"],
-            "op_ms": {key: 1000 * statistics.median(op[key] for op in per_op[1:])
-                      for key in per_op[0]}}
+            "op_ms": {key: 1000 * statistics.median(op[key] for op in timed)
+                      for key in per_op[0] if not key.startswith("gc")},
+            "gc": {"passes_per_op": statistics.mean(op["gc_passes"] for op in timed),
+                   "ms_per_op": 1000 * statistics.mean(op["gc"] for op in timed)}}
 
 
 def regime_child(checkout: Path, ops: int) -> dict:
@@ -122,16 +156,18 @@ def regime_child(checkout: Path, ops: int) -> dict:
             setattr(owner, attr, timed(phase, getattr(owner, attr)))
     base = contraction.default_parameters(ext, seed=0)
     per_op = []
+    meter = _GcMeter()
     for k in range(ops + 1):
         params = contraction.ContractionParams(base.N, base.t, ext.rho,
                                                sampling.subseed(1, "run", k))
         for phase in REGIME_PHASES:
             totals[phase] = 0.0
+        meter.take()
         start = time.perf_counter()
         contraction.contract_once(ext, params)
         total = time.perf_counter() - start
         totals["counts"] = total - sum(totals[p] for p in REGIME_PHASES if p != "counts")
-        per_op.append({"total": total, **totals})
+        per_op.append({"total": total, **totals, **meter.take()})
     return {"extend_ms": extend_ms, "precompute_ms": precompute, **_medians(per_op)}
 
 
@@ -160,11 +196,13 @@ def roundtrip_child(checkout: Path, ops: int) -> dict:
         warnings.simplefilter("ignore", RuntimeWarning)
         base = contraction.default_parameters(ext, seed=0)
     per_op = []
+    meter = _GcMeter()
     for k in range(ops + 1):
         params = contraction.ContractionParams(base.N, base.t, ext.rho,
                                                sampling.subseed(1, "run", k))
         spec = expansion.ExpansionSpec(diagram, fan, 2 + k % 3)
         inside["materialize"] = 0.0
+        meter.take()
         marks = [time.perf_counter()]
         run = contraction.contract_once(ext, params)
         assert run.fan_prime is not None
@@ -181,7 +219,7 @@ def roundtrip_child(checkout: Path, ops: int) -> dict:
         per_op.append({"total": marks[-1] - marks[0],
                        "contract": spans[0] - inside["materialize"],
                        "materialize": inside["materialize"],
-                       **dict(zip(ROUNDTRIP_PHASES[2:], spans[1:]))})
+                       **dict(zip(ROUNDTRIP_PHASES[2:], spans[1:])), **meter.take()})
     return _medians(per_op)
 
 
@@ -293,6 +331,9 @@ def main(argv: list[str]) -> int:
     moved = {key: {"from_ms": first["op_ms"][key], "to_ms": last["op_ms"][key],
                    "delta_ms": last["op_ms"][key] - first["op_ms"][key]}
              for key in ("total", *phases)}
+    moved["gc"] = {key: {"from": first["gc"][key], "to": last["gc"][key],
+                         "delta": last["gc"][key] - first["gc"][key]}
+                   for key in ("passes_per_op", "ms_per_op")}
     moved["regime_setup_mb"] = {
         key: {"from_mb": first["regime_setup_mb"][key], "to_mb": last["regime_setup_mb"][key],
               "delta_mb": last["regime_setup_mb"][key] - first["regime_setup_mb"][key]}
