@@ -23,7 +23,6 @@ import math
 import numbers
 import random
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -60,6 +59,10 @@ from .spaces import Frame, ProbSpace
 DEFAULT_MATERIALIZE_CAP = 500_000
 # cap on the bytes of int64 sample and count rows in one Monte-Carlo batch
 MC_BATCH_BYTES = 64 * 2 ** 20
+# cap on the draws N of one contraction; at the cap, CLI contract on
+# coord_two_fan(17, 1..15, 14..17): 1.5 s, 209 MB on a 2 vCPU Xeon, most of it
+# the sample space V
+MAX_SAMPLE_SIZE = 2 ** 20
 
 
 class _FiberPatterns(NamedTuple):
@@ -71,7 +74,6 @@ class _FiberPatterns(NamedTuple):
     sizes: np.ndarray          # P: atoms per pattern
     atom_pattern: np.ndarray   # |x0|: the pattern of each x0 atom
     fiber_pattern: np.ndarray  # |u| x f: the pattern of each fiber atom
-    u_row: dict                # u atom -> row
 
 
 @dataclass(frozen=True)
@@ -161,8 +163,7 @@ class ExtendedFan:
         pattern = np.zeros((u_card, first.size), dtype=np.int64)
         pattern[np.arange(u_card)[:, None], fiber_pattern] = 1
         sizes = np.bincount(atom_pattern, minlength=first.size)
-        return _FiberPatterns(pattern, sizes, atom_pattern, fiber_pattern,
-                              {u: row for row, u in enumerate(u_atoms)})
+        return _FiberPatterns(pattern, sizes, atom_pattern, fiber_pattern)
 
     @cached_property
     def _x_side_tables(self) -> tuple[dict, dict]:
@@ -305,7 +306,9 @@ class ContractionRun:
     N f is at most DEFAULT_MATERIALIZE_CAP (else it reads None); all
     statistics are derived from the integer fiber counts either way, which
     the run keeps per fiber pattern (`ExtendedFan.fiber_patterns`); `counts`
-    is the per-atom view of them, built on first read.
+    is the per-atom view of them, built on first read.  The sample is kept
+    as positions into the u atoms; the sampled atoms themselves are built
+    only when fan_prime reads them.
     """
 
     params: ContractionParams
@@ -323,7 +326,12 @@ class ContractionRun:
     size_h: int
     size_g: int
     _ext: ExtendedFan = field(repr=False, compare=False)
-    _u_bar: tuple = field(repr=False, compare=False)  # the N sampled u atoms
+    _u_pos: np.ndarray = field(repr=False, compare=False)  # the N sampled u positions
+
+    @cached_property
+    def _u_bar(self) -> tuple:
+        """The N sampled u atoms, in sample order."""
+        return tuple(map(self._ext.u_space.atoms.__getitem__, self._u_pos.tolist()))
 
     @cached_property
     def fan_prime(self) -> FanOfDiagrams | None:
@@ -337,9 +345,9 @@ class ContractionRun:
     def counts(self) -> dict:
         """x0 atom -> sample count, positive entries only, in the order the
         atoms are first counted (`_first_counted`)."""
-        ext, sampled = self._ext, dict.fromkeys(self._u_bar)
-        rows = np.array([ext._patterns.u_row[u] for u in sampled], dtype=np.int64)
+        ext, rows = self._ext, _first_drawn(self._u_pos)
         fresh = _first_counted(ext._patterns, rows)
+        sampled = map(ext.u_space.atoms.__getitem__, rows.tolist())
         fibers = itertools.chain.from_iterable(map(ext.fibers.__getitem__, sampled))
         atoms = itertools.compress(fibers, fresh.ravel().tolist())
         groups = ext._patterns.fiber_pattern[rows][fresh].tolist()
@@ -404,6 +412,12 @@ def _fiber_translation_iso(ext: ExtendedFan, cond_u: Diagram, cond_ref: Diagram,
     return verify_explicit_iso(cond_u, cond_ref, maps)
 
 
+def _first_drawn(positions: np.ndarray) -> np.ndarray:
+    """The distinct positions of a sample, in the order first drawn."""
+    _, first = np.unique(positions, return_index=True)
+    return positions[np.sort(first)]
+
+
 def _first_counted(patterns: _FiberPatterns, rows: np.ndarray) -> np.ndarray:
     """Over the fibers of the distinct sampled u atoms (rows, in sampling
     order), which atoms are counted there first: those whose pattern no
@@ -452,7 +466,9 @@ def _conditioned_xprime(ext: ExtendedFan, counts: np.ndarray, nf: int) -> Diagra
 def contract_once(ext: ExtendedFan, params: ContractionParams) -> ContractionRun:
     """Sample u N times and condition the extended fan on the sample.
 
-    The sample-power spaces are virtual: the multiplicities of the sampled
+    The sample is drawn in one call, as positions into u's atoms, and N
+    over MAX_SAMPLE_SIZE is refused before any draw.  The sample-power
+    spaces are virtual: the multiplicities of the sampled
     u atoms give one count per fiber pattern, which is the exact
     conditioned law of every atom of the pattern.  Total variation is the
     exact integer sum over the groups, the height the per-atom terms
@@ -461,18 +477,17 @@ def contract_once(ext: ExtendedFan, params: ContractionParams) -> ContractionRun
     The fiber isomorphism with the unconditioned slices is verified for
     every distinct sampled atom.
     """
+    if params.N > MAX_SAMPLE_SIZE:
+        raise TooLargeError(f"N = {params.N} draws is over the cap of {MAX_SAMPLE_SIZE}")
     rng = random.Random(params.seed)
-    sampler = CategoricalSampler(ext.u_space)
-    u_bar = tuple(sampler.draw_many(rng, params.N))
-    multiplicity = Counter(u_bar)
+    u_pos = CategoricalSampler(ext.u_space).draw_positions(rng, params.N)
+    multiplicity = np.bincount(u_pos, minlength=len(ext.u_space))
 
     patterns = ext._patterns
     n, f, card = params.N, ext.fiber_size, ext.x0_card
     nf = n * f
-    rows = np.fromiter(map(patterns.u_row.__getitem__, multiplicity), dtype=np.int64,
-                       count=len(multiplicity))
-    mult = np.fromiter(multiplicity.values(), dtype=np.int64, count=len(multiplicity))
-    counts = mult @ patterns.pattern[rows]
+    rows = _first_drawn(u_pos)
+    counts = multiplicity @ patterns.pattern
     exact_counts = counts.astype(object)
     sizes = patterns.sizes.astype(object)
     assert exact_counts @ sizes == nf, "fiber counting identity failed"
@@ -490,8 +505,8 @@ def contract_once(ext: ExtendedFan, params: ContractionParams) -> ContractionRun
 
     # conditioned-fiber isomorphism against the reference atom of u; the
     # verdicts are run-independent and cached on the fan
-    fiber_iso_ok = all(ext.fiber_isomorphic_to_reference(u)
-                       for u in ext.u_space.atoms if u in multiplicity)
+    fiber_iso_ok = all(ext.fiber_isomorphic_to_reference(ext.u_space.atoms[p])
+                       for p in np.flatnonzero(multiplicity).tolist())
 
     if coverage:
         ikd_upper = local_estimate_bound(ext.size_h, card, alpha)
@@ -507,7 +522,7 @@ def contract_once(ext: ExtendedFan, params: ContractionParams) -> ContractionRun
                           xprime=xprime, vspace=_sample_space(n),
                           x0_card=card, fiber_size=f,
                           size_h=ext.size_h, size_g=ext.size_g,
-                          _ext=ext, _u_bar=u_bar)
+                          _ext=ext, _u_pos=u_pos)
 
 
 @lru_cache(maxsize=8)

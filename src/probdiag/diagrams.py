@@ -447,6 +447,23 @@ def condition_diagram(diagram: Diagram, obj: str, atom) -> Diagram:
     return _restricted(diagram, [z for z in diagram.initial_space.atoms if comp[z] == atom])
 
 
+def conditioned_slices(diagram: Diagram, obj: str, members):
+    """Each atom a of the space at obj, in order, with its slice
+    sub_diagram(condition_diagram(diagram, obj, a), members).  The initial
+    atoms are grouped by their image at obj in one pass, and each slice
+    pushes only its own fiber through the lifts to the members."""
+    cat = sub_diagram(diagram, members).category
+    lifts = {o: diagram.composite_mapping(diagram.initial, o) for o in cat.objects}
+    init = diagram.initial_space
+    fibers = [([], []) for _ in range(diagram._size(obj))]
+    for z, mass, p in zip(init.atoms, init.masses, diagram._lift(obj)):
+        fibers[p][0].append(z)
+        fibers[p][1].append(mass)
+    for a, (atoms, masses) in zip(diagram.spaces[obj].atoms, fibers):
+        measure = ProbSpace(atoms, masses, denom=sum(masses))
+        yield a, _from_initial_measure(cat, measure, lifts)
+
+
 def sub_diagram(diagram: Diagram, members) -> Diagram:
     """Restrict to a subset of objects (typically an ideal or co-ideal)."""
     if isinstance(members, SubCategory):

@@ -5,6 +5,19 @@ counter, so independent units of work (runs in a sweep, cells in a tail
 grid) get reproducible streams regardless of execution order or thread
 schedule.  Categorical draws use integer rejection sampling on the exact
 integer masses, so the sampled law is exact, not a float approximation.
+
+One draw from a space over denominator D takes b = bit_length(D - 1) bits
+from the rng (none when D = 1), rejecting values of D or more.  The rng is
+`random.Random`, the Mersenne Twister MT19937, which yields 32-bit words,
+and CPython's `getrandbits(b)` reads them so: for b <= 32 it is the next
+word shifted right by 32 - b; for b > 32 it takes the next w = ceil(b / 32)
+words as the limbs of one int, least significant first, the last shifted
+right by 32 w - b.  So `getrandbits(32 w k)` holds, as its little-endian
+32-bit limbs, exactly the k w words that k such reads consume, and
+`draw_positions` combines each draw's w limbs by the same rule in array
+operations (`_randbelow_many`).  Asking each block only for the draws still
+missing, it consumes no word past the n-th accepted draw: the draws, and
+the rng's state after them, are those of n scalar `draw` calls.
 """
 from __future__ import annotations
 
@@ -18,6 +31,8 @@ import numpy as np
 from .spaces import ProbSpace
 
 PROTOCOL = "pd1"
+# cap on the bytes of random words one block of draws asks the rng for
+DRAW_BATCH_BYTES = 2 ** 20
 
 
 def subseed(root: int, label: str, counter: int) -> int:
@@ -46,6 +61,31 @@ def _randbelow(rng: random.Random, n: int) -> int:
             return value
 
 
+def _randbelow_many(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """The integers of count `_randbelow(rng, n)` calls, leaving the rng in
+    the same state, drawn in blocks of at most DRAW_BATCH_BYTES of words.
+    Values of up to 62 bits are combined in int64, wider ones as Python ints
+    in an object array."""
+    bits = (n - 1).bit_length()
+    dtype = np.int64 if bits <= 62 else object
+    if bits == 0:  # n = 1 takes no bits
+        return np.zeros(max(count, 0), dtype=dtype)
+    width = -(-bits // 32)
+    block = max(1, DRAW_BATCH_BYTES // (4 * width))
+    drawn, missing = [np.zeros(0, dtype=dtype)], count
+    while missing > 0:
+        k = min(missing, block)
+        raw = rng.getrandbits(32 * width * k).to_bytes(4 * width * k, "little")
+        words = np.frombuffer(raw, "<u4").reshape(k, width).astype(dtype)
+        value = words[:, -1] >> (32 * width - bits)
+        for limb in range(width - 2, -1, -1):
+            value = (value << 32) | words[:, limb]
+        value = value[value < n]
+        drawn.append(value)
+        missing -= value.size
+    return np.concatenate(drawn)
+
+
 class CategoricalSampler:
     """Exact sampler for a finite probability space.
 
@@ -65,8 +105,15 @@ class CategoricalSampler:
         point = _randbelow(rng, self._denominator)
         return self.space.atoms[bisect_right(self._cumulative, point)]
 
+    def draw_positions(self, rng: random.Random, n: int) -> np.ndarray:
+        """n draws, as int64 positions into the space's atoms: the draws of
+        n `draw` calls, leaving the rng in the same state."""
+        points = _randbelow_many(rng, self._denominator, n)
+        cumulative = np.array(self._cumulative, dtype=points.dtype)
+        return np.searchsorted(cumulative, points, side="right").astype(np.int64, copy=False)
+
     def draw_many(self, rng: random.Random, n: int) -> list:
-        return [self.draw(rng) for _ in range(n)]
+        return list(map(self.space.atoms.__getitem__, self.draw_positions(rng, n).tolist()))
 
 
 def sample_atoms(space: ProbSpace, rng: random.Random, n: int) -> list:

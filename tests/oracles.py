@@ -11,8 +11,10 @@ by checking every weight-class permutation, finite measures and the
 measure-preserving check as plain atom -> Fraction dicts, the local
 decomposition and the random coupling in Fraction arithmetic, the greedy
 coupling as its own loop, Monte-Carlo tail statistics atom by atom over
-dense sample x |x0| count arrays, and a contraction run atom by atom with
-Fraction total variation and the conditioned x-side pushed forward.
+dense sample x |x0| count arrays, categorical draws one at a time by
+rejection on `getrandbits` and a scan of the cumulative masses, and a
+contraction run atom by atom with Fraction total variation and the
+conditioned x-side pushed forward.
 
 Two exceptions run library code: `recheck` runs the library's public
 checks on what its unchecked internal builders produced, and
@@ -421,20 +423,40 @@ def dense_fan_tail_hits(ext, kind: str, t: float, mult) -> int:
     raise ValueError(kind)
 
 
+def uniform_below(rng, n: int) -> int:
+    """A uniform integer in [0, n) by rejection on
+    rng.getrandbits(bit_length(n - 1)); no bits when n = 1."""
+    bits = (n - 1).bit_length()
+    while True:
+        point = rng.getrandbits(bits) if bits else 0
+        if point < n:
+            return point
+
+
+def categorical_draws(space, rng, n: int) -> list:
+    """n draws from a space, as positions into its atoms, one at a time: a
+    `uniform_below` its denominator, located by a scan of the cumulative
+    masses."""
+    cumulative = list(itertools.accumulate(space.masses))
+    return [next(k for k, c in enumerate(cumulative) if point < c)
+            for point in (uniform_below(rng, space.denom) for _ in range(n))]
+
+
 def contract_per_atom(ext, params) -> SimpleNamespace:
-    """One contraction run computed atom by atom, from the same draws as
-    `contract_once`: each x0 atom's count summed over the sampled u fibers
+    """One contraction run computed atom by atom, from the draws
+    `categorical_draws` makes at the run's seed, which `contract_once` must
+    make too: each x0 atom's count summed over the sampled u fibers
     holding it (a dict in order of first count), alpha as half the l1
     distance of count / (N f) from the uniform law in Fractions, the height
     as one float term per atom summed in that order, and the conditioned
     x-side as the law on the counted atoms, in x0 order, pushed forward to
     every object, with each cover's map read off the two pushforwards."""
     from probdiag.distances import local_estimate_bound
-    from probdiag.sampling import CategoricalSampler
     from probdiag.spaces import ProbSpace, pushforward
 
     rng = random.Random(params.seed)
-    draws = CategoricalSampler(ext.u_space).draw_many(rng, params.N)
+    u_atoms = ext.u_space.atoms
+    draws = [u_atoms[p] for p in categorical_draws(ext.u_space, rng, params.N)]
     counts: dict = {}
     for u, mult in Counter(draws).items():
         for x in ext.fibers[u]:

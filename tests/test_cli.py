@@ -99,6 +99,14 @@ def test_contract_refuses_too_many_coordinates(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_contract_refuses_a_sample_over_the_cap(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert main(["contract", "--l", "6", "--N", str(10 ** 9), "--seeds", "2",
+                 "--output", str(out)]) == 1
+    assert "over the cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config", [
     {"command": "contract", "I": "1..2000000"},
     {"command": "contract", "I": f"1..{10 ** 9}"},

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -122,6 +123,20 @@ class TestContractOnce:
         verdicts = [key for key in ext._fiber_iso_cache if key[0] == "verdict"]
         assert diagrams == [("diagram", ext.u_space.atoms[0])]
         assert len(verdicts) == len(ext.u_space)
+
+    @pytest.mark.parametrize("n", [contraction.MAX_SAMPLE_SIZE + 1, 10 ** 9])
+    def test_sample_cap_is_checked_before_any_draw(self, n):
+        d, fi = coord_two_fan(6, range(1, 5), range(3, 7))
+        ext = extend_admissible_fan(d, fi)
+        params = ContractionParams(N=n, t=0.5, rho=ext.rho, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeError, match="over the cap of 1048576"):
+                contract_once(ext, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_exact_identities_over_seeds(self):
         d, fi = coord_two_fan(7, range(1, 6), range(5, 8))

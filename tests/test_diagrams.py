@@ -38,7 +38,7 @@ from probdiag.errors import (
     TooLargeError,
     UnknownAtomError,
 )
-from probdiag.diagrams import MAX_COORDINATE_BITS
+from probdiag.diagrams import MAX_COORDINATE_BITS, conditioned_slices
 from probdiag.fixtures import coord_lambda3, coord_two_fan, reduced_two_fan
 from probdiag.automorphisms import verify_explicit_iso
 from probdiag.diagrams import FanOfDiagrams, Reduction
@@ -263,6 +263,19 @@ class TestConditioning:
         d, _ = coord_two_fan(4, [1, 2], [3, 4])
         with pytest.raises(UnknownAtomError):
             condition_diagram(d, "right", 99)
+
+    def test_slices_are_conditioning_atom_by_atom(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            d = random_diagram(rng)
+            obj = rng.choice(d.category.objects)
+            members = d.category.descendants(rng.choice(d.category.objects))
+            slices = list(conditioned_slices(d, obj, members))
+            assert [a for a, _ in slices] == list(d.spaces[obj].atoms)
+            for a, got in slices:
+                want = sub_diagram(condition_diagram(d, obj, a), members)
+                assert got == want
+                assert all(got.spaces[o].atoms == want.spaces[o].atoms for o in members)
 
     def test_homogeneous_fibers_isomorphic(self):
         d, _ = coord_two_fan(5, range(1, 4), range(2, 6))

@@ -3,14 +3,16 @@ import math
 import pytest
 
 from probdiag import (
+    Diagram,
     ExpansionSpec,
+    ProbSpace,
     classify_fan,
     entropy_vector,
     expand_diagram,
     strip_expansion,
     verify_expansion,
 )
-from probdiag.errors import BadParamError, NotReducedError, TooLargeError
+from probdiag.errors import BadParamError, NotReducedError, TooLargeError, VerificationError
 from probdiag.expansion import MAX_EXPANDED_ATOMS
 from probdiag.fixtures import coord_two_fan, reduced_lambda3, reduced_two_fan
 
@@ -103,3 +105,37 @@ class TestVerifyExpansion:
         out = expand_diagram(spec)
         cls = classify_fan(out, fi)
         assert cls.admissible and not cls.reduced
+
+    @pytest.mark.parametrize("ell, u_coords, m", [
+        (4, (3, 4), 1000),
+        # at the cap: the u-side holds 1024 + 2 atoms
+        (10, (10,), MAX_EXPANDED_ATOMS // 1026),
+    ], ids=["m1000", "at_cap"])
+    def test_large_m_is_exact(self, ell, u_coords, m):
+        # the entropy shift is checked as a product, with no float tolerance
+        d, fi = reduced_two_fan(ell, u_coords)
+        spec = ExpansionSpec(d, fi, m)
+        assert verify_expansion(d, expand_diagram(spec), spec).recovered_exactly
+
+    def test_non_uniform_w_fails(self):
+        class Skewed(ExpansionSpec):
+            def w_space(self):
+                return ProbSpace([f"w{k}" for k in range(self.m)], [1] * (self.m - 1) + [2],
+                                 denom=self.m + 1)
+
+        d, fi = reduced_two_fan(4, (3, 4))
+        spec = ExpansionSpec(d, fi, 1000)
+        with pytest.raises(VerificationError):
+            verify_expansion(d, expand_diagram(Skewed(d, fi, 1000)), spec)
+
+    def test_entropy_shift_names_its_object(self):
+        # only u's space is skewed, so the arrow entropy still checks
+        d, fi = reduced_two_fan(4, (3, 4))
+        spec = ExpansionSpec(d, fi, 3)
+        out = expand_diagram(spec)
+        skewed = ProbSpace(out.spaces["right"].atoms, [2] + [1] * 11, denom=13)
+        bad = Diagram._trusted(out.category, {**out.spaces, "right": skewed}, out.prime_maps)
+        with pytest.raises(VerificationError, match="^entropy shift at 'right': the space is "
+                                                    "not its original times the uniform W "
+                                                    "on 3 points$"):
+            verify_expansion(d, bad, spec)

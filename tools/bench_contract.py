@@ -14,7 +14,8 @@ coord_two_fan(17, I=1..15, J=14..17) (|x0| = 2^15, |u| = 16, default
 N = 4496).  Its phases are timed by wrapping, for the length of the run,
 what `contract_once` calls; a call inside an already timed phase counts
 towards that phase only:
-- sampling: `CategoricalSampler.draw_many`;
+- sampling: `CategoricalSampler.draw_many` and, where the checkout has
+  it, `CategoricalSampler.draw_positions`;
 - xprime: building the conditioned x-side and the sample space V, that is
   every `ProbSpace` construction (on given atoms or on a frame),
   `_from_initial_measure` and, where the checkout has it,
@@ -133,6 +134,7 @@ def regime_child(checkout: Path, ops: int) -> dict:
         return wrapper
 
     wraps = [(sampling.CategoricalSampler, "draw_many", "sampling"),
+             (sampling.CategoricalSampler, "draw_positions", "sampling"),
              (spaces.ProbSpace, "__init__", "xprime"),
              (contraction, "_from_initial_measure", "xprime"),
              (contraction, "_conditioned_xprime", "xprime"),

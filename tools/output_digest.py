@@ -28,6 +28,16 @@ def cli(*argv):
 """
 
 SETS = {
+    "sampling": """
+from probdiag import ProbSpace, uniform
+from probdiag.sampling import rng_for, sample_atoms
+spaces = [uniform(3), uniform(1000),
+          ProbSpace("abc", [1, 2 ** 39, 2 ** 39 + 6], denom=2 ** 40 + 7),
+          ProbSpace("abc", [1, 2 ** 63, 2 ** 63 + 12], denom=2 ** 64 + 13)]
+for k, space in enumerate(spaces):
+    rng = rng_for(0, "sampling", k)
+    print(space.denom, sample_atoms(space, rng, 500), rng.random())
+""",
     "cli_contract": """
 from probdiag.fixtures import coord_lambda3
 cli("contract", "--seeds", 5, "--workers", 3)
