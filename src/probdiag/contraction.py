@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .automorphisms import analyze, diagram_isomorphic, verify_explicit_iso
+from .automorphisms import analyze, diagram_isomorphic
 from .categories import DESCENDANTS, IndexingCategory, cone_members
 from .diagrams import (
     Diagram,
@@ -81,13 +81,14 @@ class ExtendedFan:
     """The x-side ideal coupled objectwise with u: a two-fan of diagrams over
     the ideal's shape, with natural projections onto the x-side and onto u.
 
-    The fiber isomorphism verdict of each u atom, and the conditioned x-side
-    diagram of the reference atom they compare against, are cached; they
-    depend only on the fan, not on any sampled run.  So are, computed on
-    first use, the coupled diagram, the fiber patterns that contractions and
-    the Monte-Carlo tails group x0 by, and the x-side incidences against
-    those patterns that each contraction builds its conditioned x-side
-    from."""
+    The fiber isomorphism verdict of each u atom is cached, and so is the
+    conditioned x-side diagram of the reference atom when a verdict falls
+    back to search; they depend only on the fan, not on any sampled run.
+    So are, computed on first use, the coupled diagram, the fibers' x0
+    positions and the x-side lifts as arrays, which the translation check
+    reads, the fiber patterns that contractions and the Monte-Carlo tails
+    group x0 by, and the x-side incidences against those patterns that each
+    contraction builds its conditioned x-side from."""
 
     shape: IndexingCategory
     xdiag: Diagram
@@ -139,18 +140,30 @@ class ExtendedFan:
         return self._patterns.pattern, self._patterns.sizes
 
     @cached_property
-    def _patterns(self) -> _FiberPatterns:
-        # One pass over the fibers reads their atoms' x0 positions.  The u
-        # rows holding an atom are then the bits of its row of int64 words,
-        # 63 rows a word, and equal rows of words are equal patterns.
-        u_atoms = self.u_space.atoms
+    def _fiber_positions(self) -> np.ndarray:
+        """The |u| x f int64 table of the fibers' x0 positions: a row per u
+        atom in u order, each in its fiber's order."""
         index = self.x0_space.frame.index
-        u_card, f = len(u_atoms), self.fiber_size
-        fiber_atoms = np.fromiter(
+        u_card, f = len(self.u_space), self.fiber_size
+        return np.fromiter(
             itertools.chain.from_iterable(map(index.__getitem__, self.fibers[u])
-                                          for u in u_atoms),
+                                          for u in self.u_space.atoms),
             dtype=np.int64, count=u_card * f).reshape(u_card, f)
-        bits = np.zeros((len(index), u_card // 63 + 1), dtype=np.int64)
+
+    @cached_property
+    def _lift_arrays(self) -> dict:
+        """The lift (`Diagram._lift`) of each x-side object but x0, as an
+        int64 array."""
+        return {o: np.array(self.xdiag._lift(o), dtype=np.int64)
+                for o in self.shape.objects if o != self.x0}
+
+    @cached_property
+    def _patterns(self) -> _FiberPatterns:
+        # The u rows holding an x0 atom are the bits of its row of int64
+        # words, 63 rows a word, and equal rows of words are equal patterns.
+        fiber_atoms = self._fiber_positions
+        u_card = len(fiber_atoms)
+        bits = np.zeros((self.x0_card, u_card // 63 + 1), dtype=np.int64)
         for row, atoms in enumerate(fiber_atoms):
             bits[atoms, row // 63] |= 1 << (row % 63)
         keys = bits.view(np.dtype((np.void, bits.itemsize * bits.shape[1]))).ravel()
@@ -203,9 +216,9 @@ class ExtendedFan:
     def conditioned_x_side(self, u_atom) -> Diagram:
         """The x-side ideal conditioned on a u atom (uniform on its fiber).
 
-        Only the reference atom's diagram is cached: every isomorphism
-        verdict compares against it, while any other atom's diagram is read
-        once, before its verdict is cached."""
+        Only the reference atom's diagram is cached: every verdict that
+        falls back to search compares against it, while any other atom's
+        diagram is read once, before its verdict is cached."""
         cached = self._fiber_iso_cache.get(("diagram", u_atom))
         if cached is None:
             fiber = self.fibers[u_atom]
@@ -218,19 +231,17 @@ class ExtendedFan:
     def fiber_isomorphic_to_reference(self, u_atom) -> bool:
         """Whether the conditioned x-side at u is isomorphic to the one at
         the reference atom (the first u atom); verified explicitly through
-        the coordinate translation when available, else by search."""
+        the coordinate translation on the lifts when available, else by
+        search over the two conditioned diagrams, which only then are
+        built."""
         cached = self._fiber_iso_cache.get(("verdict", u_atom))
         if cached is not None:
             return cached
         u_ref = self.u_space.atoms[0]
-        if len(self.fibers[u_atom]) != len(self.fibers[u_ref]):
-            verdict = False
-        else:
-            cond_u = self.conditioned_x_side(u_atom)
-            cond_ref = self.conditioned_x_side(u_ref)
-            verdict = _fiber_translation_iso(self, cond_u, cond_ref, u_atom, u_ref)
-            if not verdict:
-                verdict, _ = diagram_isomorphic(cond_u, cond_ref)
+        verdict = _fiber_translation_iso(self, u_atom, u_ref)
+        if not verdict:
+            verdict, _ = diagram_isomorphic(self.conditioned_x_side(u_atom),
+                                            self.conditioned_x_side(u_ref))
         self._fiber_iso_cache[("verdict", u_atom)] = verdict
         return verdict
 
@@ -397,19 +408,37 @@ class ContractionRun:
         return 20.0 * self.size_h, 20.0 * self.size_g
 
 
-def _fiber_translation_iso(ext: ExtendedFan, cond_u: Diagram, cond_ref: Diagram,
-                           u_atom, u_ref) -> bool:
-    """Explicit XOR-translation isomorphism between conditioned fibers of a
-    coordinate diagram; None-coordinate diagrams fall back to search."""
+def _fiber_translation_iso(ext: ExtendedFan, u_atom, u_ref) -> bool:
+    """Whether XOR by the coordinate translation taking u_ref to u_atom is
+    an isomorphism from the x-side conditioned on u_atom to the x-side
+    conditioned on u_ref; False when the fan has no coordinate certificate,
+    and the caller then searches.
+
+    The shift at object o, s_o, is the translation's bits at o's
+    coordinates.  On a coordinate space an atom is its own position, so
+    with F and F_ref the two fibers as x0 positions and lift_o the lift of
+    o, this is `verify_explicit_iso` on the two conditioned diagrams, read
+    off the lifts without building either:
+    - at x0, np.bincount(F ^ s_x0) == np.bincount(F_ref): the shift carries
+      one fiber onto the other;
+    - at every other o, lift_o[F ^ s_x0] == lift_o[F] ^ s_o: the shifts
+      commute with the lifts, and so with every cover map, as the lifts
+      are onto.  Then the masses at o, the counts of lift_o over the two
+      fibers, agree too.
+    All of it is integer arithmetic, so the verdict is exact."""
     meta = ext.base.coord_meta
     if meta is None:
         return False
     table = meta.embed(ext.fan.u_obj, u_atom ^ u_ref)
-    maps = {}
-    for obj in ext.shape.objects:
-        shift = meta.extract(obj, table)
-        maps[obj] = {a: a ^ shift for a in cond_u.spaces[obj].atoms}
-    return verify_explicit_iso(cond_u, cond_ref, maps)
+    rows = ext.u_space.frame.index
+    fiber = ext._fiber_positions[rows[u_atom]]
+    ref = ext._fiber_positions[rows[u_ref]]
+    moved = fiber ^ meta.extract(ext.x0, table)
+    card = ext.x0_card
+    if not np.array_equal(np.bincount(moved, minlength=card), np.bincount(ref, minlength=card)):
+        return False
+    return all(np.array_equal(lift[moved], lift[fiber] ^ meta.extract(o, table))
+               for o, lift in ext._lift_arrays.items())
 
 
 def _first_drawn(positions: np.ndarray) -> np.ndarray:

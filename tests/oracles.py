@@ -14,12 +14,16 @@ coupling as its own loop, Monte-Carlo tail statistics atom by atom over
 dense sample x |x0| count arrays, categorical draws one at a time by
 rejection on `getrandbits` and a scan of the cumulative masses, and a
 contraction run atom by atom with Fraction total variation and the
-conditioned x-side pushed forward.
+conditioned x-side pushed forward, coordinate projections bit by bit, and
+the translation between two conditioned fibers as one XOR dict per object
+over both conditioned diagrams, built and checked through the public
+constructors.
 
-Two exceptions run library code: `recheck` runs the library's public
-checks on what its unchecked internal builders produced, and
+Three exceptions run library code: `recheck` runs the library's public
+checks on what its unchecked internal builders produced,
 `materialized_fan` builds a contraction's conditioned fan as the library
-once did, through the coupling fan of every sampled pair."""
+once did, through the coupling fan of every sampled pair, and
+`translation_iso_by_dicts` runs `verify_explicit_iso` on its dicts."""
 from __future__ import annotations
 
 import itertools
@@ -518,3 +522,41 @@ def recheck(diagram_or_fan):
                              {o: reduction(r) for o, r in fan.proj_left.items()},
                              {o: reduction(r) for o, r in fan.proj_right.items()})
     return diagram(diagram_or_fan)
+
+
+def project_bits(atom: int, positions) -> int:
+    """The coordinate projection of one bit-vector atom: bit t of the image
+    is bit positions[t] of the atom."""
+    out = 0
+    for t, p in enumerate(positions):
+        out |= ((atom >> p) & 1) << t
+    return out
+
+
+def translation_iso_by_dicts(ext, u_atom, u_ref) -> bool:
+    """Whether XOR by the coordinate translation taking u_ref to u_atom is
+    an isomorphism between the x-side conditioned on u_atom and on u_ref,
+    checked as the library once did: both conditioned diagrams built (here
+    by pushing each fiber's uniform law through the x-side's composites,
+    through the checked `make_diagram`), one XOR dict per object, and
+    `verify_explicit_iso` over them."""
+    from probdiag import make_diagram
+    from probdiag.automorphisms import verify_explicit_iso
+    from probdiag.spaces import ProbSpace, pushforward
+
+    lifts = {o: ext.xdiag.composite_mapping(ext.x0, o) for o in ext.shape.objects}
+
+    def conditioned(u):
+        fiber = ext.fibers[u]
+        law = ProbSpace(fiber, [1] * len(fiber), denom=len(fiber))
+        spaces = {o: pushforward(law, lifts[o]) for o in ext.shape.objects}
+        maps = {(i, j): {lifts[i][x]: lifts[j][x] for x in fiber}
+                for (i, j) in ext.shape.covers}
+        return make_diagram(ext.shape, spaces, maps)
+
+    cond_u, cond_ref = conditioned(u_atom), conditioned(u_ref)
+    meta = ext.base.coord_meta
+    table = meta.embed(ext.fan.u_obj, u_atom ^ u_ref)
+    maps = {o: {a: a ^ meta.extract(o, table) for a in cond_u.spaces[o].atoms}
+            for o in ext.shape.objects}
+    return verify_explicit_iso(cond_u, cond_ref, maps)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -11,6 +12,7 @@ import pytest
 import oracles
 from probdiag import (
     ContractionParams,
+    Diagram,
     FanIndices,
     ProbSpace,
     build_category,
@@ -24,6 +26,7 @@ from probdiag import (
     tail_bounds,
 )
 from probdiag import contraction
+from probdiag.automorphisms import diagram_isomorphic
 from probdiag.cli import main
 from probdiag.errors import (
     NotAdmissibleError,
@@ -114,15 +117,30 @@ class TestContractOnce:
         assert run.height == pytest.approx(math.log(20))
         assert run.xprime.spaces["left"] == d.spaces["left"]
 
-    def test_fiber_cache_keeps_only_reference_diagram(self):
-        d, fi = coord_two_fan(13, range(1, 12), range(10, 14))
+    @staticmethod
+    def _cached_keys(d, fi):
         ext = extend_admissible_fan(d, fi)
         run = contract_once(ext, quiet_default_parameters(ext, seed=0))
         assert run.fiber_iso_ok
         diagrams = [key for key in ext._fiber_iso_cache if key[0] == "diagram"]
         verdicts = [key for key in ext._fiber_iso_cache if key[0] == "verdict"]
-        assert diagrams == [("diagram", ext.u_space.atoms[0])]
         assert len(verdicts) == len(ext.u_space)
+        return ext, diagrams
+
+    def test_certified_fan_builds_no_conditioned_diagram(self):
+        # the coordinate translation is checked on the lifts
+        _, diagrams = self._cached_keys(*coord_two_fan(13, range(1, 12), range(10, 14)))
+        assert diagrams == []
+
+    def test_fiber_cache_keeps_only_reference_diagram(self):
+        # reloaded from JSON, the fan has no certificate and every verdict
+        # searches against the reference atom's diagram; the fan is smaller
+        # than the one above, whose homogeneity search is over the cap
+        d, fi = coord_two_fan(8, range(1, 7), range(5, 9))
+        loaded = diagram_from_obj(json.loads(json.dumps(diagram_to_obj(d))))
+        assert loaded.coord_meta is None
+        ext, diagrams = self._cached_keys(loaded, fi)
+        assert diagrams == [("diagram", ext.u_space.atoms[0])]
 
     @pytest.mark.parametrize("n", [contraction.MAX_SAMPLE_SIZE + 1, 10 ** 9])
     def test_sample_cap_is_checked_before_any_draw(self, n):
@@ -187,6 +205,60 @@ class TestContractOnce:
         assert not run.coverage
         assert run.rough_bound_used
         assert run.ikd_upper == pytest.approx(2 * ext.size_h * math.log(ext.x0_card))
+
+
+COORD_FANS = {
+    "empty_foot": lambda: coord_two_fan(4, range(1, 5), []),
+    "two_fan6": lambda: coord_two_fan(6, range(1, 5), range(3, 7)),
+    "two_fan9": lambda: coord_two_fan(9, [1, 3, 5, 7, 9], [2, 3, 4, 6, 8, 9]),
+    "lambda3": coord_lambda3,
+    "lambda3_6": lambda: coord_lambda3((1, 4), (2, 5), (3, 5, 6)),
+    "reduced_lambda3_5": lambda: reduced_lambda3(2, 5, range(4, 6)),
+    "reduced_lambda3_7": lambda: reduced_lambda3(3, 7, range(6, 8)),
+}
+
+
+def _with_coords(diagram, obj, coords):
+    """The diagram with a certificate that lists other coordinates at obj."""
+    meta = dataclasses.replace(diagram.coord_meta,
+                               coords={**diagram.coord_meta.coords, obj: coords})
+    return Diagram._trusted(diagram.category, diagram.spaces, diagram.prime_maps,
+                            coord_meta=meta, certified_homogeneous=True)
+
+
+class TestFiberTranslation:
+    """The translation check on lifts against the dict check it replaced."""
+
+    @pytest.mark.parametrize("build", COORD_FANS.values(), ids=COORD_FANS)
+    def test_lift_check_is_the_dict_check(self, build):
+        ext = extend_admissible_fan(*build())
+        u_ref = ext.u_space.atoms[0]
+        for u in ext.u_space.atoms:
+            assert contraction._fiber_translation_iso(ext, u, u_ref)
+            assert oracles.translation_iso_by_dicts(ext, u, u_ref)
+
+    @pytest.mark.parametrize("build, obj, coords", [
+        # bits 2 and 3 of the shift at x0 swapped
+        (COORD_FANS["two_fan6"], "left", (1, 2, 4, 3)),
+        # a shift at x0 past its 4 bits
+        (COORD_FANS["two_fan6"], "left", (1, 2, 3, 4, 5)),
+        # x1 reads a coordinate of u: its masses still agree, as conditioning
+        # on u leaves x1 uniform, but the shift there does not commute
+        (COORD_FANS["lambda3"], "x1", (1, 3)),
+    ], ids=["x0_bits_swapped", "x0_out_of_range", "x1_unnatural"])
+    def test_a_wrong_shift_fails_and_search_decides(self, build, obj, coords):
+        d, fi = build()
+        ext = extend_admissible_fan(_with_coords(d, obj, coords), fi)
+        u_ref = ext.u_space.atoms[0]
+        verdicts = [contraction._fiber_translation_iso(ext, u, u_ref) for u in ext.u_space.atoms]
+        assert verdicts == [oracles.translation_iso_by_dicts(ext, u, u_ref)
+                            for u in ext.u_space.atoms]
+        assert not all(verdicts)
+        for u in ext.u_space.atoms:
+            searched, _ = diagram_isomorphic(ext.conditioned_x_side(u),
+                                             ext.conditioned_x_side(u_ref))
+            assert searched
+            assert ext.fiber_isomorphic_to_reference(u) == searched
 
 
 class TestRecover:

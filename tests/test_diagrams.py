@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import re
 import tracemalloc
@@ -39,7 +40,7 @@ from probdiag.errors import (
     UnknownAtomError,
 )
 from probdiag.diagrams import MAX_COORDINATE_BITS, conditioned_slices
-from probdiag.fixtures import coord_lambda3, coord_two_fan, reduced_two_fan
+from probdiag.fixtures import coord_lambda3, coord_two_fan, reduced_lambda3, reduced_two_fan
 from probdiag.automorphisms import verify_explicit_iso
 from probdiag.diagrams import FanOfDiagrams, Reduction
 from probdiag.distances import SetDiagram, single_space_diagram
@@ -175,6 +176,28 @@ class TestCoordinateDiagrams:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 16
+
+    @pytest.mark.parametrize("build", [
+        lambda: coord_two_fan(4, range(1, 5), []),
+        lambda: coord_two_fan(6, range(1, 5), range(3, 7)),
+        lambda: coord_two_fan(9, [1, 3, 5, 7, 9], [2, 3, 8]),
+        # the top spans two blocks of the projection's array work
+        lambda: coord_two_fan(15, [1, 2, 4, 5, 7, 8, 10, 11, 13, 14], [3, 6, 9, 12, 14, 15]),
+        lambda: coord_lambda3(),
+        lambda: coord_lambda3((1, 4), (2, 5), (3, 5, 6)),
+        lambda: reduced_lambda3(2, 5, range(4, 6)),
+        lambda: reduced_lambda3(3, 7, range(6, 8)),
+    ], ids=["empty_foot", "two_fan6", "two_fan9", "two_fan15", "lambda3",
+            "lambda3_6", "reduced_lambda3_5", "reduced_lambda3_7"])
+    def test_projections_are_the_bit_loop(self, build):
+        d, _ = build()
+        coords = d.coord_meta.coords
+        for (i, j), red in d.prime_maps.items():
+            bits = [coords[i].index(c) for c in coords[j]]
+            target = d.spaces[j].atoms
+            assert red.positions == [oracles.project_bits(a, bits) for a in d.spaces[i].atoms]
+            # positions are the target's own ints
+            assert all(map(operator.is_, red.positions, map(target.__getitem__, red.positions)))
 
 
 class TestEntropyVector:

@@ -23,7 +23,15 @@ towards that phase only:
 - fiber_iso: `ExtendedFan.fiber_isomorphic_to_reference`;
 - counts: the rest of `contract_once`: counting, alpha, height, coverage.
 `precompute` is the first read of each cached pattern table the checkout
-has on a fresh extended fan (`fiber_patterns`, `_x_side_tables`).
+has on a fresh extended fan (`fiber_patterns`, `_x_side_tables`).  The
+set-up's phases (`setup_ms`) are timed directly, with `time.perf_counter`
+around each:
+- coordinate_diagram: building the fixture;
+- extend_admissible_fan: extending its fan;
+- fiber_iso: the first fiber-isomorphism verdict of each of the 16 u
+  atoms, on a fresh extended fan;
+- warmup_op: the run's first `contract_once`, which reaches those 16
+  verdicts and the first read of the pattern tables.
 
 roundtrip: the benchmark's `roundtrip_loaded` operation, on
 reduced_lambda3(3, 7, U=6..7) saved and reloaded as JSON, at the default
@@ -53,8 +61,10 @@ Prints one JSON object: per checkout, the median over rounds of each
 run's median milliseconds per phase, of its mean collector passes and time
 per operation and of the set-up memory; `moved`, each phase's change from
 the first checkout to the last, and the collector's and the set-up
-memory's; and `layer_moved`, the phase that changed most.  Uses the
-standard library and numpy only.
+memory's, and for the regime each set-up phase's; `layer_moved`, the
+phase that changed most, and for the regime `setup_layer_moved`, the
+set-up phase that changed most.  Uses the standard library and numpy
+only.
 """
 import argparse
 import gc
@@ -140,10 +150,18 @@ def regime_child(checkout: Path, ops: int) -> dict:
              (contraction, "_conditioned_xprime", "xprime"),
              (contraction.ExtendedFan, "fiber_isomorphic_to_reference", "fiber_iso")]
 
+    setup = {}
+    start = time.perf_counter()
     diagram, fan = fixtures.coord_two_fan(17, range(1, 16), range(14, 18))
+    setup["coordinate_diagram"] = 1000 * (time.perf_counter() - start)
     start = time.perf_counter()
     ext = contraction.extend_admissible_fan(diagram, fan)
-    extend_ms = 1000 * (time.perf_counter() - start)
+    setup["extend_admissible_fan"] = 1000 * (time.perf_counter() - start)
+    fresh = contraction.extend_admissible_fan(diagram, fan)
+    start = time.perf_counter()
+    for u in fresh.u_space.atoms:
+        fresh.fiber_isomorphic_to_reference(u)
+    setup["fiber_iso"] = 1000 * (time.perf_counter() - start)
 
     precompute = {}
     fresh = contraction.extend_admissible_fan(diagram, fan)
@@ -170,7 +188,9 @@ def regime_child(checkout: Path, ops: int) -> dict:
         total = time.perf_counter() - start
         totals["counts"] = total - sum(totals[p] for p in REGIME_PHASES if p != "counts")
         per_op.append({"total": total, **totals, **meter.take()})
-    return {"extend_ms": extend_ms, "precompute_ms": precompute, **_medians(per_op)}
+    medians = _medians(per_op)
+    setup["warmup_op"] = medians.pop("first_op_ms")
+    return {"setup_ms": setup, "precompute_ms": precompute, **medians}
 
 
 def roundtrip_child(checkout: Path, ops: int) -> dict:
@@ -336,6 +356,11 @@ def main(argv: list[str]) -> int:
     moved["gc"] = {key: {"from": first["gc"][key], "to": last["gc"][key],
                          "delta": last["gc"][key] - first["gc"][key]}
                    for key in ("passes_per_op", "ms_per_op")}
+    if "setup_ms" in first:
+        moved["setup_ms"] = {
+            key: {"from_ms": first["setup_ms"][key], "to_ms": last["setup_ms"][key],
+                  "delta_ms": last["setup_ms"][key] - first["setup_ms"][key]}
+            for key in first["setup_ms"]}
     moved["regime_setup_mb"] = {
         key: {"from_mb": first["regime_setup_mb"][key], "to_mb": last["regime_setup_mb"][key],
               "delta_mb": last["regime_setup_mb"][key] - first["regime_setup_mb"][key]}
@@ -356,6 +381,9 @@ def main(argv: list[str]) -> int:
         "moved": moved,
         "layer_moved": max(phases, key=lambda key: abs(moved[key]["delta_ms"])),
     }
+    if "setup_ms" in moved:
+        report["setup_layer_moved"] = max(
+            moved["setup_ms"], key=lambda key: abs(moved["setup_ms"][key]["delta_ms"]))
     print(json.dumps(report, indent=2))
     return 0
 
