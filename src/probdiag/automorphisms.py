@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import Diagram, _initial_lifts, _joint_size, _unnatural_at
+from .diagrams import Diagram, _joint_size, _unnatural_at
 from .errors import ShapeMismatchError, TooLargeError
 
 DEFAULT_SUPPORT_CAP = 10_000
@@ -37,7 +37,7 @@ def find_diagram_morphism(d1: Diagram, d2: Diagram, fixed=None,
     cat = d1.category
     objects = cat.objects
     init = cat.initial
-    comp1, comp2 = _initial_lifts(d1), _initial_lifts(d2)
+    comp1, comp2 = ({o: d.composite_mapping(init, o) for o in objects} for d in (d1, d2))
 
     fwd = {o: {} for o in objects}
     bwd = {o: {} for o in objects}

@@ -39,10 +39,11 @@ from .diagrams import (
     Reduction,
     classify_fan,
     constant_diagram,
+    joint_space,
     sub_diagram,
-    _from_initial_measure,
-    _initial_lifts,
     _joint_size,
+    _pair_fan,
+    _restricted,
 )
 from .distances import local_estimate_bound
 from .errors import (
@@ -122,11 +123,9 @@ class ExtendedFan:
     @cached_property
     def ydiag(self) -> Diagram:
         """The base's initial measure pushed to pairs (x_i, u) at each object
-        x_i of the ideal."""
-        lifts = _initial_lifts(self.base)
-        cu = lifts[self.fan.u_obj]
-        pairs = {o: {z: (lifts[o][z], cu[z]) for z in cu} for o in self.shape.objects}
-        return _from_initial_measure(self.shape, self.base.initial_space, pairs)
+        x_i of the ideal: the pair fan of the joint of x0 and u, and u."""
+        joint = joint_space(self.base, self.x0, self.fan.u_obj)[0]
+        return _pair_fan(joint, self.xdiag, constant_diagram(self.shape, self.u_space)).top
 
     @cached_property
     def fiber_patterns(self) -> tuple[np.ndarray, np.ndarray]:
@@ -187,14 +186,13 @@ class ExtendedFan:
         (atoms x P) counting each pattern's atoms over each atom; on each
         cover, the map between the lifts' images, keyed in the source's
         order."""
-        lifts = _initial_lifts(self.xdiag)
         x0_atoms = self.x0_space.atoms
         atom_pattern = self._patterns.atom_pattern
         n_patterns = self._patterns.sizes.size
         images: dict = {}
         objects: dict = {}
         for o in self.shape.objects:
-            images[o] = list(map(lifts[o].__getitem__, x0_atoms))
+            images[o] = list(map(self.xdiag.composite_mapping(self.x0, o).__getitem__, x0_atoms))
             position = dict(zip(dict.fromkeys(images[o]), itertools.count()))
             image = np.fromiter(map(position.__getitem__, images[o]), dtype=np.int64,
                                 count=len(x0_atoms))
@@ -221,9 +219,8 @@ class ExtendedFan:
         diagram is read once, before its verdict is cached."""
         cached = self._fiber_iso_cache.get(("diagram", u_atom))
         if cached is None:
-            fiber = self.fibers[u_atom]
-            measure = ProbSpace(Frame(fiber), [1] * len(fiber), denom=len(fiber))
-            cached = _from_initial_measure(self.shape, measure, _initial_lifts(self.xdiag))
+            fiber = self._fiber_positions[self.u_space.frame.index[u_atom]].tolist()
+            cached = _restricted(self.xdiag, fiber, [1] * len(fiber))
             if u_atom == self.u_space.atoms[0]:
                 self._fiber_iso_cache[("diagram", u_atom)] = cached
         return cached

@@ -13,7 +13,10 @@ atom dict only when asked).  All paths agree exactly when every cover
 carries its source's lift onto its target's, because lifts are onto; the
 check compares lists of ints and hashes no atoms.  The checked constructor
 re-keys a map whose domain or target is an equal space listed in another
-order, so positions are always taken in the diagram's own spaces.
+order, so positions are always taken in the diagram's own spaces.  A
+measure on the initial atoms pushed through a skeleton (a restriction, a
+coupling of two diagrams) is built by `_from_initial_measure` from one int
+key per initial atom at each object; a coupling keys (p, q) as p |Y| + q.
 
 Checks sit where data enters: the public `Reduction(...)`, `make_diagram`,
 `Diagram(...)`, `FanOfDiagrams(...)` (and so JSON loading) and
@@ -27,9 +30,11 @@ caller and can disagree.
 """
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import partial
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -245,9 +250,7 @@ class Diagram:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Diagram):
             return NotImplemented
-        return (self.category == other.category and self.spaces == other.spaces
-                and {k: v.mapping for k, v in self.prime_maps.items()}
-                == {k: v.mapping for k, v in other.prime_maps.items()})
+        return self.category == other.category and _first_change(self, other) is None
 
     def __hash__(self):
         return hash((self.category, frozenset(self.spaces.items())))
@@ -349,28 +352,28 @@ def coordinate_diagram(category: IndexingCategory, coord_sets: Mapping[str, Iter
                             certified_homogeneous=True)
 
 
-def _from_initial_measure(category: IndexingCategory, measure: ProbSpace,
-                          lifts: Mapping[str, Mapping]) -> Diagram:
-    """The diagram of one measure on an initial set, pushed through a skeleton.
-
-    lifts[obj] sends each atom of `measure` to its atom at obj, functorially
-    (equal lifts at i stay equal below i).  The space at obj is the
-    pushforward under lifts[obj] and the map on a cover (i, j) sends
-    lifts[i][a] to lifts[j][a], keyed in domain order, so nothing needs
-    checking."""
-    spaces = {o: pushforward(measure, lifts[o]) for o in category.objects}
-    maps = {}
-    for (i, j) in category.covers:
-        lift_i, lift_j = lifts[i], lifts[j]
-        mapping = {lift_i[a]: lift_j[a] for a in measure.atoms}
-        maps[(i, j)] = Reduction._trusted(spaces[i], spaces[j], mapping)
-    return Diagram._trusted(category, spaces, maps)
-
-
-def _initial_lifts(diagram) -> dict:
-    """Object -> composite map from the initial object of a diagram or a
-    set diagram: the lifts of its skeleton."""
-    return {o: diagram.composite_mapping(diagram.initial, o) for o in diagram.category.objects}
+def _from_initial_measure(category: IndexingCategory, masses: list, denom: int,
+                          keys: Mapping[str, list], labels: Mapping[str, Callable]):
+    """The diagram of one measure on an initial set pushed through a skeleton:
+    `masses`, one positive int per initial atom, over `denom`; keys[obj], one
+    int per initial atom, equal keys at i staying equal below i; labels[obj],
+    key -> atom.  Each space lists its atoms, built on first read, in the
+    order their keys first appear, and maps are positions, so nothing needs
+    checking.  Returns the diagram and each object's atom keys."""
+    spaces, lifts, atom_keys = {}, {}, {}
+    for o in category.objects:
+        index: dict = {}
+        lift = lifts[o] = [index.setdefault(k, len(index)) for k in keys[o]]
+        sums = [0] * len(index)
+        for p, m in zip(lift, masses):
+            sums[p] += m
+        atom_keys[o] = list(index)
+        spaces[o] = ProbSpace(Frame(build=partial(map, labels[o], atom_keys[o])), sums,
+                              denom=denom)
+    maps = {(i, j): Reduction._trusted(spaces[i], spaces[j], positions=_induced_positions(
+                lifts[i], lifts[j], len(spaces[i])))
+            for (i, j) in category.covers}
+    return Diagram._trusted(category, spaces, maps), atom_keys
 
 
 def _induced_positions(lift_src, lift_dst, size: int) -> list:
@@ -413,14 +416,34 @@ def _unnatural_at(source: Diagram, target: Diagram, maps: Mapping) -> str | None
     return None
 
 
-def _restricted(diagram: Diagram, atoms: list) -> Diagram:
-    """The diagram conditioned on a set of initial atoms: the initial
-    measure restricted to them and renormalized exactly, pushed through the
-    diagram's own maps."""
-    init = diagram.initial_space
-    masses = [init.mass(z) for z in atoms]
-    measure = ProbSpace(atoms, masses, denom=sum(masses))
-    return _from_initial_measure(diagram.category, measure, _initial_lifts(diagram))
+def _first_change(old: Diagram, new: Diagram) -> str | None:
+    """The first object whose space differs in two diagrams of one shape, else
+    the source of the first cover whose map does, else None.  Maps compare as
+    positions when every space lists its atoms in one order in both."""
+    same_order = True
+    for o, space in old.spaces.items():
+        if new.spaces[o] != space:
+            return o
+        same_order &= new.spaces[o].atoms == space.atoms
+    for (i, j), red in old.prime_maps.items():
+        other = new.prime_maps[(i, j)]
+        if (any(map(operator.ne, red.positions, other.positions)) if same_order
+                else red.mapping != other.mapping):
+            return i
+    return None
+
+
+def _restricted(source, positions, masses, category=None) -> Diagram:
+    """source, a diagram or a set diagram, under `masses` over their sum on
+    the initial atoms at `positions` (zero masses dropped), pushed through
+    its lifts to every object of `category`, by default its own shape."""
+    category = category or source.category
+    if not all(masses):
+        positions = list(itertools.compress(positions, masses))
+        masses = [m for m in masses if m]
+    keys = {o: list(map(source._lift(o).__getitem__, positions)) for o in category.objects}
+    labels = {o: source._atoms(o).__getitem__ for o in category.objects}
+    return _from_initial_measure(category, masses, sum(masses), keys, labels)[0]
 
 
 # -- entropy and algebra ---------------------------------------------------
@@ -456,8 +479,9 @@ def condition_diagram(diagram: Diagram, obj: str, atom) -> Diagram:
     space = diagram.space(obj)
     if atom not in space:
         raise UnknownAtomError(f"atom {atom!r} not in the space at {obj!r}")
-    comp = diagram.composite_mapping(diagram.initial, obj)
-    return _restricted(diagram, [z for z in diagram.initial_space.atoms if comp[z] == atom])
+    p = space.frame.index[atom]
+    fiber = [z for z, q in enumerate(diagram._lift(obj)) if q == p]
+    return _restricted(diagram, fiber, list(map(diagram.initial_space.masses.__getitem__, fiber)))
 
 
 def conditioned_slices(diagram: Diagram, obj: str, members):
@@ -466,15 +490,12 @@ def conditioned_slices(diagram: Diagram, obj: str, members):
     atoms are grouped by their image at obj in one pass, and each slice
     pushes only its own fiber through the lifts to the members."""
     cat = sub_diagram(diagram, members).category
-    lifts = {o: diagram.composite_mapping(diagram.initial, o) for o in cat.objects}
-    init = diagram.initial_space
     fibers = [([], []) for _ in range(diagram._size(obj))]
-    for z, mass, p in zip(init.atoms, init.masses, diagram._lift(obj)):
+    for z, mass, p in zip(itertools.count(), diagram.initial_space.masses, diagram._lift(obj)):
         fibers[p][0].append(z)
         fibers[p][1].append(mass)
-    for a, (atoms, masses) in zip(diagram.spaces[obj].atoms, fibers):
-        measure = ProbSpace(atoms, masses, denom=sum(masses))
-        yield a, _from_initial_measure(cat, measure, lifts)
+    for a, (positions, masses) in zip(diagram.spaces[obj].atoms, fibers):
+        yield a, _restricted(diagram, positions, masses, cat)
 
 
 def sub_diagram(diagram: Diagram, members) -> Diagram:
@@ -617,17 +638,32 @@ def _pair_fan(coupling: ProbSpace, first: Diagram, second: Diagram, *,
               first_on_left: bool = True) -> FanOfDiagrams:
     """The fan of `coupling`, a measure on pairs (a, b) of initial atoms of
     `first` and `second` whose marginals are their initial measures, pushed
-    through the pairs of composites and projected back to each coordinate.
-    The left foot is `first` unless first_on_left is False."""
-    lift1, lift2 = _initial_lifts(first), _initial_lifts(second)
-    lifts = {o: {p: (lift1[o][p[0]], lift2[o][p[1]]) for p in coupling.atoms}
-             for o in first.category.objects}
-    top = _from_initial_measure(first.category, coupling, lifts)
-    proj1, proj2 = ({o: Reduction._trusted(s, foot.spaces[o], {p: p[k] for p in s.atoms})
-                     for o, s in top.spaces.items()} for k, foot in enumerate((first, second)))
+    through the pairs of lifts, each pair of positions (p, q) keyed
+    p * |second's space| + q, and projected back by // and %.  The left foot
+    is `first` unless first_on_left is False."""
+    index1, index2 = first.initial_space.frame.index, second.initial_space.frame.index
+    pairs = [(index1[a], index2[b]) for a, b in coupling.atoms]
+    keys, labels = {}, {}
+    for o in first.category.objects:
+        lift1, lift2, width = first._lift(o), second._lift(o), second._size(o)
+        keys[o] = [lift1[p] * width + lift2[q] for p, q in pairs]
+        labels[o] = partial(_pair_atom, first._atoms(o), second._atoms(o), width)
+    top, atom_keys = _from_initial_measure(first.category, coupling.masses, coupling.denom,
+                                           keys, labels)
+    proj1, proj2 = {}, {}
+    for o, s in top.spaces.items():
+        width = second._size(o)
+        proj1[o] = Reduction._trusted(s, first.spaces[o],
+                                      positions=[k // width for k in atom_keys[o]])
+        proj2[o] = Reduction._trusted(s, second.spaces[o],
+                                      positions=[k % width for k in atom_keys[o]])
     if first_on_left:
         return FanOfDiagrams._trusted(top, first, second, proj1, proj2)
     return FanOfDiagrams._trusted(top, second, first, proj2, proj1)
+
+
+def _pair_atom(atoms1: tuple, atoms2: tuple, width: int, key: int) -> tuple:
+    return atoms1[key // width], atoms2[key % width]
 
 
 def coupling_fan(left: Diagram, right: Diagram, initial_coupling: ProbSpace) -> FanOfDiagrams:

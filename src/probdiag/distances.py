@@ -26,8 +26,6 @@ from .diagrams import (
     constant_diagram,
     diagonal_fan,
     tensor_fan,
-    _from_initial_measure,
-    _initial_lifts,
     _pair_fan,
     _restricted,
 )
@@ -46,7 +44,6 @@ from .spaces import (
     as_fraction,
     entropy_of_masses,
     lambda_space,
-    pushforward,
     _overlap,
 )
 
@@ -451,13 +448,13 @@ class DistributionOnSetDiagram:
             raise MapError("initial distribution must sum to 1") from None
 
     def marginal(self, obj: str) -> dict:
-        comp = self.set_diagram.composite_mapping(self.set_diagram.initial, obj)
-        return dict(pushforward(self.measure, comp).items())
+        return dict(self.to_diagram().spaces[obj].items())
 
     def to_diagram(self) -> Diagram:
         """The probability diagram (sets, pi); zero-weight atoms drop out."""
-        sd = self.set_diagram
-        return _from_initial_measure(sd.category, self.measure, _initial_lifts(sd))
+        index = dict(zip(self.set_diagram.initial_set(), itertools.count()))
+        return _restricted(self.set_diagram, list(map(index.__getitem__, self.measure.atoms)),
+                           self.measure.masses)
 
 
 # -- local decomposition and the local estimate -------------------------------
@@ -550,7 +547,9 @@ def _marked_fan(base: Diagram, overlap, rest: list, *, mark_left: bool) -> FanOf
 
 def _condition_on_mark(marked: Diagram, mark) -> Diagram:
     """Condition the marked diagram on its mark coordinate (a fan foot)."""
-    return _restricted(marked, [p for p in marked.initial_space.atoms if p[1] == mark])
+    init = marked.initial_space
+    fiber = [z for z, (_, m) in enumerate(init.atoms) if m == mark]
+    return _restricted(marked, fiber, list(map(init.masses.__getitem__, fiber)))
 
 
 def _strip_marks_iso(conditioned: Diagram, reference: Diagram) -> bool:
@@ -585,19 +584,15 @@ def local_estimate_witness(sd: SetDiagram, pi0: Mapping, pi0_prime: Mapping) -> 
     witness = _mixture_witness(left, right)
     fans = (_marked_fan(left, overlap, overlap.rest_left, mark_left=False),
             _marked_fan(right, overlap, overlap.rest_right, mark_left=True))
-    lifts = _initial_lifts(sd)
-
-    def part(masses: list, total: int) -> Diagram:
-        measure = ProbSpace(overlap.atoms, masses, denom=total)
-        return _from_initial_measure(sd.category, measure, lifts)
-
-    common = part(overlap.common, overlap.denom - overlap.rest)
+    index = dict(zip(sd.initial_set(), itertools.count()))
+    positions = list(map(index.__getitem__, overlap.atoms))
+    common = _restricted(sd, positions, overlap.common)
     slice_ok = True
     for fan, rest in zip(fans, (overlap.rest_left, overlap.rest_right)):
         slice_ok &= _strip_marks_iso(_condition_on_mark(fan.top, LAMBDA_LIGHT), common)
         if overlap.rest:
             slice_ok &= _strip_marks_iso(_condition_on_mark(fan.top, LAMBDA_HEAVY),
-                                         part(rest, overlap.rest))
+                                         _restricted(sd, positions, rest))
     return LocalEstimate(witness, alpha, bound, fans, slice_ok)
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .diagrams import Diagram, FanIndices, Reduction, classify_fan, conditioned_slices
+from .diagrams import Diagram, FanIndices, classify_fan, conditioned_slices, _first_change
 from .errors import BadParamError, NotReducedError, TooLargeError, VerificationError
-from .spaces import ProbSpace, pushforward, tensor_spaces, _tensor_positions
+from .spaces import ProbSpace, Reduction, pushforward, tensor_spaces, _tensor_positions
 
 ENTROPY_TOL = 1e-9
 # cap on the atoms of the inflated u-side, m times its support; at the cap,
@@ -155,9 +155,11 @@ def verify_expansion(original: Diagram, expanded: Diagram,
     x_ideal = original.category.descendants(fan.x_obj)
     old_slices = dict(conditioned_slices(original, fan.u_obj, x_ideal))
     for atom, cond_new in conditioned_slices(expanded, fan.u_obj, x_ideal):
-        base_atom = atom[0] if spec.m > 1 else atom
-        if cond_new != old_slices.get(base_atom):
-            raise VerificationError(f"conditioned x-side changed at u-atom {atom!r}")
+        # the u-side spaces are checked above, so atom[0] is an atom of u
+        obj = _first_change(old_slices[atom[0] if spec.m > 1 else atom], cond_new)
+        if obj is not None:
+            raise VerificationError(f"conditioned x-side changed at u-atom {atom!r}, "
+                                    f"first at {obj!r}")
 
     cls = classify_fan(expanded, fan)
     if not cls.admissible:

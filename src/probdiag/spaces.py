@@ -342,12 +342,12 @@ class Reduction:
     built on first read and cached, as a space's Fraction weights are a view
     of its integer masses: `positions`, the index in `target.atoms` of each
     domain atom's image, in domain order, and `mapping`, the atom dict keyed
-    in domain order.  The checked constructor and the builders that have
-    atom dicts store the dict; the builders that have positions store those,
-    and then the dict's images are the target's own atoms.  Both are shared,
-    unchanged, by everything that reads them (a diagram's composite on a
-    cover is this mapping, and its lifts compose these positions): treat
-    them as read-only.  The constructor checks the map; the package's own
+    in domain order.  The checked constructors, `from_map`, `joint_space`
+    and the contraction's x' store the dict; every other builder stores
+    positions, and then the dict's images are the target's own atoms.  Both
+    are shared, unchanged, by everything that reads them (a diagram's
+    composite on a cover is this mapping, and its lifts compose these
+    positions): treat them as read-only.  The constructor checks the map; the package's own
     builders, whose maps hold by construction, use `_trusted` instead.
     """
 

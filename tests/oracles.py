@@ -19,10 +19,12 @@ the translation between two conditioned fibers as one XOR dict per object
 over both conditioned diagrams, built and checked through the public
 constructors.
 
-Three exceptions run library code: `recheck` runs the library's public
+Four exceptions run library code: `recheck` runs the library's public
 checks on what its unchecked internal builders produced,
-`materialized_fan` builds a contraction's conditioned fan as the library
-once did, through the coupling fan of every sampled pair, and
+`dict_lift_diagram` and the builders on it build a diagram of one initial
+measure as the library once did, through `pushforward` and one atom dict
+per lift, `materialized_fan` builds a contraction's conditioned fan on
+them, through the coupling fan of every sampled pair, and
 `translation_iso_by_dicts` runs `verify_explicit_iso` on its dicts."""
 from __future__ import annotations
 
@@ -484,17 +486,67 @@ def contract_per_atom(ext, params) -> SimpleNamespace:
                            ikd_upper=ikd_upper, spaces=spaces, maps=maps)
 
 
+def dict_lift_diagram(category, measure, lifts):
+    """The diagram of one measure on an initial set pushed through a
+    skeleton, as the library once built every such diagram: lifts[obj] is
+    an atom dict sending each atom of `measure` to its atom at obj, the
+    space at obj the pushforward under it, and the map on a cover (i, j)
+    the dict sending lifts[i][a] to lifts[j][a], keyed in domain order."""
+    from probdiag.diagrams import Diagram
+    from probdiag.spaces import Reduction, pushforward
+
+    spaces = {o: pushforward(measure, lifts[o]) for o in category.objects}
+    maps = {(i, j): Reduction._trusted(spaces[i], spaces[j],
+                                       {lifts[i][a]: lifts[j][a] for a in measure.atoms})
+            for (i, j) in category.covers}
+    return Diagram._trusted(category, spaces, maps)
+
+
+def dict_lifts(source) -> dict:
+    """Object -> composite atom dict out of the initial object of a diagram
+    or a set diagram."""
+    return {o: source.composite_mapping(source.initial, o) for o in source.category.objects}
+
+
+def dict_restricted(source, atoms, masses, category=None):
+    """`source` under the measure `masses` over their sum on the initial
+    atoms `atoms` (zero masses dropped), pushed through its atom dicts to
+    every object of `category`, by default its own shape."""
+    from probdiag.spaces import ProbSpace
+
+    measure = ProbSpace(atoms, masses, denom=sum(masses))
+    return dict_lift_diagram(category or source.category, measure, dict_lifts(source))
+
+
+def dict_pair_fan(coupling, first, second, first_on_left=True):
+    """The fan of a coupling on pairs of initial atoms of two diagrams of one
+    shape: the coupling pushed through the pairs of atom dicts, each pair
+    atom a tuple, and projected back to each coordinate by atom dicts."""
+    from probdiag.diagrams import FanOfDiagrams
+    from probdiag.spaces import Reduction
+
+    lift1, lift2 = dict_lifts(first), dict_lifts(second)
+    lifts = {o: {p: (lift1[o][p[0]], lift2[o][p[1]]) for p in coupling.atoms}
+             for o in first.category.objects}
+    top = dict_lift_diagram(first.category, coupling, lifts)
+    proj1, proj2 = ({o: Reduction._trusted(s, foot.spaces[o], {p: p[k] for p in s.atoms})
+                     for o, s in top.spaces.items()} for k, foot in enumerate((first, second)))
+    if first_on_left:
+        return FanOfDiagrams._trusted(top, first, second, proj1, proj2)
+    return FanOfDiagrams._trusted(top, second, first, proj2, proj1)
+
+
 def materialized_fan(ext, u_bar, xprime, vspace):
     """The conditioned two-fan (x' <- y' -> V) of a contraction run, with y'0
     the uniform law on every pair (x, k), x in the fiber over the k-th
     sampled u atom, pushed through the coupling fan of x' and the constant
-    diagram on V (`diagrams._pair_fan`)."""
-    from probdiag.diagrams import _pair_fan, constant_diagram
+    diagram on V (`dict_pair_fan`)."""
+    from probdiag.diagrams import constant_diagram
     from probdiag.spaces import ProbSpace
 
     y0_atoms = [(x, k) for k, u in enumerate(u_bar, 1) for x in ext.fibers[u]]
     y0 = ProbSpace(y0_atoms, [1] * len(y0_atoms), denom=len(y0_atoms))
-    return _pair_fan(y0, xprime, constant_diagram(ext.shape, vspace))
+    return dict_pair_fan(y0, xprime, constant_diagram(ext.shape, vspace))
 
 
 def recheck(diagram_or_fan):

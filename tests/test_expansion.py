@@ -6,12 +6,14 @@ from probdiag import (
     Diagram,
     ExpansionSpec,
     ProbSpace,
+    Reduction,
     classify_fan,
     entropy_vector,
     expand_diagram,
     strip_expansion,
     verify_expansion,
 )
+from probdiag import jsonio
 from probdiag.errors import BadParamError, NotReducedError, TooLargeError, VerificationError
 from probdiag.expansion import MAX_EXPANDED_ATOMS
 from probdiag.fixtures import coord_two_fan, reduced_lambda3, reduced_two_fan
@@ -138,4 +140,79 @@ class TestVerifyExpansion:
         with pytest.raises(VerificationError, match="^entropy shift at 'right': the space is "
                                                     "not its original times the uniform W "
                                                     "on 3 points$"):
+            verify_expansion(d, bad, spec)
+
+
+def _relabelled(diagram: Diagram, obj: str, swap: dict) -> Diagram:
+    """The diagram with the atoms of obj relabelled by an involution that
+    keeps masses: every map into obj is followed by it and every map out of
+    obj preceded by it, so the result is a valid diagram again."""
+    def moved(a):
+        return swap.get(a, a)
+
+    maps = {}
+    for (i, j), red in diagram.prime_maps.items():
+        mapping = red.mapping
+        if j == obj:
+            mapping = {a: moved(b) for a, b in mapping.items()}
+        if i == obj:
+            mapping = {a: mapping[moved(a)] for a in mapping}
+        maps[(i, j)] = Reduction(diagram.spaces[i], diagram.spaces[j], mapping)
+    return Diagram(diagram.category, diagram.spaces, maps)
+
+
+class TestVerifyExpansionClauses:
+    """One pinned message per failing clause, on reduced_lambda3(2, 4, 2..3)
+    expanded with m = 2; each broken expansion passes every earlier clause."""
+
+    @pytest.fixture
+    def setup(self):
+        d, fi = reduced_lambda3(2, 4, (2, 3))
+        spec = ExpansionSpec(d, fi, 2)
+        return d, spec, expand_diagram(spec)
+
+    def test_changed_outside_the_u_side(self, setup):
+        d, spec, out = setup
+        x1 = out.spaces["x1"]
+        skewed = ProbSpace(x1.atoms, [2, 1, 1, 1], denom=5)
+        bad = Diagram._trusted(out.category, {**out.spaces, "x1": skewed}, out.prime_maps)
+        with pytest.raises(VerificationError, match="^space at 'x1' changed outside the "
+                                                    "u-side$"):
+            verify_expansion(d, bad, spec)
+
+    @pytest.mark.parametrize("swap, first", [({0: 2, 2: 0}, "x1"), ({0: 1, 1: 0}, "x")])
+    def test_slice_names_the_u_atom_and_the_object(self, setup, swap, first):
+        # x1's atoms relabelled: every space is unchanged.  Atoms 0 and 2
+        # differ in coordinate 2, which u fixes, so over u = 0 the x1 slice
+        # moves its mass from 0 to 2.  Atoms 0 and 1 differ in coordinate 1
+        # only, so every slice's spaces stay equal and the first change is
+        # the map out of x.
+        d, spec, out = setup
+        bad = _relabelled(out, "x1", swap)
+        with pytest.raises(VerificationError, match=r"^conditioned x-side changed at u-atom "
+                                                    rf"\(0, 'w0'\), first at '{first}'$"):
+            verify_expansion(d, bad, spec)
+
+    def test_atoms_listed_in_another_order_pass(self, setup):
+        # the expansion reloaded with every space's atoms reversed: its
+        # slices list their atoms in another order, and compare as atom maps
+        d, spec, out = setup
+        obj = jsonio.diagram_to_obj(out)
+        for space in obj["spaces"].values():
+            space["atoms"].reverse()
+            space["weights"].reverse()
+        reordered = jsonio.diagram_from_obj(obj)
+        assert reordered.spaces["x"].atoms != out.spaces["x"].atoms
+        assert verify_expansion(d, reordered, spec).recovered_exactly
+
+    def test_does_not_recover_the_original(self, setup):
+        # z1's atoms relabelled the same way under both W points: the lifts
+        # of x1 and u, and so every slice and the fan, stay as they were,
+        # but the W marginal of z -> z1 is no longer the original map
+        d, spec, out = setup
+        swap = {(0, w): (1, w) for w in ("w0", "w1")}
+        swap.update({b: a for a, b in swap.items()})
+        bad = _relabelled(out, "z1", swap)
+        with pytest.raises(VerificationError, match="^marginalizing W does not recover the "
+                                                    "original$"):
             verify_expansion(d, bad, spec)

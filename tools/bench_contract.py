@@ -18,8 +18,8 @@ towards that phase only:
   it, `CategoricalSampler.draw_positions`;
 - xprime: building the conditioned x-side and the sample space V, that is
   every `ProbSpace` construction (on given atoms or on a frame),
-  `_from_initial_measure` and, where the checkout has it,
-  `_conditioned_xprime`;
+  `_from_initial_measure`, in each of `contraction` and `diagrams` that
+  binds it, and, where the checkout has it, `_conditioned_xprime`;
 - fiber_iso: `ExtendedFan.fiber_isomorphic_to_reference`;
 - counts: the rest of `contract_once`: counting, alpha, height, coverage.
 `precompute` is the first read of each cached pattern table the checkout
@@ -59,12 +59,13 @@ the extended fan still hold after it).
 
 Prints one JSON object: per checkout, the median over rounds of each
 run's median milliseconds per phase, of its mean collector passes and time
-per operation and of the set-up memory; `moved`, each phase's change from
-the first checkout to the last, and the collector's and the set-up
-memory's, and for the regime each set-up phase's; `layer_moved`, the
-phase that changed most, and for the regime `setup_layer_moved`, the
-set-up phase that changed most.  Uses the standard library and numpy
-only.
+per operation and of the set-up memory; `spread_ms`, per checkout, each
+phase's run-to-run spread (the largest run median less the smallest);
+`moved`, each phase's change from the first checkout to the last, and the
+collector's and the set-up memory's, and for the regime each set-up
+phase's; `layer_moved`, the phase that changed most, and for the regime
+`setup_layer_moved`, the set-up phase that changed most.  Uses the
+standard library and numpy only.
 """
 import argparse
 import gc
@@ -125,7 +126,7 @@ def _medians(per_op: list) -> dict:
 
 def regime_child(checkout: Path, ops: int) -> dict:
     _import_checkout(checkout)
-    from probdiag import contraction, fixtures, sampling, spaces
+    from probdiag import contraction, diagrams, fixtures, sampling, spaces
 
     totals = dict.fromkeys(REGIME_PHASES, 0.0)
     active = []
@@ -147,6 +148,7 @@ def regime_child(checkout: Path, ops: int) -> dict:
              (sampling.CategoricalSampler, "draw_positions", "sampling"),
              (spaces.ProbSpace, "__init__", "xprime"),
              (contraction, "_from_initial_measure", "xprime"),
+             (diagrams, "_from_initial_measure", "xprime"),
              (contraction, "_conditioned_xprime", "xprime"),
              (contraction.ExtendedFan, "fiber_isomorphic_to_reference", "fiber_iso")]
 
@@ -378,6 +380,10 @@ def main(argv: list[str]) -> int:
         "cpu": _cpu_model(),
         "nproc": os.cpu_count(),
         "results": results,
+        "spread_ms": {name: {key: (max(r["op_ms"][key] for r in rs)
+                                   - min(r["op_ms"][key] for r in rs))
+                             for key in ("total", *phases)}
+                      for name, rs in runs.items()},
         "moved": moved,
         "layer_moved": max(phases, key=lambda key: abs(moved[key]["delta_ms"])),
     }

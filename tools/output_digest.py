@@ -183,6 +183,45 @@ for cover in loaded.category.covers:
     except Exception as exc:
         print(type(exc).__name__, exc)
 """,
+    "conditioning": """
+from probdiag import (DistributionOnSetDiagram, condition_diagram, contraction, joint_space,
+                      local_estimate_witness)
+from probdiag.diagrams import conditioned_slices
+from probdiag.fixtures import coord_lambda3, reduced_lambda3
+from conftest import random_diagram, random_distribution, random_set_diagram
+def show(obj):
+    print(json.dumps(obj))
+rng = random.Random(11)
+for _ in range(40):
+    d = random_diagram(rng)
+    for obj in d.category.objects:
+        for atom in d.spaces[obj].atoms:
+            show(jsonio.diagram_to_obj(condition_diagram(d, obj, atom)))
+        for x in d.category.objects:
+            for atom, piece in conditioned_slices(d, obj, d.category.descendants(x)):
+                show([jsonio.encode_atom(atom), jsonio.diagram_to_obj(piece)])
+        joint, to_i, to_j = joint_space(d, d.initial, obj)
+        show([jsonio.space_to_obj(joint), list(to_i.positions), list(to_j.positions)])
+for _ in range(40):
+    sd = random_set_diagram(rng)
+    pi, pi_prime = (random_distribution(rng, sd.initial_set()) for _ in range(2))
+    dist = DistributionOnSetDiagram(sd, pi)
+    show(jsonio.diagram_to_obj(dist.to_diagram()))
+    show({o: [[jsonio.encode_atom(a), str(w)] for a, w in dist.marginal(o).items()]
+          for o in sd.category.objects})
+    est = local_estimate_witness(sd, pi, pi_prime)
+    print(est.alpha, est.bound, est.slice_isos_ok, est.witness.method, est.witness.kd_value)
+    show(jsonio.fan_to_obj(est.witness.fan))
+    for fan in est.lambda_fans or ():
+        show(jsonio.fan_to_obj(fan))
+loaded = reduced_lambda3(3, 7, range(6, 8))
+jsonio.save_diagram(loaded[0], tmp / "r3.json")
+for d, fan in ((jsonio.load_diagram(tmp / "r3.json"), loaded[1]), coord_lambda3()):
+    ext = contraction.extend_admissible_fan(d, fan)
+    show(jsonio.diagram_to_obj(ext.ydiag))
+    for u in ext.u_space.atoms:
+        show(jsonio.diagram_to_obj(ext.conditioned_x_side(u)))
+""",
 }
 
 
