@@ -568,45 +568,58 @@ def _materialize_fan(ext: ExtendedFan, u_bar: tuple, xprime: Diagram,
     the x-side conditioned on u_k, in sample order, each a's weight there
     over N; each map sends (a, k) to (its image under the conditioned
     x-side's map, k), and the projections send (a, k) to a and to k.  Each
-    distinct sampled u's conditioned x-side is built once and read for every
-    k it is drawn at.  Every map is stored as target positions: the k-th
-    block of y' at an object starts after the earlier blocks' atoms there,
-    so a map's positions are the piece's own, offset by its block's start in
-    the target.  y' at an object is on a frame whose atoms (a, k) are built
-    only if something reads them (`_tagged_atoms`): its masses, maps and
+    distinct sampled u's conditioned x-side, its piece, is built once.  At
+    each object the pieces' masses over N f (each at most f), their atoms'
+    positions in x' and, on each cover, their map positions are laid end to
+    end in one int64 table per list, in order of first draw; y' gathers
+    each table in sample order, the k-th block being the piece of u_k,
+    through one index array, `np.repeat` of each block's piece offset less
+    its start.  A map's positions are the piece's own plus its block's start
+    in the target, likewise repeated.  Each list is handed out as Python
+    ints.  y' at an object is on a frame whose atoms (a, k) are built only
+    if something reads them (`_tagged_atoms`): its masses, maps and
     projections are integers and positions, and so are the checks,
     recovery and classification that read them."""
-    pieces = {u: ext.conditioned_x_side(u) for u in dict.fromkeys(u_bar)}
+    drawn = {u: k for k, u in enumerate(dict.fromkeys(u_bar))}
+    pieces = list(map(ext.conditioned_x_side, drawn))
+    order = list(map(drawn.__getitem__, u_bar))  # each sample's piece
+    which = np.array(order, dtype=np.int64)
     f, n = ext.fiber_size, len(u_bar)
 
-    def joined(per_piece: dict) -> list:
-        """The pieces' lists, one per sample in sample order, end to end."""
-        return list(itertools.chain.from_iterable(map(per_piece.__getitem__, u_bar)))
+    def table(rows) -> np.ndarray:
+        """The pieces' rows end to end, as int64."""
+        return np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64)
 
     spaces: dict = {}
+    gather: dict = {}
     sizes: dict = {}
+    starts: dict = {}
     proj_left: dict = {}
     proj_right: dict = {}
     for o in ext.shape.objects:
-        own = {u: d.spaces[o] for u, d in pieces.items()}
-        sizes[o] = [len(own[u]) for u in u_bar]
+        own = [d.spaces[o] for d in pieces]
+        piece_size = np.array([len(sp) for sp in own], dtype=np.int64)
+        size = sizes[o] = piece_size[which]
+        start = starts[o] = np.cumsum(size) - size
+        offset = np.cumsum(piece_size) - piece_size
+        gather[o] = np.arange(size.sum()) + np.repeat(offset[which] - start, size)
         # the k-th block is the (k-1)-th atom of V, k itself
-        tags = np.repeat(np.arange(n), sizes[o]).tolist()
-        frame = Frame(build=partial(_tagged_atoms, list(map(own.__getitem__, u_bar)),
+        tags = np.repeat(np.arange(n), size).tolist()
+        frame = Frame(build=partial(_tagged_atoms, list(map(own.__getitem__, order)),
                                     tags, vspace))
         # a piece's masses over f: its weights are masses / denom, denom | f
-        masses = joined({u: [m * (f // sp.denom) for m in sp.masses] for u, sp in own.items()})
-        space = spaces[o] = ProbSpace(frame, masses, denom=n * f)
+        masses = table(map((f // sp.denom).__mul__, sp.masses) for sp in own)
+        space = spaces[o] = ProbSpace(frame, masses[gather[o]].tolist(), denom=n * f)
         index = xprime.spaces[o].frame.index
-        left = {u: list(map(index.__getitem__, sp.atoms)) for u, sp in own.items()}
-        proj_left[o] = Reduction._trusted(space, xprime.spaces[o], positions=joined(left))
+        left = table(map(index.__getitem__, sp.atoms) for sp in own)
+        proj_left[o] = Reduction._trusted(space, xprime.spaces[o],
+                                          positions=left[gather[o]].tolist())
         proj_right[o] = Reduction._trusted(space, vspace, positions=tags)
     maps: dict = {}
     for (i, j) in ext.shape.covers:
-        local = {u: d.prime_maps[(i, j)].positions for u, d in pieces.items()}
-        starts = itertools.accumulate(sizes[j], initial=0)
-        positions = [p + start for u, start in zip(u_bar, starts) for p in local[u]]
-        maps[(i, j)] = Reduction._trusted(spaces[i], spaces[j], positions=positions)
+        local = table(d.prime_maps[(i, j)].positions for d in pieces)
+        positions = local[gather[i]] + np.repeat(starts[j], sizes[i])
+        maps[(i, j)] = Reduction._trusted(spaces[i], spaces[j], positions=positions.tolist())
     top = Diagram._trusted(ext.shape, spaces, maps)
     return FanOfDiagrams._trusted(top, xprime, constant_diagram(ext.shape, vspace),
                                   proj_left, proj_right)

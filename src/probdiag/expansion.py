@@ -12,9 +12,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .diagrams import Diagram, FanIndices, classify_fan, conditioned_slices, _first_change
-from .errors import BadParamError, NotReducedError, TooLargeError, VerificationError
-from .spaces import ProbSpace, Reduction, pushforward, tensor_spaces, _tensor_positions
+from .diagrams import (
+    Diagram,
+    FanIndices,
+    classify_fan,
+    conditioned_slices,
+    _first_change,
+    _induced_positions,
+)
+from .errors import (
+    BadParamError,
+    NotReducedError,
+    ShapeMismatchError,
+    TooLargeError,
+    VerificationError,
+)
+from .spaces import Frame, ProbSpace, Reduction, tensor_spaces, _tensor_positions
 
 ENTROPY_TOL = 1e-9
 # cap on the atoms of the inflated u-side, m times its support; at the cap,
@@ -84,31 +97,55 @@ def expand_diagram(spec: ExpansionSpec) -> Diagram:
     return Diagram._trusted(base.category, spaces, maps)
 
 
+def _check_shape(diagram: Diagram, spec: ExpansionSpec) -> None:
+    if diagram.category != spec.base.category:
+        raise ShapeMismatchError("the diagram is not over the shape of the expansion's base")
+
+
 def strip_expansion(expanded: Diagram, spec: ExpansionSpec) -> Diagram:
-    """Marginalize the W coordinate back out of the u-side."""
+    """Marginalize the W coordinate back out of the u-side, on positions.
+
+    At each u-side object the (v, w) atoms are indexed by v in order of
+    first appearance, the v's masses summed; each cover's positions are
+    read through the indices at both ends, and each v must then have one
+    image (the W marginal is well defined).  The input is a valid diagram,
+    so a well-defined marginal preserves measure and commutes, and the
+    result is built unchecked; `verify_expansion` compares it with the
+    original."""
+    _check_shape(expanded, spec)
     if spec.m == 1:
         return expanded
     inflate = _u_side(spec)
-    spaces = {}
+    spaces, index = {}, {}
     for obj in expanded.category.objects:
-        if obj in inflate:
-            spaces[obj] = pushforward(expanded.spaces[obj],
-                                      {(v, wk): v for (v, wk) in expanded.spaces[obj].atoms})
-        else:
-            spaces[obj] = expanded.spaces[obj]
+        space = spaces[obj] = expanded.spaces[obj]
+        if obj not in inflate:
+            continue
+        bad = next((a for a in space.atoms if not (isinstance(a, tuple) and len(a) == 2)), None)
+        if bad is not None:
+            raise VerificationError(f"atom {bad!r} at {obj!r} is not a (v, w) pair")
+        first: dict = {}
+        lift = index[obj] = [first.setdefault(v, len(first)) for v, _ in space.atoms]
+        sums = [0] * len(first)
+        for p, mass in zip(lift, space.masses):
+            sums[p] += mass
+        spaces[obj] = ProbSpace(Frame(tuple(first)), sums, denom=space.denom)
     maps = {}
     for (i, j) in expanded.category.covers:
-        old = expanded.prime_maps[(i, j)].mapping
+        red = expanded.prime_maps[(i, j)]
         if i in inflate:
-            mapping = {}
-            for (v, wk), image in old.items():
-                stripped = image[0] if j in inflate else image
-                if mapping.setdefault(v, stripped) != stripped:
-                    raise VerificationError(f"W marginal ill-defined on cover {(i, j)!r}")
-        else:
-            mapping = dict(old)
-        maps[(i, j)] = Reduction(spaces[i], spaces[j], mapping)
-    return Diagram(expanded.category, spaces, maps)
+            # a morphism cannot enter the u-side from outside it, so only
+            # those from inside are stripped
+            images = red.positions
+            if j in inflate:
+                images = map(index[j].__getitem__, images)
+            images = list(images)
+            positions = _induced_positions(index[i], images, len(spaces[i]))
+            if list(map(positions.__getitem__, index[i])) != images:
+                raise VerificationError(f"W marginal ill-defined on cover {(i, j)!r}")
+            red = Reduction._trusted(spaces[i], spaces[j], positions=positions)
+        maps[(i, j)] = red
+    return Diagram._trusted(expanded.category, spaces, maps)
 
 
 @dataclass(frozen=True)
@@ -129,6 +166,8 @@ def verify_expansion(original: Diagram, expanded: Diagram,
 
     Raises VerificationError naming the first violated clause; returns the
     measured report when everything passes."""
+    _check_shape(original, spec)
+    _check_shape(expanded, spec)
     fan = spec.fan
     inflate = _u_side(spec)
     added = spec.added_entropy

@@ -14,17 +14,20 @@ coupling as its own loop, Monte-Carlo tail statistics atom by atom over
 dense sample x |x0| count arrays, categorical draws one at a time by
 rejection on `getrandbits` and a scan of the cumulative masses, and a
 contraction run atom by atom with Fraction total variation and the
-conditioned x-side pushed forward, coordinate projections bit by bit, and
+conditioned x-side pushed forward, coordinate projections bit by bit,
+joint sizes as sets of tuples of composite images, and
 the translation between two conditioned fibers as one XOR dict per object
 over both conditioned diagrams, built and checked through the public
 constructors.
 
-Four exceptions run library code: `recheck` runs the library's public
+Five exceptions run library code: `recheck` runs the library's public
 checks on what its unchecked internal builders produced,
 `dict_lift_diagram` and the builders on it build a diagram of one initial
 measure as the library once did, through `pushforward` and one atom dict
 per lift, `materialized_fan` builds a contraction's conditioned fan on
-them, through the coupling fan of every sampled pair, and
+them, through the coupling fan of every sampled pair,
+`dict_strip_expansion` marginalizes W out of an expansion through
+`pushforward` and the checked constructors, and
 `translation_iso_by_dicts` runs `verify_explicit_iso` on its dicts."""
 from __future__ import annotations
 
@@ -547,6 +550,46 @@ def materialized_fan(ext, u_bar, xprime, vspace):
     y0_atoms = [(x, k) for k, u in enumerate(u_bar, 1) for x in ext.fibers[u]]
     y0 = ProbSpace(y0_atoms, [1] * len(y0_atoms), denom=len(y0_atoms))
     return dict_pair_fan(y0, xprime, constant_diagram(ext.shape, vspace))
+
+
+def dict_strip_expansion(expanded, spec):
+    """The W coordinate marginalized out of an expansion's u-side as the
+    library once did it: each inflated space pushed forward along
+    (v, w) -> v, each inflated map rebuilt as an atom dict, then checked
+    through `Reduction(...)` and `Diagram(...)`."""
+    from probdiag import Diagram, Reduction
+    from probdiag.errors import VerificationError
+    from probdiag.spaces import pushforward
+
+    if spec.m == 1:
+        return expanded
+    inflate = set(spec.base.category.ancestors(spec.fan.u_obj))
+    spaces = {}
+    for obj in expanded.category.objects:
+        space = expanded.spaces[obj]
+        spaces[obj] = (pushforward(space, {(v, w): v for (v, w) in space.atoms})
+                       if obj in inflate else space)
+    maps = {}
+    for (i, j) in expanded.category.covers:
+        old = expanded.prime_maps[(i, j)].mapping
+        if i in inflate:
+            mapping = {}
+            for (v, _), image in old.items():
+                stripped = image[0] if j in inflate else image
+                if mapping.setdefault(v, stripped) != stripped:
+                    raise VerificationError(f"W marginal ill-defined on cover {(i, j)!r}")
+        else:
+            mapping = dict(old)
+        maps[(i, j)] = Reduction(spaces[i], spaces[j], mapping)
+    return Diagram(expanded.category, spaces, maps)
+
+
+def joint_size(diagram, objs) -> int:
+    """The number of distinct tuples (z's image at each of objs) over the
+    initial atoms z, read off the composite atom dicts."""
+    init = diagram.initial
+    images = [diagram.composite_mapping(init, o) for o in objs]
+    return len({tuple(image[z] for image in images) for z in diagram.spaces[init].atoms})
 
 
 def recheck(diagram_or_fan):

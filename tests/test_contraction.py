@@ -659,6 +659,18 @@ class TestMaterializedFan:
             oracles.recheck(fan)
 
 
+
+def test_materialized_fan_holds_python_ints():
+    # y' is gathered from int64 tables; what it hands out is Python ints
+    ext = extend_admissible_fan(*_loaded(lambda: reduced_lambda3(3, 7, range(6, 8))))
+    run = contract_once(ext, ContractionParams(N=50, t=0.5, rho=ext.rho, seed=4))
+    fan = run.fan_prime
+    reductions = [*fan.top.prime_maps.values(), *fan.proj_left.values(),
+                  *fan.proj_right.values()]
+    held = [v for sp in fan.top.spaces.values() for v in (*sp.masses, sp.denom)]
+    held += [p for r in reductions for p in r.positions]
+    assert {type(v) for v in held} == {int}
+
 class TestLazyFan:
     @pytest.fixture
     def calls(self, monkeypatch):

@@ -39,7 +39,7 @@ from probdiag.errors import (
     TooLargeError,
     UnknownAtomError,
 )
-from probdiag.diagrams import MAX_COORDINATE_BITS, conditioned_slices
+from probdiag.diagrams import MAX_COORDINATE_BITS, conditioned_slices, _joint_size
 from probdiag.fixtures import coord_lambda3, coord_two_fan, reduced_lambda3, reduced_two_fan
 from probdiag.automorphisms import verify_explicit_iso
 from probdiag.diagrams import FanOfDiagrams, Reduction
@@ -490,6 +490,23 @@ class TestJointSpace:
         joint, _, _ = joint_space(d, "left", "right")
         assert len(joint) == 4 and all(w == Fraction(1, 4) for w in joint.weights)
 
+
+
+class TestJointSize:
+    def test_every_object_pair_of_random_diagrams(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            d = random_diagram(rng)
+            objects = d.category.objects
+            for objs in [(o,) for o in objects] + [(i, j) for i in objects for j in objects]:
+                assert _joint_size(d, objs) == oracles.joint_size(d, objs)
+
+    def test_regime_fan(self):
+        d, fan = coord_two_fan(17, range(1, 16), range(14, 18))
+        objs = (fan.x_obj, fan.u_obj)
+        count = _joint_size(d, objs)
+        assert type(count) is int
+        assert count == oracles.joint_size(d, objs) == 2 ** 17
 
 def test_tensor_fan_kd_counts_both_sides():
     d1 = constant_diagram(build_category(["w"], []), uniform(2))

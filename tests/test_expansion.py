@@ -1,7 +1,9 @@
 import math
+import re
 
 import pytest
 
+import oracles
 from probdiag import (
     Diagram,
     ExpansionSpec,
@@ -14,7 +16,13 @@ from probdiag import (
     verify_expansion,
 )
 from probdiag import jsonio
-from probdiag.errors import BadParamError, NotReducedError, TooLargeError, VerificationError
+from probdiag.errors import (
+    BadParamError,
+    NotReducedError,
+    ShapeMismatchError,
+    TooLargeError,
+    VerificationError,
+)
 from probdiag.expansion import MAX_EXPANDED_ATOMS
 from probdiag.fixtures import coord_two_fan, reduced_lambda3, reduced_two_fan
 
@@ -161,6 +169,16 @@ def _relabelled(diagram: Diagram, obj: str, swap: dict) -> Diagram:
     return Diagram(diagram.category, diagram.spaces, maps)
 
 
+def _reversed_reload(diagram: Diagram) -> Diagram:
+    """The diagram saved as JSON with every space's atoms reversed, and
+    loaded again."""
+    obj = jsonio.diagram_to_obj(diagram)
+    for space in obj["spaces"].values():
+        space["atoms"].reverse()
+        space["weights"].reverse()
+    return jsonio.diagram_from_obj(obj)
+
+
 class TestVerifyExpansionClauses:
     """One pinned message per failing clause, on reduced_lambda3(2, 4, 2..3)
     expanded with m = 2; each broken expansion passes every earlier clause."""
@@ -197,13 +215,30 @@ class TestVerifyExpansionClauses:
         # the expansion reloaded with every space's atoms reversed: its
         # slices list their atoms in another order, and compare as atom maps
         d, spec, out = setup
-        obj = jsonio.diagram_to_obj(out)
-        for space in obj["spaces"].values():
-            space["atoms"].reverse()
-            space["weights"].reverse()
-        reordered = jsonio.diagram_from_obj(obj)
+        reordered = _reversed_reload(out)
         assert reordered.spaces["x"].atoms != out.spaces["x"].atoms
         assert verify_expansion(d, reordered, spec).recovered_exactly
+
+    def test_arrow_entropy(self, setup):
+        # the unexpanded diagram, whose arrow entropy has not grown by ln 2
+        d, spec, _ = setup
+        before = d.spaces["z"].entropy - d.spaces["x"].entropy
+        message = f"arrow entropy: expected {before + math.log(2)}, got {before}"
+        with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
+            verify_expansion(d, d, spec)
+
+    def test_w_marginal_ill_defined(self, setup):
+        # z's atoms (0, w0) and (2, w0) swapped: z is only relabelled, so
+        # every space, slice and the fan stay as they were, but (0, w0) now
+        # stands where (2, w0) stood, and it and (0, w1) reach different
+        # atoms of x
+        d, spec, out = setup
+        bad = _relabelled(out, "z", {(0, "w0"): (2, "w0"), (2, "w0"): (0, "w0")})
+        message = "^W marginal ill-defined on cover \\('z', 'x'\\)$"
+        with pytest.raises(VerificationError, match=message):
+            strip_expansion(bad, spec)
+        with pytest.raises(VerificationError, match=message):
+            verify_expansion(d, bad, spec)
 
     def test_does_not_recover_the_original(self, setup):
         # z1's atoms relabelled the same way under both W points: the lifts
@@ -216,3 +251,55 @@ class TestVerifyExpansionClauses:
         with pytest.raises(VerificationError, match="^marginalizing W does not recover the "
                                                     "original$"):
             verify_expansion(d, bad, spec)
+
+
+def _fields(diagram: Diagram) -> tuple:
+    """Every space's atoms, masses and denominator, and every map's
+    positions, in the diagram's own orders."""
+    spaces = {o: (sp.atoms, sp.masses, sp.denom) for o, sp in diagram.spaces.items()}
+    maps = {c: list(red.positions) for c, red in diagram.prime_maps.items()}
+    return list(spaces.items()), list(maps.items())
+
+
+class TestStripExpansion:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("fixture", [lambda: reduced_two_fan(4, (3, 4)),
+                                         lambda: reduced_lambda3(3, 7, range(6, 8))],
+                             ids=["reduced_two_fan", "reduced_lambda3"])
+    def test_equals_the_dict_strip(self, fixture, m):
+        d, fi = fixture()
+        spec = ExpansionSpec(d, fi, m)
+        out = expand_diagram(spec)
+        stripped = strip_expansion(out, spec)
+        assert _fields(stripped) == _fields(oracles.dict_strip_expansion(out, spec))
+        assert stripped == d
+
+    def test_reversed_reload_equals_the_dict_strip(self):
+        d, fi = reduced_lambda3(2, 4, (2, 3))
+        spec = ExpansionSpec(d, fi, 2)
+        reordered = _reversed_reload(expand_diagram(spec))
+        stripped = strip_expansion(reordered, spec)
+        assert _fields(stripped) == _fields(oracles.dict_strip_expansion(reordered, spec))
+        assert stripped == d
+
+    @pytest.fixture
+    def lambda3_and_two_fan(self):
+        d, fi = reduced_lambda3(3, 7, range(6, 8))
+        return d, ExpansionSpec(d, fi, 2), reduced_two_fan(4, range(3, 5))[0]
+
+    def test_strip_refuses_another_shape(self, lambda3_and_two_fan):
+        _, spec, other = lambda3_and_two_fan
+        with pytest.raises(ShapeMismatchError):
+            strip_expansion(other, spec)
+
+    def test_verify_refuses_another_shape(self, lambda3_and_two_fan):
+        d, spec, other = lambda3_and_two_fan
+        with pytest.raises(ShapeMismatchError):
+            verify_expansion(d, other, spec)
+        with pytest.raises(ShapeMismatchError):
+            verify_expansion(other, expand_diagram(spec), spec)
+
+    def test_an_atom_that_is_not_a_pair_is_refused(self, lambda3_and_two_fan):
+        d, spec, _ = lambda3_and_two_fan
+        with pytest.raises(VerificationError, match="^atom 0 at 'z' is not a \\(v, w\\) pair$"):
+            strip_expansion(d, spec)

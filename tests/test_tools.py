@@ -6,12 +6,18 @@ from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "tools" / "bench_contract.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+BENCH = TOOLS / "bench_contract.py"
+DIGEST = TOOLS / "output_digest.py"
+
+
+def _run(tool, *argv):
+    return subprocess.run([sys.executable, str(tool), *argv], capture_output=True,
+                          text=True, timeout=60)
 
 
 def _bench(*argv):
-    return subprocess.run([sys.executable, str(BENCH), *argv], capture_output=True,
-                          text=True, timeout=60)
+    return _run(BENCH, *argv)
 
 
 def test_bench_contract_help():
@@ -29,6 +35,25 @@ def test_bench_contract_help():
 ])
 def test_bench_contract_usage_errors_exit_2(argv, message):
     done = _bench(*argv)
+    assert done.returncode == 2
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == ""
+
+
+def test_output_digest_help():
+    done = _run(DIGEST, "--help")
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: tools/output_digest.py")
+    assert "CHECKOUT" in done.stdout
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("no/such/checkout",), "has no src/probdiag"),
+    (("--workers",), "unrecognized arguments"),
+])
+def test_output_digest_usage_errors_exit_2(argv, message):
+    # a set that ran would have printed its digest
+    done = _run(DIGEST, *argv)
     assert done.returncode == 2
     assert message in done.stderr
     assert "Traceback" not in done.stderr and done.stdout == ""

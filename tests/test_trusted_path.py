@@ -48,6 +48,7 @@ from probdiag import (
     min_entropy_coupling,
     recover_collapsed_diagram,
     standard_category,
+    strip_expansion,
     tensor_diagrams,
     tensor_fan,
     verify_expansion,
@@ -200,6 +201,7 @@ def test_recheck_loaded_roundtrip(root, tmp_path):
         spec = ExpansionSpec(loaded, fan, m)
         expanded = expand_diagram(spec)
         oracles.recheck(expanded)
+        oracles.recheck(strip_expansion(expanded, spec))
         assert verify_expansion(loaded, expanded, spec).recovered_exactly
 
 
@@ -322,7 +324,8 @@ def test_derived_constructions_make_no_checked_call(checked_calls):
         methods.add(min_entropy_coupling(x, y, cap=0).method)
     for diagram, fan in fixtures:
         for m in (2, 3):
-            expand_diagram(ExpansionSpec(diagram, fan, m))
+            spec = ExpansionSpec(diagram, fan, m)
+            strip_expansion(expand_diagram(spec), spec)
         for cover in diagram.category.covers:
             if diagram.prime_maps[cover].is_isomorphism():
                 try:

@@ -7,6 +7,7 @@ a fresh interpreter on CHECKOUT's own src/, tests/ and perfbench/, so two
 checkouts (a parent commit and a change) can be compared line by line:
 equal digests mean byte-identical outputs.  Uses the standard library only.
 """
+import argparse
 import hashlib
 import os
 import subprocess
@@ -225,8 +226,24 @@ for d, fan in ((jsonio.load_diagram(tmp / "r3.json"), loaded[1]), coord_lambda3(
 }
 
 
-def main() -> int:
-    root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent.parent).resolve()
+def _parser() -> argparse.ArgumentParser:
+    summary, _usage, details = __doc__.split("\n\n", 2)
+    parser = argparse.ArgumentParser(
+        prog="tools/output_digest.py", description=f"{summary}\n\n{details}",
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("checkout", nargs="?", default=Path(__file__).resolve().parent.parent,
+                        type=Path, metavar="CHECKOUT",
+                        help="the checkout to digest (default: the repository this "
+                             "script sits in)")
+    return parser
+
+
+def main(argv: list[str]) -> int:
+    parser = _parser()
+    checkout = parser.parse_args(argv).checkout
+    root = checkout.resolve()
+    if not (root / "src" / "probdiag").is_dir():
+        parser.error(f"{str(checkout)!r} is not a checkout: it has no src/probdiag")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         str(root / sub) for sub in ("src", "tests", "perfbench")))
     for name, body in SETS.items():
@@ -240,4 +257,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
