@@ -85,9 +85,8 @@ class ExtendedFan:
     The fiber isomorphism verdict of each u atom is cached, and so is the
     conditioned x-side diagram of the reference atom when a verdict falls
     back to search; they depend only on the fan, not on any sampled run.
-    So are, computed on first use, the coupled diagram, the fibers' x0
-    positions and the x-side lifts as arrays, which the translation check
-    reads, the fiber patterns that contractions and the Monte-Carlo tails
+    So are, computed on first use, the coupled diagram, the fibers as x0
+    atoms, the fiber patterns that contractions and the Monte-Carlo tails
     group x0 by, and the x-side incidences against those patterns that each
     contraction builds its conditioned x-side from."""
 
@@ -96,7 +95,9 @@ class ExtendedFan:
     u_space: ProbSpace
     base: Diagram
     fan: FanIndices
-    fibers: dict  # u atom -> tuple of x0 atoms in the fiber over u
+    # the |u| x f int64 table of the fibers' x0 positions: a row per u atom
+    # in u order, each in its fiber's order
+    _fiber_positions: np.ndarray = field(repr=False, compare=False)
     _fiber_iso_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -113,7 +114,14 @@ class ExtendedFan:
 
     @property
     def fiber_size(self) -> int:
-        return len(next(iter(self.fibers.values())))
+        return self._fiber_positions.shape[1]
+
+    @cached_property
+    def fibers(self) -> dict:
+        """u atom -> tuple of the x0 atoms in the fiber over u."""
+        x0_atoms = self.x0_space.atoms
+        return {u: tuple(map(x0_atoms.__getitem__, row))
+                for u, row in zip(self.u_space.atoms, self._fiber_positions.tolist())}
 
     @property
     def rho(self) -> Fraction:
@@ -137,24 +145,6 @@ class ExtendedFan:
         fiber count depends only on its pattern, so P columns stand for
         all |x0| atoms."""
         return self._patterns.pattern, self._patterns.sizes
-
-    @cached_property
-    def _fiber_positions(self) -> np.ndarray:
-        """The |u| x f int64 table of the fibers' x0 positions: a row per u
-        atom in u order, each in its fiber's order."""
-        index = self.x0_space.frame.index
-        u_card, f = len(self.u_space), self.fiber_size
-        return np.fromiter(
-            itertools.chain.from_iterable(map(index.__getitem__, self.fibers[u])
-                                          for u in self.u_space.atoms),
-            dtype=np.int64, count=u_card * f).reshape(u_card, f)
-
-    @cached_property
-    def _lift_arrays(self) -> dict:
-        """The lift (`Diagram._lift`) of each x-side object but x0, as an
-        int64 array."""
-        return {o: np.array(self.xdiag._lift(o), dtype=np.int64)
-                for o in self.shape.objects if o != self.x0}
 
     @cached_property
     def _patterns(self) -> _FiberPatterns:
@@ -219,7 +209,7 @@ class ExtendedFan:
         diagram is read once, before its verdict is cached."""
         cached = self._fiber_iso_cache.get(("diagram", u_atom))
         if cached is None:
-            fiber = self._fiber_positions[self.u_space.frame.index[u_atom]].tolist()
+            fiber = self._fiber_positions[self.u_space.frame.index[u_atom]]
             cached = _restricted(self.xdiag, fiber, [1] * len(fiber))
             if u_atom == self.u_space.atoms[0]:
                 self._fiber_iso_cache[("diagram", u_atom)] = cached
@@ -263,17 +253,18 @@ def extend_admissible_fan(diagram: Diagram, fi: FanIndices) -> ExtendedFan:
     shape = xdiag.category
     u_space = diagram.spaces[fi.u_obj]
 
-    # the x0 atoms over each u in first-appearance order, as in ydiag's
-    # initial space (each dict is an ordered set), read off the two lifts
-    x_atoms = diagram.spaces[shape.initial].atoms
-    rows: list = [{} for _ in u_space.atoms]
-    for p, q in zip(diagram._lift(shape.initial), diagram._lift(fi.u_obj)):
-        rows[q][x_atoms[p]] = None
-    fibers = {u: tuple(xs) for u, xs in zip(u_space.atoms, rows)}
-    sizes = {len(xs) for xs in fibers.values()}
-    if len(sizes) != 1:
+    # the x0 positions over each u in first-appearance order, as in ydiag's
+    # initial space, read off the two lifts: the first initial atom of each
+    # distinct (u, x0) pair, in initial order, stably grouped by u
+    x_lift, u_lift = diagram._lift(shape.initial), diagram._lift(fi.u_obj)
+    first = np.unique(u_lift * len(xdiag.spaces[shape.initial]) + x_lift, return_index=True)[1]
+    first.sort()
+    sizes = np.bincount(u_lift[first], minlength=len(u_space))
+    if sizes.min() != sizes.max():
         raise NotHomogeneousError("fibers over u have unequal sizes")
-    return ExtendedFan(shape, xdiag, u_space, diagram, fi, fibers)
+    rows = x_lift[first[np.argsort(u_lift[first], kind="stable")]].reshape(len(u_space), -1)
+    rows.setflags(write=False)
+    return ExtendedFan(shape, xdiag, u_space, diagram, fi, rows)
 
 
 @dataclass(frozen=True)
@@ -355,9 +346,7 @@ class ContractionRun:
         atoms are first counted (`_first_counted`)."""
         ext, rows = self._ext, _first_drawn(self._u_pos)
         fresh = _first_counted(ext._patterns, rows)
-        sampled = map(ext.u_space.atoms.__getitem__, rows.tolist())
-        fibers = itertools.chain.from_iterable(map(ext.fibers.__getitem__, sampled))
-        atoms = itertools.compress(fibers, fresh.ravel().tolist())
+        atoms = map(ext.x0_space.atoms.__getitem__, ext._fiber_positions[rows][fresh].tolist())
         groups = ext._patterns.fiber_pattern[rows][fresh].tolist()
         return dict(zip(atoms, map(self.pattern_counts.__getitem__, groups)))
 
@@ -434,8 +423,9 @@ def _fiber_translation_iso(ext: ExtendedFan, u_atom, u_ref) -> bool:
     card = ext.x0_card
     if not np.array_equal(np.bincount(moved, minlength=card), np.bincount(ref, minlength=card)):
         return False
+    lifts = ((o, ext.xdiag._lift(o)) for o in ext.shape.objects if o != ext.x0)
     return all(np.array_equal(lift[moved], lift[fiber] ^ meta.extract(o, table))
-               for o, lift in ext._lift_arrays.items())
+               for o, lift in lifts)
 
 
 def _first_drawn(positions: np.ndarray) -> np.ndarray:
@@ -575,8 +565,9 @@ def _materialize_fan(ext: ExtendedFan, u_bar: tuple, xprime: Diagram,
     each table in sample order, the k-th block being the piece of u_k,
     through one index array, `np.repeat` of each block's piece offset less
     its start.  A map's positions are the piece's own plus its block's start
-    in the target, likewise repeated.  Each list is handed out as Python
-    ints.  y' at an object is on a frame whose atoms (a, k) are built only
+    in the target, likewise repeated.  Masses are handed out as Python ints,
+    the maps' and projections' positions as the int64 arrays gathered.  y'
+    at an object is on a frame whose atoms (a, k) are built only
     if something reads them (`_tagged_atoms`): its masses, maps and
     projections are integers and positions, and so are the checks,
     recovery and classification that read them."""
@@ -604,7 +595,7 @@ def _materialize_fan(ext: ExtendedFan, u_bar: tuple, xprime: Diagram,
         offset = np.cumsum(piece_size) - piece_size
         gather[o] = np.arange(size.sum()) + np.repeat(offset[which] - start, size)
         # the k-th block is the (k-1)-th atom of V, k itself
-        tags = np.repeat(np.arange(n), size).tolist()
+        tags = np.repeat(np.arange(n), size)
         frame = Frame(build=partial(_tagged_atoms, list(map(own.__getitem__, order)),
                                     tags, vspace))
         # a piece's masses over f: its weights are masses / denom, denom | f
@@ -612,23 +603,23 @@ def _materialize_fan(ext: ExtendedFan, u_bar: tuple, xprime: Diagram,
         space = spaces[o] = ProbSpace(frame, masses[gather[o]].tolist(), denom=n * f)
         index = xprime.spaces[o].frame.index
         left = table(map(index.__getitem__, sp.atoms) for sp in own)
-        proj_left[o] = Reduction._trusted(space, xprime.spaces[o],
-                                          positions=left[gather[o]].tolist())
+        proj_left[o] = Reduction._trusted(space, xprime.spaces[o], positions=left[gather[o]])
         proj_right[o] = Reduction._trusted(space, vspace, positions=tags)
     maps: dict = {}
     for (i, j) in ext.shape.covers:
-        local = table(d.prime_maps[(i, j)].positions for d in pieces)
+        local = np.concatenate([d.prime_maps[(i, j)]._array() for d in pieces])
         positions = local[gather[i]] + np.repeat(starts[j], sizes[i])
-        maps[(i, j)] = Reduction._trusted(spaces[i], spaces[j], positions=positions.tolist())
+        maps[(i, j)] = Reduction._trusted(spaces[i], spaces[j], positions=positions)
     top = Diagram._trusted(ext.shape, spaces, maps)
     return FanOfDiagrams._trusted(top, xprime, constant_diagram(ext.shape, vspace),
                                   proj_left, proj_right)
 
 
-def _tagged_atoms(pieces: list, tags: list, vspace: ProbSpace):
+def _tagged_atoms(pieces: list, tags: np.ndarray, vspace: ProbSpace):
     """The atoms of y' at one object: (a, k) for each atom a of the piece
     drawn k-th, pieces in sample order, k being the k-th atom of V."""
-    return zip(itertools.chain.from_iterable(pieces), map(vspace.atoms.__getitem__, tags))
+    return zip(itertools.chain.from_iterable(pieces),
+               map(vspace.atoms.__getitem__, tags.tolist()))
 
 
 def recover_collapsed_diagram(diagram: Diagram, fi: FanIndices,

@@ -6,12 +6,13 @@ Maps are target positions: a `Reduction` holds the index in its target's
 atoms of each domain atom's image, and its atom dict is a view (see
 `Reduction`).  Every space is a quotient of the initial one, so a diagram's
 maps compose through its lifts, the composites out of the initial object,
-held as positions aligned with the initial atoms: the lift of an object is
-the map from its first parent after that parent's lift, and any other
-composite is read off two lifts (`Diagram.composite_mapping` builds its
-atom dict only when asked).  All paths agree exactly when every cover
-carries its source's lift onto its target's, because lifts are onto; the
-check compares lists of ints and hashes no atoms.  The checked constructor
+held as read-only int64 arrays of positions aligned with the initial atoms:
+the lift of an object is its first parent's cover array indexed by that
+parent's lift, and any other composite is read off two lifts
+(`Diagram.composite_mapping` builds its atom dict only when asked).  All
+paths agree exactly when every cover carries its source's lift onto its
+target's, because lifts are onto; the check compares int64 arrays and
+hashes no atoms.  The checked constructor
 re-keys a map whose domain or target is an equal space listed in another
 order, so positions are always taken in the diagram's own spaces.  A
 measure on the initial atoms pushed through a skeleton (a restriction, a
@@ -143,35 +144,36 @@ class Diagram:
             return cached
         mapping = self._cover_mapping(key)
         if mapping is None:
-            images = map(self._atoms(dst).__getitem__, self._composite_positions(src, dst))
+            positions = self._composite_positions(src, dst).tolist()
+            images = map(self._atoms(dst).__getitem__, positions)
             mapping = dict(zip(self._atoms(src), images))
         self._composites[key] = mapping
         return mapping
 
-    def _lift(self, obj: str):
+    def _lift(self, obj: str) -> np.ndarray:
         """The lift of obj: the position in obj's atoms of the image of each
-        initial atom, in initial order.  The initial object's is a range;
-        any other's is a list, its first parent's cover positions after the
-        parent's lift.  Cached and shared; callers must not mutate it."""
+        initial atom, in initial order, as a read-only int64 array.  The
+        initial object's is `np.arange`; any other's is its first parent's
+        cover array indexed by the parent's lift (the cover array itself
+        when the parent is initial).  Cached and shared."""
         lift = self._lifts.get(obj)
         if lift is None:
             init = self.category.initial
             if obj == init:
-                lift = range(self._size(obj))
+                lift = np.arange(self._size(obj), dtype=np.int64)
             else:
                 parent = self.category.first_parent[obj]
-                via = self._cover_positions((parent, obj))
+                lift = self._cover_array((parent, obj))
                 if parent != init:
-                    lift = list(map(via.__getitem__, self._lift(parent)))
-                else:  # the cover's own positions, as a list (an identity's are a range)
-                    lift = via if isinstance(via, list) else list(via)
+                    lift = lift[self._lift(parent)]
+            lift.setflags(write=False)
             self._lifts[obj] = lift
         return lift
 
-    def _composite_positions(self, src: str, dst: str):
-        """The composite src -> dst as positions in dst's atoms, in src's
-        atom order: lift_src[z] goes to lift_dst[z] for every initial atom
-        z, which is well defined when src reaches dst."""
+    def _composite_positions(self, src: str, dst: str) -> np.ndarray:
+        """The composite src -> dst as an int64 array of positions in dst's
+        atoms, in src's atom order: lift_src[z] goes to lift_dst[z] for
+        every initial atom z, which is well defined when src reaches dst."""
         if not self.category.reaches(src, dst):
             raise MapError(f"no morphism {src!r} -> {dst!r}")
         lift_dst = self._lift(dst)
@@ -182,15 +184,15 @@ class Diagram:
     # The four lookups that composite_mapping, _lift, _composite_positions
     # and _check_commutativity read; SetDiagram shares those four methods
     # and supplies its own lookups.  Only an atom map or a failure message
-    # reads atoms; lifts and the commutativity check read sizes and
-    # positions.
+    # reads atoms; lifts and the commutativity check read sizes and cover
+    # arrays.
     def _cover_mapping(self, cover: tuple[str, str]) -> dict | None:
         """The atom map on a cover; None when the pair is not a cover."""
         prime = self.prime_maps.get(cover)
         return None if prime is None else prime.mapping
 
-    def _cover_positions(self, cover: tuple[str, str]):
-        return self.prime_maps[cover].positions
+    def _cover_array(self, cover: tuple[str, str]) -> np.ndarray:
+        return self.prime_maps[cover]._array()
 
     def _atoms(self, obj: str) -> tuple:
         return self.spaces[obj].atoms
@@ -219,10 +221,10 @@ class Diagram:
         for (i, j) in self.category.covers:
             if self.category.first_parent[j] == i:
                 continue
-            carried = list(map(self._cover_positions((i, j)).__getitem__, self._lift(i)))
+            carried = self._cover_array((i, j))[self._lift(i)]
             lift_j = self._lift(j)
-            if carried != lift_j:
-                k = next(k for k, (a, b) in enumerate(zip(carried, lift_j)) if a != b)
+            if not np.array_equal(carried, lift_j):
+                k = int(np.flatnonzero(carried != lift_j)[0])
                 step = j
                 while i != init:
                     step, i = i, self.category.first_parent[i]
@@ -293,8 +295,7 @@ def constant_diagram(category: IndexingCategory, space: ProbSpace) -> Diagram:
 # 0.3 s and peaks at 123 MB RSS, import included (`time.perf_counter` around
 # the call, `resource.getrusage(RUSAGE_SELF).ru_maxrss` after it)
 MAX_COORDINATE_BITS = 20
-# atoms projected per block of array work: bounds the block's temporaries and
-# the fresh ints its positions pass through
+# atoms projected per block of array work: bounds the block's temporaries
 _PROJECT_BLOCK = 2 ** 14
 
 
@@ -310,7 +311,8 @@ def coordinate_diagram(category: IndexingCategory, coord_sets: Mapping[str, Iter
     An atom of {0,1}^S is its own position.  On a cover (i, j), with p_t
     the index in S_i of the t-th coordinate of S_j, atom a goes to
     sum_t ((a >> p_t) & 1) << t, computed with numpy shifts and masks on a
-    block of consecutive atoms at a time.
+    block of consecutive atoms at a time into the cover's int64 array, which
+    is all the cover holds until its positions or atom map are read.
     """
     if ell > MAX_COORDINATE_BITS:
         raise TooLargeError(f"ell = {ell} exceeds the cap of {MAX_COORDINATE_BITS} coordinates")
@@ -335,17 +337,13 @@ def coordinate_diagram(category: IndexingCategory, coord_sets: Mapping[str, Iter
     maps = {}
     for (i, j) in category.covers:
         bits = tuple(coords[i].index(c) for c in coords[j])
-        # the positions, allocated once and filled block by block, are the
-        # target's own int objects, not one fresh int per atom
-        target = spaces[j].atoms
         size = len(spaces[i])
-        positions = [0] * size
+        positions = np.zeros(size, dtype=np.int64)
         for start in range(0, size, _PROJECT_BLOCK):
-            src = np.arange(start, min(start + _PROJECT_BLOCK, size))
-            proj = np.zeros_like(src)
+            src = np.arange(start, min(start + _PROJECT_BLOCK, size), dtype=np.int64)
+            proj = positions[start:start + src.size]
             for t, p in enumerate(bits):
                 proj |= ((src >> p) & 1) << t
-            positions[start:start + src.size] = map(target.__getitem__, proj.tolist())
         # a coordinate projection pushes the uniform measure on {0,1}^S to
         # the uniform measure on {0,1}^T
         maps[(i, j)] = Reduction._trusted(spaces[i], spaces[j], positions=positions)
@@ -377,12 +375,13 @@ def _from_initial_measure(category: IndexingCategory, masses: list, denom: int,
     return Diagram._trusted(category, spaces, maps), atom_keys
 
 
-def _induced_positions(lift_src, lift_dst, size: int) -> list:
-    """As positions, the map of a `size`-atom source sending lift_src[z] to
-    lift_dst[z] for every initial atom z: the composite, when there is one."""
-    positions = [0] * size
-    for a, b in zip(lift_src, lift_dst):
-        positions[a] = b
+def _induced_positions(lift_src, lift_dst, size: int) -> np.ndarray:
+    """As an int64 array of positions, the map of a `size`-atom source
+    sending lift_src[z] to lift_dst[z] for every initial atom z: the
+    composite, when there is one.  lift_src is onto, so every position is
+    written."""
+    positions = np.zeros(size, dtype=np.int64)
+    positions[lift_src] = lift_dst
     return positions
 
 
@@ -393,16 +392,16 @@ def _joint_size(diagram: Diagram, objs) -> int:
     positions is one mixed-radix int64 key, below the product of the sizes
     at objs; the callers pass one object or two, such as x and u, so a key
     is below |x|·|u|, at most the square of the initial size, far below
-    2^63.  The distinct keys are counted by sorting: on the 14,624 keys of a
-    roundtrip's recovered diagram the whole count takes 0.7 ms, against
-    1.7 ms hashing Python ints into a set and 2.6 ms through `np.unique`
-    (2 vCPU Xeon, numpy 2.4.6)."""
+    2^63.  The keys are computed straight from the lifts, on a copy of the
+    first, as lifts are shared, and the distinct keys are counted by
+    sorting: on the 14,624 keys of a roundtrip's recovered diagram the whole
+    count takes 0.12 ms, against 1.1 ms hashing the keys as Python ints into
+    a set and 1.7 ms through `np.unique` (2 vCPU Xeon, numpy 2.4.6)."""
     first, *rest = objs
-    card = len(diagram.initial_space)
-    keys = np.fromiter(diagram._lift(first), dtype=np.int64, count=card)
+    keys = diagram._lift(first).copy()
     for o in rest:
         keys *= len(diagram.spaces[o])
-        keys += np.fromiter(diagram._lift(o), dtype=np.int64, count=card)
+        keys += diagram._lift(o)
     keys.sort()
     return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
 
@@ -450,7 +449,7 @@ def _restricted(source, positions, masses, category=None) -> Diagram:
     if not all(masses):
         positions = list(itertools.compress(positions, masses))
         masses = [m for m in masses if m]
-    keys = {o: list(map(source._lift(o).__getitem__, positions)) for o in category.objects}
+    keys = {o: source._lift(o).take(positions).tolist() for o in category.objects}
     labels = {o: source._atoms(o).__getitem__ for o in category.objects}
     return _from_initial_measure(category, masses, sum(masses), keys, labels)[0]
 
@@ -489,8 +488,9 @@ def condition_diagram(diagram: Diagram, obj: str, atom) -> Diagram:
     if atom not in space:
         raise UnknownAtomError(f"atom {atom!r} not in the space at {obj!r}")
     p = space.frame.index[atom]
-    fiber = [z for z, q in enumerate(diagram._lift(obj)) if q == p]
-    return _restricted(diagram, fiber, list(map(diagram.initial_space.masses.__getitem__, fiber)))
+    fiber = np.flatnonzero(diagram._lift(obj) == p)
+    masses = diagram.initial_space.masses
+    return _restricted(diagram, fiber, list(map(masses.__getitem__, fiber.tolist())))
 
 
 def conditioned_slices(diagram: Diagram, obj: str, members):
@@ -500,7 +500,8 @@ def conditioned_slices(diagram: Diagram, obj: str, members):
     pushes only its own fiber through the lifts to the members."""
     cat = sub_diagram(diagram, members).category
     fibers = [([], []) for _ in range(diagram._size(obj))]
-    for z, mass, p in zip(itertools.count(), diagram.initial_space.masses, diagram._lift(obj)):
+    lift = diagram._lift(obj).tolist()
+    for z, mass, p in zip(itertools.count(), diagram.initial_space.masses, lift):
         fibers[p][0].append(z)
         fibers[p][1].append(mass)
     for a, (positions, masses) in zip(diagram.spaces[obj].atoms, fibers):
@@ -654,7 +655,7 @@ def _pair_fan(coupling: ProbSpace, first: Diagram, second: Diagram, *,
     pairs = [(index1[a], index2[b]) for a, b in coupling.atoms]
     keys, labels = {}, {}
     for o in first.category.objects:
-        lift1, lift2, width = first._lift(o), second._lift(o), second._size(o)
+        lift1, lift2, width = first._lift(o).tolist(), second._lift(o).tolist(), second._size(o)
         keys[o] = [lift1[p] * width + lift2[q] for p, q in pairs]
         labels[o] = partial(_pair_atom, first._atoms(o), second._atoms(o), width)
     top, atom_keys = _from_initial_measure(first.category, coupling.masses, coupling.denom,

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+import numpy as np
+
 from .categories import IndexingCategory
 from .diagrams import (
     Diagram,
@@ -407,9 +409,10 @@ class SetDiagram:
     def _cover_mapping(self, cover: tuple[str, str]) -> dict | None:
         return self.maps.get(cover)
 
-    def _cover_positions(self, cover: tuple[str, str]) -> list:
+    def _cover_array(self, cover: tuple[str, str]) -> np.ndarray:
         index = dict(zip(self.sets[cover[1]], itertools.count()))
-        return list(map(index.__getitem__, self.maps[cover].values()))
+        return np.fromiter(map(index.__getitem__, self.maps[cover].values()), dtype=np.int64,
+                           count=len(self.sets[cover[0]]))
 
     def _atoms(self, obj: str) -> tuple:
         return self.sets[obj]

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .diagrams import (
     Diagram,
     FanIndices,
@@ -125,23 +127,23 @@ def strip_expansion(expanded: Diagram, spec: ExpansionSpec) -> Diagram:
         if bad is not None:
             raise VerificationError(f"atom {bad!r} at {obj!r} is not a (v, w) pair")
         first: dict = {}
-        lift = index[obj] = [first.setdefault(v, len(first)) for v, _ in space.atoms]
+        lift = [first.setdefault(v, len(first)) for v, _ in space.atoms]
         sums = [0] * len(first)
         for p, mass in zip(lift, space.masses):
             sums[p] += mass
         spaces[obj] = ProbSpace(Frame(tuple(first)), sums, denom=space.denom)
+        index[obj] = np.array(lift, dtype=np.int64)
     maps = {}
     for (i, j) in expanded.category.covers:
         red = expanded.prime_maps[(i, j)]
         if i in inflate:
             # a morphism cannot enter the u-side from outside it, so only
             # those from inside are stripped
-            images = red.positions
+            images = red._array()
             if j in inflate:
-                images = map(index[j].__getitem__, images)
-            images = list(images)
+                images = index[j][images]
             positions = _induced_positions(index[i], images, len(spaces[i]))
-            if list(map(positions.__getitem__, index[i])) != images:
+            if not np.array_equal(positions[index[i]], images):
                 raise VerificationError(f"W marginal ill-defined on cover {(i, j)!r}")
             red = Reduction._trusted(spaces[i], spaces[j], positions=positions)
         maps[(i, j)] = red

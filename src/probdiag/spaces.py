@@ -22,11 +22,14 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple
 
+import numpy as np
+
 from .errors import (
     BadParamError,
     DuplicateAtomError,
     NegativeWeightError,
     NotSurjectiveError,
+    TooLargeError,
     UnknownAtomError,
     UnknownKindError,
     WeightSumError,
@@ -37,6 +40,13 @@ from .errors import (
 LAMBDA_LIGHT = "light"
 LAMBDA_HEAVY = "heavy"
 DIRAC_ATOM = "*"
+# cap on the atoms of one `tensor_spaces` product, which the distance bounds'
+# tensor coupling builds on any two loaded diagrams; expansion's products stay
+# within `expansion.MAX_EXPANDED_ATOMS` = 2^20 and tensor powers' supports
+# within `tropical_bounds.POWER_SUPPORT_CAP`, so neither reaches it.  At the
+# cap, CLI distance on two one-object 1024-atom diagrams: 1.3 s, 339 MB peak
+# RSS on a 2 vCPU Xeon
+MAX_TENSOR_ATOMS = 2 ** 20
 
 
 def as_fraction(value) -> Fraction:
@@ -306,7 +316,11 @@ def entropy(space: ProbSpace) -> float:
 
 
 def tensor_spaces(x: ProbSpace, y: ProbSpace) -> ProbSpace:
-    """Independent product; atoms are (a, b) pairs, entropy is additive."""
+    """Independent product; atoms are (a, b) pairs, entropy is additive.
+    A product over MAX_TENSOR_ATOMS atoms is refused before it is built."""
+    if len(x) * len(y) > MAX_TENSOR_ATOMS:
+        raise TooLargeError(f"the product of {len(x)} and {len(y)} atoms has "
+                            f"{len(x) * len(y)}, over the cap of {MAX_TENSOR_ATOMS}")
     frame = Frame(tuple(itertools.product(x.atoms, y.atoms)))
     masses = [ma * mb for ma in x.masses for mb in y.masses]
     return ProbSpace(frame, masses, denom=x.denom * y.denom)
@@ -338,20 +352,24 @@ class Reduction:
     """A measure-preserving surjection between finite probability spaces.
 
     The pushforward of the domain weights must equal the target weights
-    exactly.  The map is stored in one of two forms, and the other is a view
-    built on first read and cached, as a space's Fraction weights are a view
-    of its integer masses: `positions`, the index in `target.atoms` of each
-    domain atom's image, in domain order, and `mapping`, the atom dict keyed
-    in domain order.  The checked constructors, `from_map`, `joint_space`
-    and the contraction's x' store the dict; every other builder stores
-    positions, and then the dict's images are the target's own atoms.  Both
-    are shared, unchanged, by everything that reads them (a diagram's
-    composite on a cover is this mapping, and its lifts compose these
-    positions): treat them as read-only.  The constructor checks the map; the package's own
-    builders, whose maps hold by construction, use `_trusted` instead.
+    exactly.  The map is stored in one of three forms, and the others are
+    views built on first read and cached, as a space's Fraction weights are
+    a view of its integer masses: the int64 array of the index in
+    `target.atoms` of each domain atom's image, in domain order, which the
+    package's array work reads (`_array`); `positions`, the same indices as
+    a list of Python ints (a range for an identity); and `mapping`, the atom
+    dict keyed in domain order.  The checked constructors, `from_map`,
+    `joint_space` and the contraction's x' store the dict; the builders
+    that compute positions with numpy (from lifts, bit projections or
+    gathered tables) store the array, the others a list, and then the
+    dict's images are the target's own atoms.  All are shared, unchanged, by everything
+    that reads them (a diagram's composite on a cover is this mapping, and
+    its lifts index this array, which is read-only): treat them as
+    read-only.  The constructor checks the map; the package's own builders,
+    whose maps hold by construction, use `_trusted` instead.
     """
 
-    __slots__ = ("domain", "target", "_mapping", "_positions")
+    __slots__ = ("domain", "target", "_mapping", "_positions", "_positions_array")
 
     def __init__(self, domain: ProbSpace, target: ProbSpace, mapping: Mapping):
         # One pass copies the map and sums the image masses over the
@@ -375,7 +393,8 @@ class Reduction:
             raise NotSurjectiveError(
                 "pushforward of the domain does not equal the declared target"
             )
-        self.domain, self.target, self._mapping, self._positions = domain, target, own, None
+        self.domain, self.target, self._mapping = domain, target, own
+        self._positions = self._positions_array = None
 
     @classmethod
     def _trusted(cls, domain: ProbSpace, target: ProbSpace, mapping: dict | None = None, *,
@@ -383,27 +402,45 @@ class Reduction:
         """A reduction measure-preserving by construction, stored unchecked
         and uncopied in the form given: `mapping` with exactly the domain's
         atoms, in domain order, as the checked constructor stores it, or
-        `positions`."""
+        `positions`, a list, a range or an int64 array, which is then made
+        read-only."""
         red = cls.__new__(cls)
-        red.domain, red.target, red._mapping, red._positions = domain, target, mapping, positions
+        red.domain, red.target, red._mapping = domain, target, mapping
+        red._positions = red._positions_array = None
+        if isinstance(positions, np.ndarray):
+            positions.setflags(write=False)
+            red._positions_array = positions
+        else:
+            red._positions = positions
         return red
 
     @property
     def mapping(self) -> dict:
         """Domain atom -> image atom, keyed in domain order."""
         if self._mapping is None:
-            images = map(self.target.atoms.__getitem__, self._positions)
+            images = map(self.target.atoms.__getitem__, self.positions)
             self._mapping = dict(zip(self.domain.atoms, images))
         return self._mapping
 
     @property
     def positions(self):
         """The index in `target.atoms` of each domain atom's image, in domain
-        order: a list, or a range for an identity."""
+        order: a list of Python ints, or a range for an identity."""
         if self._positions is None:
-            index = self.target.frame.index
-            self._positions = list(map(index.__getitem__, self._mapping.values()))
+            if self._positions_array is not None:
+                self._positions = self._positions_array.tolist()
+            else:
+                index = self.target.frame.index
+                self._positions = list(map(index.__getitem__, self._mapping.values()))
         return self._positions
+
+    def _array(self) -> np.ndarray:
+        """`positions` as a read-only int64 array, built on first read."""
+        if self._positions_array is None:
+            array = np.fromiter(self.positions, dtype=np.int64, count=len(self.domain))
+            array.setflags(write=False)
+            self._positions_array = array
+        return self._positions_array
 
     @classmethod
     def from_map(cls, domain: ProbSpace, mapping: Mapping, target_atoms=None) -> "Reduction":

@@ -584,6 +584,36 @@ def dict_strip_expansion(expanded, spec):
     return Diagram(expanded.category, spaces, maps)
 
 
+def _atoms_at(source, obj) -> tuple:
+    """The atoms at obj of a diagram or a set diagram."""
+    return source.sets[obj] if hasattr(source, "sets") else source.spaces[obj].atoms
+
+
+def list_lift(source, obj) -> list:
+    """The lift of obj in a diagram or a set diagram, composed on Python
+    lists as the library once did: range(|initial|) at the initial object,
+    elsewhere the first parent's cover positions (read off the cover's atom
+    dict) indexed by the parent's lift."""
+    cat = source.category
+    if obj == cat.initial:
+        return list(range(len(_atoms_at(source, obj))))
+    parent = cat.first_parent[obj]
+    cover = (parent, obj)
+    mapping = source.maps[cover] if hasattr(source, "sets") else source.prime_maps[cover].mapping
+    index = {b: p for p, b in enumerate(_atoms_at(source, obj))}
+    via = [index[b] for b in mapping.values()]
+    return [via[p] for p in list_lift(source, parent)]
+
+
+def list_composite(source, src, dst) -> list:
+    """The composite src -> dst as a list of positions in dst's atoms, in
+    src's atom order, read off the two list lifts."""
+    positions = [None] * len(_atoms_at(source, src))
+    for a, b in zip(list_lift(source, src), list_lift(source, dst)):
+        positions[a] = b
+    return positions
+
+
 def joint_size(diagram, objs) -> int:
     """The number of distinct tuples (z's image at each of objs) over the
     initial atoms z, read off the composite atom dicts."""

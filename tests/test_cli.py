@@ -47,6 +47,17 @@ def test_distance_between_files(tmp_path, capsys):
     assert "lower,upper" in out
 
 
+def test_distance_over_the_tensor_cap_exits_1(tmp_path, capsys):
+    from probdiag.distances import single_space_diagram
+    from probdiag import ProbSpace, uniform
+
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_diagram(single_space_diagram(uniform(1025)), a)
+    save_diagram(single_space_diagram(ProbSpace(range(1025), [1] * 1025, denom=1025)), b)
+    assert main(["distance", "--input", str(a), "--input2", str(b)]) == 1
+    assert "over the cap of 1048576" in capsys.readouterr().err
+
+
 def test_contract_rows_and_reproducibility(tmp_path):
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     args = ["contract", "--fixture", "coord", "--l", "7", "--I", "1..5",

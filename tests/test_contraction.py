@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -25,10 +26,11 @@ from probdiag import (
     recover_collapsed_diagram,
     tail_bounds,
 )
-from probdiag import contraction
+from probdiag import contraction, diagrams
 from probdiag.automorphisms import diagram_isomorphic
 from probdiag.cli import main
 from probdiag.errors import (
+    CommutativityError,
     NotAdmissibleError,
     NotFanGeneratedError,
     OutOfRangeError,
@@ -36,7 +38,8 @@ from probdiag.errors import (
     UnknownKindError,
 )
 from probdiag.fixtures import coord_lambda3, coord_two_fan, reduced_lambda3
-from probdiag.jsonio import diagram_from_obj, diagram_to_obj
+from probdiag.jsonio import diagram_from_obj, diagram_to_obj, load_diagram, save_diagram
+from probdiag.spaces import Reduction
 from probdiag.sampling import np_rng_for
 
 LN2 = math.log(2)
@@ -64,6 +67,25 @@ class TestExtendAdmissibleFan:
         assert set(ext.shape.objects) == {"x", "x1", "x2"}
         for obj in ext.shape.objects:
             assert len(ext.ydiag.spaces[obj]) >= len(ext.xdiag.spaces[obj])
+
+    def test_fibers_are_built_from_the_position_table_on_read(self):
+        # the set-up keeps the fibers as x0 positions only, and a
+        # contraction's counts read them there
+        d, fi = reduced_lambda3(3, 7, range(6, 8))
+        ext = extend_admissible_fan(d, fi)
+        run = contract_once(ext, quiet_default_parameters(ext, 1))
+        assert run.counts and "fibers" not in vars(ext)
+        # the x0 atoms over each u, in order of first appearance over the
+        # initial atoms, read off the atom maps
+        to_x0 = d.composite_mapping(d.initial, ext.x0)
+        to_u = d.composite_mapping(d.initial, fi.u_obj)
+        want = {u: {} for u in ext.u_space.atoms}
+        for z in d.initial_space.atoms:
+            want[to_u[z]][to_x0[z]] = None
+        assert ext.fibers == {u: tuple(xs) for u, xs in want.items()}
+        assert {len(xs) for xs in ext.fibers.values()} == {ext.fiber_size}
+        drawn = {x for u in run._u_bar for x in ext.fibers[u]}
+        assert set(run.counts) == drawn
 
     def test_not_admissible(self):
         cat = build_category(["z", "x", "u", "w"],
@@ -660,16 +682,63 @@ class TestMaterializedFan:
 
 
 
-def test_materialized_fan_holds_python_ints():
-    # y' is gathered from int64 tables; what it hands out is Python ints
-    ext = extend_admissible_fan(*_loaded(lambda: reduced_lambda3(3, 7, range(6, 8))))
+def _flat(values) -> list:
+    """values, with the elements of tuple atoms in place of the tuples."""
+    return [x for v in values for x in (v if isinstance(v, tuple) else (v,))]
+
+
+def test_materialized_fan_holds_python_ints(tmp_path):
+    # y' is gathered from int64 tables and lifts are int64 arrays; what the
+    # package hands out is Python ints
+    diagram, fi = _loaded(lambda: reduced_lambda3(3, 7, range(6, 8)))
+    ext = extend_admissible_fan(diagram, fi)
     run = contract_once(ext, ContractionParams(N=50, t=0.5, rho=ext.rho, seed=4))
     fan = run.fan_prime
     reductions = [*fan.top.prime_maps.values(), *fan.proj_left.values(),
                   *fan.proj_right.values()]
     held = [v for sp in fan.top.spaces.values() for v in (*sp.masses, sp.denom)]
     held += [p for r in reductions for p in r.positions]
+
+    recovered = recover_collapsed_diagram(diagram, fi, run)
+    cat = recovered.category
+    pairs = [(s, d) for s in cat.objects for d in cat.objects if cat.reaches(s, d)]
+    held += [p for r in recovered.prime_maps.values() for p in r.positions]
+    held += [p for s, d in pairs for p in recovered.composite_reduction(s, d).positions]
+    held += _flat(v for s, d in pairs for v in recovered.composite_mapping(s, d).values())
+    # a restriction to every third initial atom, at int64 positions
+    positions = np.arange(0, len(recovered.initial_space), 3)
+    restricted = diagrams._restricted(recovered, positions, [2] * len(positions))
+    for space in restricted.spaces.values():
+        held += [*space.masses, space.denom]
+        held += space.frame._build.args[-1]  # the atom keys, before any atom is built
+        held += _flat(space.atoms)
+    held += [p for r in restricted.prime_maps.values() for p in r.positions]
     assert {type(v) for v in held} == {int}
+
+    path = tmp_path / "recovered.json"
+    save_diagram(recovered, path)
+    assert load_diagram(path) == recovered
+
+
+def test_recovery_rejects_a_fan_that_does_not_commute():
+    # recovery's final check is what stands between the caller's run and a
+    # diagram: one moved position of y''s cover x -> x1, which carries z's
+    # lift to z1's, must be named at the initial atom where the paths part
+    diagram, fi = _loaded(lambda: reduced_lambda3(3, 7, range(6, 8)))
+    ext = extend_admissible_fan(diagram, fi)
+    params = ContractionParams(N=50, t=0.5, rho=ext.rho, seed=4)
+    recover_collapsed_diagram(diagram, fi, contract_once(ext, params))  # untampered
+    run = contract_once(ext, params)
+    top = run.fan_prime.top
+    red = top.prime_maps[("x", "x1")]
+    positions = list(red.positions)
+    k = len(positions) // 2
+    positions[k] = (positions[k] + 1) % len(red.target)
+    top.prime_maps[("x", "x1")] = Reduction._trusted(red.domain, red.target, positions=positions)
+    atom = top.spaces["x"].atoms[k]
+    with pytest.raises(CommutativityError, match=re.escape(f"disagree at atom {atom!r}")):
+        recover_collapsed_diagram(diagram, fi, run)
+
 
 class TestLazyFan:
     @pytest.fixture

@@ -1,10 +1,10 @@
 import math
-import operator
 import random
 import re
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
@@ -135,6 +135,34 @@ class TestMakeDiagram:
         assert chain.composite_reduction(src, dst).mapping == {a: a for a in uniform(2).atoms}
 
 
+class TestArrayLifts:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_lifts_and_composites_equal_the_list_oracle(self, seed):
+        # lifts are read-only int64 arrays; each lift, composite and atom map
+        # equals the one composed on Python lists, element by element
+        rng = random.Random(seed)
+        for source in (random_diagram(rng), random_set_diagram(rng)):
+            cat = source.category
+            for o in cat.objects:
+                lift = source._lift(o)
+                assert lift.dtype == np.int64 and not lift.flags.writeable
+                assert lift.tolist() == oracles.list_lift(source, o)
+                assert source._lift(o) is lift
+                with pytest.raises(ValueError):
+                    lift[0] = 0
+            for src in cat.objects:
+                for dst in cat.objects:
+                    if not cat.reaches(src, dst):
+                        continue
+                    want = oracles.list_composite(source, src, dst)
+                    got = source._composite_positions(src, dst)
+                    assert got.dtype == np.int64 and got.tolist() == want
+                    atoms = oracles._atoms_at(source, dst)
+                    mapping = source.composite_mapping(src, dst)
+                    assert list(mapping) == list(oracles._atoms_at(source, src))
+                    assert list(mapping.values()) == [atoms[p] for p in want]
+
+
 class TestCoordinateDiagrams:
     def test_map_images_are_the_target_atoms(self):
         # 2^9 atoms on the left foot: past the small ints Python shares anyway
@@ -194,10 +222,13 @@ class TestCoordinateDiagrams:
         coords = d.coord_meta.coords
         for (i, j), red in d.prime_maps.items():
             bits = [coords[i].index(c) for c in coords[j]]
-            target = d.spaces[j].atoms
-            assert red.positions == [oracles.project_bits(a, bits) for a in d.spaces[i].atoms]
-            # positions are the target's own ints
-            assert all(map(operator.is_, red.positions, map(target.__getitem__, red.positions)))
+            # a cover holds its int64 array and no list until positions are read
+            assert red._positions is None and red._mapping is None
+            array = red._array()
+            assert array.dtype == np.int64 and not array.flags.writeable
+            want = [oracles.project_bits(a, bits) for a in d.spaces[i].atoms]
+            assert red.positions == want and {type(p) for p in red.positions} == {int}
+            assert red._array() is array
 
 
 class TestEntropyVector:

@@ -3,6 +3,7 @@ import json
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from probdiag import ContractionParams, contract_once, default_parameters, extend_admissible_fan
@@ -107,9 +108,10 @@ def test_roundtrip_builds_no_tagged_atoms(monkeypatch):
         top = run.fan_prime.top
         recovered = contraction.recover_collapsed_diagram(diagram, fan, run)
         assert classify_fan(recovered, fan).admissible
-        # y' is the recovered initial space, whose lift is read off its size
-        init = recovered.initial_space
-        assert recovered._lift(recovered.initial) == range(len(init))
+        # y' is the recovered initial space, whose lift is np.arange of its size
+        lift = recovered._lift(recovered.initial)
+        assert lift.dtype == np.int64 and not lift.flags.writeable
+        assert np.array_equal(lift, np.arange(len(recovered.initial_space)))
         spec = ExpansionSpec(diagram, fan, m)
         assert verify_expansion(diagram, expand_diagram(spec), spec).recovered_exactly
         assert all(s.frame._atoms is None for s in top.spaces.values())

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,9 +24,13 @@ from probdiag.errors import (
     DuplicateAtomError,
     NegativeWeightError,
     NotSurjectiveError,
+    TooLargeError,
     UnknownAtomError,
     WeightSumError,
 )
+from probdiag.diagrams import tensor_fan
+from probdiag.distances import single_space_diagram
+from probdiag.spaces import MAX_TENSOR_ATOMS
 from conftest import random_reduction, random_space
 
 
@@ -107,6 +112,21 @@ class TestTensor:
         for _ in range(100):
             x, y = random_space(rng), random_space(rng, prefix="b")
             assert abs(tensor_spaces(x, y).entropy - (x.entropy + y.entropy)) < 1e-12
+
+    def test_product_over_the_cap_is_refused_before_any_work(self):
+        # 1025 x 1025 atoms is just over 2^20; the distance bounds' tensor
+        # coupling of two such diagrams is refused the same way
+        x, y = uniform(1025), special_space("uniform", 1025)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeError, match="1050625, over the cap of 1048576"):
+                tensor_spaces(x, y)
+            with pytest.raises(TooLargeError):
+                tensor_fan(single_space_diagram(x), single_space_diagram(y))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20 and 1024 * 1024 == MAX_TENSOR_ATOMS
 
 
 class TestReduction:
