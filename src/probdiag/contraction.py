@@ -74,7 +74,6 @@ class _FiberPatterns(NamedTuple):
     pattern: np.ndarray        # |u| x P 0/1: which u fibers hold each pattern
     sizes: np.ndarray          # P: atoms per pattern
     atom_pattern: np.ndarray   # |x0|: the pattern of each x0 atom
-    fiber_pattern: np.ndarray  # |u| x f: the pattern of each fiber atom
 
 
 @dataclass(frozen=True)
@@ -157,15 +156,14 @@ class ExtendedFan:
             bits[atoms, row // 63] |= 1 << (row % 63)
         keys = bits.view(np.dtype((np.void, bits.itemsize * bits.shape[1]))).ravel()
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        # the smallest unsigned ids: the |u| x f table of them is kept
+        # the smallest unsigned ids: |x0| of them are kept
         relabel = np.empty(first.size, dtype=np.min_scalar_type(first.size))
         relabel[np.argsort(first)] = np.arange(first.size)
         atom_pattern = relabel[inverse]
-        fiber_pattern = atom_pattern[fiber_atoms]
         pattern = np.zeros((u_card, first.size), dtype=np.int64)
-        pattern[np.arange(u_card)[:, None], fiber_pattern] = 1
+        pattern[np.arange(u_card)[:, None], atom_pattern[fiber_atoms]] = 1
         sizes = np.bincount(atom_pattern, minlength=first.size)
-        return _FiberPatterns(pattern, sizes, atom_pattern, fiber_pattern)
+        return _FiberPatterns(pattern, sizes, atom_pattern)
 
     @cached_property
     def _x_side_tables(self) -> tuple[dict, dict]:
@@ -300,14 +298,18 @@ class ContractionRun:
     """One sampled contraction: the conditioned fan and its statistics.
 
     Exact identities: nu sums to rho * |x0| and the conditioned weights sum
-    to 1, both as rationals with zero tolerance.  fan_prime is materialized
-    on first read, from the sampled u atoms the run keeps, and only when
-    N f is at most DEFAULT_MATERIALIZE_CAP (else it reads None); all
-    statistics are derived from the integer fiber counts either way, which
-    the run keeps per fiber pattern (`ExtendedFan.fiber_patterns`); `counts`
-    is the per-atom view of them, built on first read.  The sample is kept
-    as positions into the u atoms; the sampled atoms themselves are built
-    only when fan_prime reads them.
+    to 1, both as rationals with zero tolerance.  All statistics are derived
+    from the integer fiber counts, which the run keeps per fiber pattern
+    (`ExtendedFan.fiber_patterns`); `counts` is the per-atom view of them.
+    The conditioned x-side xprime is built on first read, from the pattern
+    counts and N f, and so is fan_prime, from the sampled u atoms the run
+    keeps, and only when N f is at most DEFAULT_MATERIALIZE_CAP (else it
+    reads None); reading fan_prime, or recovering a diagram from the run,
+    builds xprime too.  So a run whose conditioned fan is never read, as in
+    CLI `contract`, costs O(N + |x0|).  xprime is a function of the counts
+    and the fan, and not a field: `==` on runs compares the statistics.
+    The sample is kept as positions into the u atoms; the sampled atoms
+    themselves are built only when fan_prime reads them.
     """
 
     params: ContractionParams
@@ -318,7 +320,6 @@ class ContractionRun:
     fiber_iso_ok: bool
     ikd_upper: float
     rough_bound_used: bool
-    xprime: Diagram
     vspace: ProbSpace
     x0_card: int
     fiber_size: int
@@ -333,6 +334,12 @@ class ContractionRun:
         return tuple(map(self._ext.u_space.atoms.__getitem__, self._u_pos.tolist()))
 
     @cached_property
+    def xprime(self) -> Diagram:
+        """The x-side ideal conditioned on the sample (`_conditioned_xprime`)."""
+        counts = np.array(self.pattern_counts, dtype=np.int64)
+        return _conditioned_xprime(self._ext, counts, self.params.N * self.fiber_size)
+
+    @cached_property
     def fan_prime(self) -> FanOfDiagrams | None:
         """The conditioned two-fan (x' <- y' -> V), or None when N f exceeds
         DEFAULT_MATERIALIZE_CAP."""
@@ -344,10 +351,10 @@ class ContractionRun:
     def counts(self) -> dict:
         """x0 atom -> sample count, positive entries only, in the order the
         atoms are first counted (`_first_counted`)."""
-        ext, rows = self._ext, _first_drawn(self._u_pos)
-        fresh = _first_counted(ext._patterns, rows)
-        atoms = map(ext.x0_space.atoms.__getitem__, ext._fiber_positions[rows][fresh].tolist())
-        groups = ext._patterns.fiber_pattern[rows][fresh].tolist()
+        ext = self._ext
+        counted = _first_counted(ext, _first_drawn(self._u_pos, len(ext.u_space)))
+        atoms = map(ext.x0_space.atoms.__getitem__, counted.tolist())
+        groups = ext._patterns.atom_pattern[counted].tolist()
         return dict(zip(atoms, map(self.pattern_counts.__getitem__, groups)))
 
     @property
@@ -428,19 +435,31 @@ def _fiber_translation_iso(ext: ExtendedFan, u_atom, u_ref) -> bool:
                for o, lift in lifts)
 
 
-def _first_drawn(positions: np.ndarray) -> np.ndarray:
-    """The distinct positions of a sample, in the order first drawn."""
-    _, first = np.unique(positions, return_index=True)
-    return positions[np.sort(first)]
+def _first_drawn(positions: np.ndarray, size: int) -> np.ndarray:
+    """The distinct positions of a sample into `size` atoms, in the order
+    first drawn, in O(N + size): the first index of each position is the
+    least of its indices, kept by `np.minimum.at`, and those indices, marked
+    in sample order, pick the positions out."""
+    n = positions.size
+    first = np.full(size, n, dtype=np.int64)
+    np.minimum.at(first, positions, np.arange(n))
+    marked = np.zeros(n, dtype=bool)
+    marked[first[first < n]] = True
+    return positions[marked]
 
 
-def _first_counted(patterns: _FiberPatterns, rows: np.ndarray) -> np.ndarray:
-    """Over the fibers of the distinct sampled u atoms (rows, in sampling
-    order), which atoms are counted there first: those whose pattern no
-    earlier row holds.  Read row by row in fiber order, these are the
-    counted x0 atoms in the order they are first counted."""
-    first_row = patterns.pattern[rows].argmax(axis=0)
-    return first_row[patterns.fiber_pattern[rows]] == np.arange(rows.size)[:, None]
+def _first_counted(ext: ExtendedFan, rows: np.ndarray) -> np.ndarray:
+    """The x0 positions counted over the fibers of the distinct sampled u
+    atoms (rows, in sampling order), in the order they are first counted,
+    row by row in fiber order: the atoms of a row whose pattern no earlier
+    row holds.  Only the rows that first hold some pattern, at most P of
+    them, have such atoms, so only their fibers are read: O(|x0|)."""
+    patterns = ext._patterns
+    held = patterns.pattern[rows]
+    first_row = held.argmax(axis=0)
+    leaders = sorted(set(first_row[held.any(axis=0)].tolist()))
+    return np.concatenate([fiber[first_row[patterns.atom_pattern[fiber]] == k]
+                           for k, fiber in zip(leaders, ext._fiber_positions[rows[leaders]])])
 
 
 def _deviation_sum(counts, sizes, card: int, nf: int):
@@ -487,11 +506,11 @@ def contract_once(ext: ExtendedFan, params: ContractionParams) -> ContractionRun
     spaces are virtual: the multiplicities of the sampled
     u atoms give one count per fiber pattern, which is the exact
     conditioned law of every atom of the pattern.  Total variation is the
-    exact integer sum over the groups, the height the per-atom terms
-    summed in the order the atoms are first counted, and the conditioned
-    x-side is built from the pattern counts through the fan's incidences.
-    The fiber isomorphism with the unconditioned slices is verified for
-    every distinct sampled atom.
+    exact integer sum over the groups and the height the per-atom terms
+    summed in the order the atoms are first counted.  The conditioned
+    x-side is left to the run's first read of xprime.  The fiber
+    isomorphism with the unconditioned slices is verified for every
+    distinct sampled atom.  So the op is O(N + |x0|).
     """
     if params.N > MAX_SAMPLE_SIZE:
         raise TooLargeError(f"N = {params.N} draws is over the cap of {MAX_SAMPLE_SIZE}")
@@ -502,7 +521,6 @@ def contract_once(ext: ExtendedFan, params: ContractionParams) -> ContractionRun
     patterns = ext._patterns
     n, f, card = params.N, ext.fiber_size, ext.x0_card
     nf = n * f
-    rows = _first_drawn(u_pos)
     counts = multiplicity @ patterns.pattern
     exact_counts = counts.astype(object)
     sizes = patterns.sizes.astype(object)
@@ -514,10 +532,8 @@ def contract_once(ext: ExtendedFan, params: ContractionParams) -> ContractionRun
     # each atom's term (c / (N f)) ln c, summed one atom at a time in the
     # order of first count, as the float sum is not associative
     terms = np.array([(c / nf) * math.log(c) if c else 0.0 for c in counts.tolist()])
-    in_order = patterns.fiber_pattern[rows][_first_counted(patterns, rows)]
-    height = float(np.add.accumulate(terms[in_order])[-1])
-
-    xprime = _conditioned_xprime(ext, counts, nf)
+    counted = _first_counted(ext, _first_drawn(u_pos, len(ext.u_space)))
+    height = float(np.add.accumulate(terms[patterns.atom_pattern[counted]])[-1])
 
     # conditioned-fiber isomorphism against the reference atom of u; the
     # verdicts are run-independent and cached on the fan
@@ -535,7 +551,7 @@ def contract_once(ext: ExtendedFan, params: ContractionParams) -> ContractionRun
                           alpha=alpha, height=height,
                           coverage=coverage, fiber_iso_ok=fiber_iso_ok,
                           ikd_upper=ikd_upper, rough_bound_used=rough,
-                          xprime=xprime, vspace=_sample_space(n),
+                          vspace=_sample_space(n),
                           x0_card=card, fiber_size=f,
                           size_h=ext.size_h, size_g=ext.size_g,
                           _ext=ext, _u_pos=u_pos)

@@ -14,7 +14,9 @@ coupling as its own loop, Monte-Carlo tail statistics atom by atom over
 dense sample x |x0| count arrays, categorical draws one at a time by
 rejection on `getrandbits` and a scan of the cumulative masses, and a
 contraction run atom by atom with Fraction total variation and the
-conditioned x-side pushed forward, coordinate projections bit by bit,
+conditioned x-side pushed forward, a sample's first draws by
+`dict.fromkeys` and its first counts by a row-by-row loop over the sampled
+fibers with a set of seen patterns, coordinate projections bit by bit,
 joint sizes as sets of tuples of composite images, and
 the translation between two conditioned fibers as one XOR dict per object
 over both conditioned diagrams, built and checked through the public
@@ -487,6 +489,30 @@ def contract_per_atom(ext, params) -> SimpleNamespace:
                  else 2.0 * ext.size_h * math.log(card))
     return SimpleNamespace(counts=counts, alpha=alpha, height=height, coverage=coverage,
                            ikd_upper=ikd_upper, spaces=spaces, maps=maps)
+
+
+def first_drawn(sample) -> list:
+    """The distinct items of a sample, in the order first drawn."""
+    return list(dict.fromkeys(sample))
+
+
+def first_counted(ext, drawn) -> list:
+    """The x0 atoms counted over the fibers of the distinct sampled u atoms
+    `drawn` (in first-draw order), in the order first counted: row by row,
+    in fiber order, the atoms whose pattern, the set of u atoms whose fibers
+    hold it, no earlier row's fiber held."""
+    holders: dict = {}
+    for u in ext.u_space.atoms:
+        for x in ext.fibers[u]:
+            holders.setdefault(x, set()).add(u)
+    pattern = {x: frozenset(us) for x, us in holders.items()}
+    seen: set = set()
+    order = []
+    for u in drawn:
+        fresh = {pattern[x] for x in ext.fibers[u]} - seen
+        order += [x for x in ext.fibers[u] if pattern[x] in fresh]
+        seen |= fresh
+    return order
 
 
 def dict_lift_diagram(category, measure, lifts):

@@ -1,14 +1,17 @@
 import dataclasses
+import functools
 import json
 import math
 import random
 import re
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from probdiag import (
@@ -590,13 +593,30 @@ def _shuffled_chain():
     return diagram_from_obj(obj), FanIndices("x", "z", "u")
 
 
+def _cyclic_fan(n: int = 5):
+    """A two-fan whose fibers overlap without being equal: z uniform on the
+    pairs (x, u) of Z_n with x - u in {0, 1}, so the fiber over u is
+    {u, u + 1}; homogeneous under the rotations of Z_n."""
+    pairs = [(x, (x - d) % n) for x in range(n) for d in (0, 1)]
+    top = ProbSpace([f"z{x}_{u}" for x, u in pairs], [1] * len(pairs), denom=len(pairs))
+    left = ProbSpace([f"x{x}" for x in range(n)], [1] * n, denom=n)
+    right = ProbSpace([f"u{u}" for u in range(n)], [1] * n, denom=n)
+    d = make_diagram(build_category(["top", "left", "right"],
+                                    [("top", "left"), ("top", "right")]),
+                     {"top": top, "left": left, "right": right},
+                     {("top", "left"): {f"z{x}_{u}": f"x{x}" for x, u in pairs},
+                      ("top", "right"): {f"z{x}_{u}": f"u{u}" for x, u in pairs}})
+    return d, FanIndices("left", "top", "right")
+
+
 class TestPerPatternAgainstPerAtomOracle:
     @pytest.mark.parametrize("name", ["two_fan", "lambda3", "reduced_lambda3",
-                                      "shuffled_chain"])
+                                      "shuffled_chain", "cyclic"])
     def test_every_field_in_key_order(self, small_exts, name):
         # N = 1, 2, 3, 5 leave atoms uncovered, so both ways of ordering the
         # conditioned x-side are compared
-        ext = (extend_admissible_fan(*_shuffled_chain()) if name == "shuffled_chain"
+        extra = {"shuffled_chain": _shuffled_chain, "cyclic": _cyclic_fan}
+        ext = (extend_admissible_fan(*extra[name]()) if name in extra
                else small_exts[name])
         f = ext.fiber_size
         partial = 0
@@ -780,6 +800,154 @@ class TestLazyFan:
     def test_one_sample_space_per_n(self):
         assert self._run().vspace is self._run().vspace
         assert self._run(19).vspace == ProbSpace(range(1, 20), [1] * 19, denom=19)
+
+
+class TestLazyXprime:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        build = contraction._conditioned_xprime
+
+        def counted(*args):
+            made.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(contraction, "_conditioned_xprime", counted)
+        return made
+
+    def _run(self, n=18, seed=6):
+        ext = extend_admissible_fan(*coord_lambda3())
+        return contract_once(ext, ContractionParams(N=n, t=0.5, rho=ext.rho, seed=seed))
+
+    def test_a_contraction_builds_no_xprime(self, calls):
+        run = self._run()
+        assert run.height > 0 and run.counts
+        assert calls == []
+
+    def test_cli_contract_builds_no_xprime(self, calls, capsys):
+        assert main(["contract", "--fixture", "lambda3", "--N", "18", "--seeds", "3"]) == 0
+        assert calls == []
+
+    def test_two_reads_build_once(self, calls):
+        run = self._run()
+        first = run.xprime
+        assert run.xprime is first
+        assert len(calls) == 1
+
+    def test_the_roundtrip_builds_it_once(self, calls):
+        run = self._run()
+        assert run.fan_prime.left is run.xprime
+        recover_collapsed_diagram(*coord_lambda3(), run)
+        assert len(calls) == 1
+
+    def test_runs_compare_without_it(self):
+        # xprime is a function of the counts and the fan, not a field
+        assert "xprime" not in {f.name for f in dataclasses.fields(contraction.ContractionRun)}
+        run = self._run()
+        run.xprime
+        assert run == self._run() != self._run(seed=7)
+
+    @pytest.mark.parametrize("name", ["two_fan", "lambda3", "reduced_lambda3"])
+    def test_lazy_equals_eager(self, small_exts, name):
+        # the x-side built on read equals the one built from the sample's
+        # pattern counts right away, as every contraction once did, field
+        # by field and in key order; N = 1 and 2 leave atoms uncovered
+        ext = small_exts[name]
+        pattern = ext.fiber_patterns[0]
+        covered = set()
+        for n in (1, 2, quiet_default_parameters(ext, seed=0).N):
+            for seed in range(3):
+                run = contract_once(ext, ContractionParams(N=n, t=0.5, rho=ext.rho, seed=seed))
+                counts = np.bincount(run._u_pos, minlength=len(ext.u_space)) @ pattern
+                eager = contraction._conditioned_xprime(ext, counts, n * ext.fiber_size)
+                lazy = run.xprime
+                assert lazy.category is eager.category
+                assert list(lazy.spaces) == list(eager.spaces)
+                for obj, space in eager.spaces.items():
+                    got = lazy.spaces[obj]
+                    assert (got.atoms, got.masses, got.denom) == (
+                        space.atoms, space.masses, space.denom)
+                    assert (got.frame is space.frame) == run.coverage
+                assert list(lazy.prime_maps) == list(eager.prime_maps)
+                for cover, red in eager.prime_maps.items():
+                    assert list(lazy.prime_maps[cover].mapping.items()) == list(
+                        red.mapping.items())
+                covered.add(run.coverage)
+        assert covered == {False, True}
+
+
+@pytest.fixture(scope="module")
+def regime_ext():
+    return extend_admissible_fan(*coord_two_fan(17, range(1, 16), range(14, 18)))
+
+
+@functools.cache
+def _sample_exts() -> dict:
+    """The small fans, the shuffled chain, the cyclic fan and a fan whose u
+    has one atom."""
+    exts = {name: extend_admissible_fan(d, fi) for name, (d, fi) in _small_fans().items()}
+    exts["shuffled_chain"] = extend_admissible_fan(*_shuffled_chain())
+    exts["cyclic"] = extend_admissible_fan(*_cyclic_fan())
+    exts["dirac_u"] = extend_admissible_fan(*coord_two_fan(4, range(1, 5), []))
+    return exts
+
+
+def _first_counts_against_oracles(ext, positions: np.ndarray) -> list:
+    """Check `_first_drawn` and `_first_counted` on a sample of u positions
+    against the oracles; returns the counted x0 atoms in first-count order."""
+    u_atoms, x0_atoms = ext.u_space.atoms, ext.x0_space.atoms
+    rows = contraction._first_drawn(positions, len(u_atoms))
+    assert rows.dtype == np.int64
+    assert rows.tolist() == oracles.first_drawn(positions.tolist())
+    order = oracles.first_counted(ext, [u_atoms[r] for r in rows.tolist()])
+    counted = contraction._first_counted(ext, rows)
+    assert [x0_atoms[p] for p in counted.tolist()] == order
+    return order
+
+
+class TestFirstCounts:
+    def _check_run(self, ext, run):
+        order = _first_counts_against_oracles(ext, run._u_pos)
+        counts = Counter()
+        for r, m in Counter(run._u_pos.tolist()).items():
+            counts.update(dict.fromkeys(ext.fibers[ext.u_space.atoms[r]], m))
+        assert list(run.counts.items()) == [(x, counts[x]) for x in order]
+        nf = run.params.N * ext.fiber_size
+        height = 0.0
+        for x in order:
+            height += (counts[x] / nf) * math.log(counts[x])
+        assert run.height == height
+
+    def test_regime_scale(self, regime_ext):
+        ext = regime_ext
+        covered = []
+        for n in (1, 3, 17, quiet_default_parameters(ext, seed=0).N):
+            for seed in range(2):
+                run = contract_once(ext, ContractionParams(N=n, t=0.5, rho=ext.rho, seed=seed))
+                self._check_run(ext, run)
+                covered.append(run.coverage)
+        assert not covered[0] and covered[-1]
+
+    @pytest.mark.parametrize("name", ["reduced_lambda3", "cyclic"])
+    def test_small_fans(self, name):
+        # the loaded reduced_lambda3 has no coordinate certificate; the cyclic
+        # fan's later rows hold counted patterns beside fresh ones
+        ext = _sample_exts()[name]
+        covered = set()
+        for n in (1, 3, 17, quiet_default_parameters(ext, seed=0).N):
+            for seed in range(4):
+                run = contract_once(ext, ContractionParams(N=n, t=0.5, rho=ext.rho, seed=seed))
+                self._check_run(ext, run)
+                covered.add(run.coverage)
+        assert covered == {False, True}
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_random_samples(self, data):
+        ext = _sample_exts()[data.draw(st.sampled_from(sorted(_sample_exts())))]
+        size = len(ext.u_space)
+        sample = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=60))
+        _first_counts_against_oracles(ext, np.array(sample, dtype=np.int64))
 
 
 @pytest.mark.parametrize("kw, name", [
