@@ -497,7 +497,10 @@ def conditioned_slices(diagram: Diagram, obj: str, members):
     """Each atom a of the space at obj, in order, with its slice
     sub_diagram(condition_diagram(diagram, obj, a), members).  The initial
     atoms are grouped by their image at obj in one pass, and each slice
-    pushes only its own fiber through the lifts to the members."""
+    pushes only its own fiber through the lifts to the members.
+    `verify_expansion` decides its slice clause without slices, by a
+    grouped pass on the lifts, and builds them here only when that pass
+    fails, to name the first u-atom and object that changed."""
     cat = sub_diagram(diagram, members).category
     fibers = [([], []) for _ in range(diagram._size(obj))]
     lift = diagram._lift(obj).tolist()

@@ -44,7 +44,9 @@ class ExpansionSpec:
 
     The added arrow entropy is ln m; only integer sizes are realizable with
     finite spaces, so arbitrary lambda targets are approximated by the
-    caller picking m, not by this module."""
+    caller picking m, not by this module.  A fan whose x reaches u is
+    refused: x would then be inflated with z, and the x-ideal would meet
+    the u-side."""
 
     base: Diagram
     fan: FanIndices
@@ -56,6 +58,10 @@ class ExpansionSpec:
         cls = classify_fan(self.base, self.fan)
         if not cls.reduced:
             raise NotReducedError(f"fan {self.fan} is not a reduced admissible fan")
+        if self.base.category.reaches(self.fan.x_obj, self.fan.u_obj):
+            # then x lies on the u-side, and the x-ideal meets it
+            raise BadParamError(f"fan {self.fan}: x reaches u, so W would inflate x as "
+                                f"well and add no arrow entropy")
         support = sum(len(self.base.spaces[o]) for o in _u_side(self))
         if support * self.m > MAX_EXPANDED_ATOMS:
             raise TooLargeError(f"m = {self.m} inflates the u-side's {support} atoms to "
@@ -150,6 +156,85 @@ def strip_expansion(expanded: Diagram, spec: ExpansionSpec) -> Diagram:
     return Diagram._trusted(expanded.category, spaces, maps)
 
 
+def _same_order(old: ProbSpace, new: ProbSpace) -> bool:
+    return new.frame is old.frame or new.atoms == old.atoms
+
+
+def _x_table(diagram: Diagram, u: str, lift_x: np.ndarray, size_x: int, masses: np.ndarray):
+    """The joint table of u and x under the initial masses, grouped by one
+    sort as `_joint_size` counts it: its rows' (u position, x position)
+    keys, as u · size_x + x, in sorted order, each row's mass sum, and each
+    u position's total (every u position has rows, as lifts are onto)."""
+    keys = diagram._lift(u) * size_x + lift_x
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    keys, sums = keys[starts], np.add.reduceat(masses[order], starts)
+    counts = np.bincount(keys // size_x)
+    return keys, sums, np.add.reduceat(sums, np.cumsum(counts) - counts)
+
+
+def _slices_agree(original: Diagram, expanded: Diagram, spec: ExpansionSpec) -> bool:
+    """The slice clause in one grouped pass on the lifts: whether, for every
+    u-atom (v, w) of the expansion, the x-ideal conditioned on it equals the
+    original's conditioned on v (on v itself when m = 1).  The spaces are
+    checked before, so the x-ideal's spaces are the original's, maybe in
+    another order, and each u-atom's head v is an atom of u.
+
+    First, every cover map inside the x-ideal is compared once, whole: as
+    positions when both ends list their atoms in one order, else as atom
+    maps.  Every atom has positive mass, so it lies in some slice, and the
+    whole maps are equal exactly when every slice's restricted maps are,
+    given equal supports.  Then only the conditioned laws at x are
+    compared: each other object's is x's pushed through those equal maps.
+    The (u, x) joint tables are grouped by one sort each.  The expansion's
+    u positions go to the original's through the head index, as
+    `strip_expansion` strips them, and its x positions through the
+    original's frame index when the orders differ.  Every row must match
+    its head's row at the same x-atom, with equal conditional masses, cross-
+    multiplied by the u-atoms' totals; summed over a u-atom's rows, those
+    products give its head's whole total, so the supports are equal too.
+    Masses are int64 only when every product, at most the product of the
+    two initial denominators, fits, and Python ints otherwise."""
+    u, x = spec.fan.u_obj, spec.fan.x_obj
+    x_ideal = set(original.category.descendants(x))
+    for (i, j), red in original.prime_maps.items():
+        other = expanded.prime_maps[(i, j)]
+        if i not in x_ideal or other is red:
+            continue
+        if _same_order(original.spaces[i], expanded.spaces[i]) and _same_order(
+                original.spaces[j], expanded.spaces[j]):
+            if not np.array_equal(red._array(), other._array()):
+                return False
+        elif red.mapping != other.mapping:
+            return False
+
+    old_x, new_x = original.spaces[x], expanded.spaces[x]
+    size_x = len(old_x)
+    lift_x = expanded._lift(x)
+    if not _same_order(old_x, new_x):
+        lift_x = np.fromiter(map(old_x.frame.index.__getitem__, new_x.atoms),
+                             np.int64, size_x)[lift_x]
+    u_atoms = expanded.spaces[u].atoms
+    heads = (a[0] for a in u_atoms) if spec.m > 1 else u_atoms
+    head = np.fromiter(map(original.spaces[u].frame.index.__getitem__, heads),
+                       np.int64, len(u_atoms))
+
+    old_init, new_init = original.initial_space, expanded.initial_space
+    dtype = np.int64 if old_init.denom * new_init.denom < 2 ** 63 else object
+    old_keys, old_sums, old_totals = _x_table(original, u, original._lift(x), size_x,
+                                              np.array(old_init.masses, dtype=dtype))
+    new_keys, new_sums, new_totals = _x_table(expanded, u, lift_x, size_x,
+                                              np.array(new_init.masses, dtype=dtype))
+    new_u = new_keys // size_x
+    targets = head[new_u] * size_x + new_keys % size_x
+    rows = np.searchsorted(old_keys, targets)
+    if not np.array_equal(old_keys.take(rows, mode="clip"), targets):
+        return False
+    return bool(np.array_equal(new_sums * old_totals[head[new_u]],
+                               old_sums[rows] * new_totals[new_u]))
+
+
 @dataclass(frozen=True)
 class ExpansionReport:
     arrow_entropy_before: float
@@ -167,7 +252,11 @@ def verify_expansion(original: Diagram, expanded: Diagram,
     """Check the expansion bookkeeping clause by clause.
 
     Raises VerificationError naming the first violated clause; returns the
-    measured report when everything passes."""
+    measured report when everything passes.  The slice clause (the x-ideal
+    conditioned on each u-atom (v, w) is the original's conditioned on v)
+    is decided by one grouped pass on the lifts, `_slices_agree`; only when
+    it fails are the slices built (`conditioned_slices`), in u order, to
+    name the first u-atom and object that changed."""
     _check_shape(original, spec)
     _check_shape(expanded, spec)
     fan = spec.fan
@@ -193,14 +282,15 @@ def verify_expansion(original: Diagram, expanded: Diagram,
         elif expanded.spaces[obj] != original.spaces[obj]:
             raise VerificationError(f"space at {obj!r} changed outside the u-side")
 
-    x_ideal = original.category.descendants(fan.x_obj)
-    old_slices = dict(conditioned_slices(original, fan.u_obj, x_ideal))
-    for atom, cond_new in conditioned_slices(expanded, fan.u_obj, x_ideal):
-        # the u-side spaces are checked above, so atom[0] is an atom of u
-        obj = _first_change(old_slices[atom[0] if spec.m > 1 else atom], cond_new)
-        if obj is not None:
-            raise VerificationError(f"conditioned x-side changed at u-atom {atom!r}, "
-                                    f"first at {obj!r}")
+    if not _slices_agree(original, expanded, spec):
+        # only a failure builds the slices, to name the first u-atom and object
+        x_ideal = original.category.descendants(fan.x_obj)
+        old_slices = dict(conditioned_slices(original, fan.u_obj, x_ideal))
+        for atom, cond_new in conditioned_slices(expanded, fan.u_obj, x_ideal):
+            obj = _first_change(old_slices[atom[0] if spec.m > 1 else atom], cond_new)
+            if obj is not None:
+                raise VerificationError(f"conditioned x-side changed at u-atom {atom!r}, "
+                                        f"first at {obj!r}")
 
     cls = classify_fan(expanded, fan)
     if not cls.admissible:

@@ -29,7 +29,9 @@ measure as the library once did, through `pushforward` and one atom dict
 per lift, `materialized_fan` builds a contraction's conditioned fan on
 them, through the coupling fan of every sampled pair,
 `dict_strip_expansion` marginalizes W out of an expansion through
-`pushforward` and the checked constructors, and
+`pushforward` and the checked constructors, `slice_clause` compares an
+expansion's conditioned x-sides slice by slice as the library once did,
+through `conditioned_slices` and `_first_change`, and
 `translation_iso_by_dicts` runs `verify_explicit_iso` on its dicts."""
 from __future__ import annotations
 
@@ -608,6 +610,24 @@ def dict_strip_expansion(expanded, spec):
             mapping = dict(old)
         maps[(i, j)] = Reduction(spaces[i], spaces[j], mapping)
     return Diagram(expanded.category, spaces, maps)
+
+
+def slice_clause(original, expanded, spec):
+    """The first (u-atom, object) at which an expansion's x-ideal,
+    conditioned on a u-atom (v, w) (on v when m = 1), differs from the
+    original's conditioned on v, in the expansion's u order; None when no
+    slice differs.  The per-slice loop `verify_expansion` once ran: one
+    diagram per u-atom of each, each pair compared by `_first_change`."""
+    from probdiag.diagrams import _first_change, conditioned_slices
+
+    fan = spec.fan
+    x_ideal = original.category.descendants(fan.x_obj)
+    old_slices = dict(conditioned_slices(original, fan.u_obj, x_ideal))
+    for atom, cond_new in conditioned_slices(expanded, fan.u_obj, x_ideal):
+        obj = _first_change(old_slices[atom[0] if spec.m > 1 else atom], cond_new)
+        if obj is not None:
+            return atom, obj
+    return None
 
 
 def _atoms_at(source, obj) -> tuple:

@@ -2,6 +2,7 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from probdiag import (
@@ -10,12 +11,16 @@ from probdiag import (
     ProbSpace,
     Reduction,
     classify_fan,
+    coordinate_diagram,
     entropy_vector,
     expand_diagram,
+    make_diagram,
+    standard_category,
     strip_expansion,
     verify_expansion,
 )
-from probdiag import jsonio
+from probdiag import expansion, jsonio
+from probdiag.diagrams import FanClassification, FanIndices
 from probdiag.errors import (
     BadParamError,
     NotReducedError,
@@ -23,7 +28,7 @@ from probdiag.errors import (
     TooLargeError,
     VerificationError,
 )
-from probdiag.expansion import MAX_EXPANDED_ATOMS
+from probdiag.expansion import MAX_EXPANDED_ATOMS, _slices_agree
 from probdiag.fixtures import coord_two_fan, reduced_lambda3, reduced_two_fan
 
 
@@ -47,6 +52,17 @@ class TestExpansionSpec:
         for m in (largest + 1, 10 ** 30):
             with pytest.raises(TooLargeError, match="over the cap"):
                 ExpansionSpec(d, fi, m)
+
+    def test_refuses_an_x_that_reaches_u(self):
+        # on the chain 3 -> 2 -> 1 the fan 2 <- 3 -> 1 is reduced, but its
+        # x (2) is an ancestor of u (1): W would inflate x too, and the
+        # x-ideal {2, 1} would meet the u-side {3, 2, 1}
+        cat = standard_category("chain", 3)
+        d = coordinate_diagram(cat, {"3": (1, 2), "2": (1, 2), "1": (1,)}, 2)
+        fi = FanIndices(x_obj="2", z_obj="3", u_obj="1")
+        assert classify_fan(d, fi).reduced
+        with pytest.raises(BadParamError, match="x reaches u"):
+            ExpansionSpec(d, fi, 2)
 
 
 class TestExpandDiagram:
@@ -179,9 +195,18 @@ def _reversed_reload(diagram: Diagram) -> Diagram:
     return jsonio.diagram_from_obj(obj)
 
 
+class _Unchecked(ExpansionSpec):
+    """An expansion spec that skips the reduced-fan checks, to expand a fan
+    the clauses behind them judge."""
+
+    def __post_init__(self):
+        pass
+
+
 class TestVerifyExpansionClauses:
     """One pinned message per failing clause, on reduced_lambda3(2, 4, 2..3)
-    expanded with m = 2; each broken expansion passes every earlier clause."""
+    expanded with m = 2 unless a test says otherwise; each broken expansion
+    passes every earlier clause."""
 
     @pytest.fixture
     def setup(self):
@@ -227,6 +252,29 @@ class TestVerifyExpansionClauses:
         with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
             verify_expansion(d, d, spec)
 
+    def test_not_admissible(self):
+        # a two-fan whose feet carry coordinates 1..2 and 2..3 of top's
+        # four is not minimal, and neither is its expansion; the arrow
+        # entropy, every space and every slice still check
+        d, fi = coord_two_fan(4, (1, 2), (2, 3))
+        assert not classify_fan(d, fi).admissible
+        spec = _Unchecked(d, fi, 2)
+        with pytest.raises(VerificationError, match="^expanded fan is not admissible$"):
+            verify_expansion(d, expand_diagram(spec), spec)
+
+    def test_still_reduced(self, setup, monkeypatch):
+        """No input reaches this clause once the earlier ones pass.  With
+        m >= 2 the space clause makes |z'| = m |z|, and x, off the u-side,
+        keeps its space, so |x| <= |z| < |z'| and the expanded fan is not
+        reduced.  An x on the u-side (refused by ExpansionSpec) would be
+        inflated with z, and the arrow-entropy clause would fail first.  So
+        the message is pinned on a classification patched to say reduced."""
+        d, spec, out = setup
+        monkeypatch.setattr(expansion, "classify_fan",
+                            lambda diagram, fan: FanClassification(True, True, True, ()))
+        with pytest.raises(VerificationError, match="^expanded fan is still reduced$"):
+            verify_expansion(d, out, spec)
+
     def test_w_marginal_ill_defined(self, setup):
         # z's atoms (0, w0) and (2, w0) swapped: z is only relabelled, so
         # every space, slice and the fan stay as they were, but (0, w0) now
@@ -250,6 +298,141 @@ class TestVerifyExpansionClauses:
         bad = _relabelled(out, "z1", swap)
         with pytest.raises(VerificationError, match="^marginalizing W does not recover the "
                                                     "original$"):
+            verify_expansion(d, bad, spec)
+
+
+def _slice_message(atom, obj) -> str:
+    return f"^{re.escape(f'conditioned x-side changed at u-atom {atom!r}, first at {obj!r}')}$"
+
+
+# the expansion fixtures of tools/output_digest.py: the CLI's two_fan and
+# lambda3 defaults and the benchmark's roundtrip diagram
+DIGEST_FIXTURES = {
+    "two_fan": lambda: reduced_two_fan(4, (3, 4)),
+    "lambda3": lambda: reduced_lambda3(2, 4, (3, 4)),
+    "roundtrip": lambda: reduced_lambda3(3, 7, range(6, 8)),
+}
+
+
+class TestGroupedSliceClause:
+    """The grouped pass (`_slices_agree`) against the per-slice loop it
+    replaced (`oracles.slice_clause`): one verdict, and on a failure the
+    u-atom and object that `verify_expansion` names."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", sorted(DIGEST_FIXTURES))
+    def test_expansions_pass(self, name, m):
+        d, fi = DIGEST_FIXTURES[name]()
+        spec = ExpansionSpec(d, fi, m)
+        out = expand_diagram(spec)
+        for original, expanded in ((d, out), (d, _reversed_reload(out)),
+                                   (_reversed_reload(d), out)):
+            assert oracles.slice_clause(original, expanded, spec) is None
+            assert _slices_agree(original, expanded, spec)
+            assert verify_expansion(original, expanded, spec).conditioned_slices_equal
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("obj, swap, v, first", [
+        # x2 carries coordinates 4..7 and u 6..7.  Atoms 8 and 12 differ in
+        # coordinate 6, and both have coordinate 7 set: the x2 slices over
+        # u = 2 and 3 trade them, and no other slice holds either
+        ("x2", {8: 12, 12: 8}, 2, "x2"),
+        # atoms 12 and 13 differ in coordinate 4 only: the slices over
+        # u = 3 keep their spaces, and only the map out of x changes
+        ("x2", {12: 13, 13: 12}, 3, "x"),
+        # u's atoms 1 and 2 trade their fibers at the last W point
+        ("u", {1: 2, 2: 1}, 1, "x"),
+    ], ids=["mass", "map_only", "u_atoms"])
+    def test_tampered_fails_at_the_chosen_slice(self, m, obj, swap, v, first):
+        d, fi = reduced_lambda3(3, 7, range(6, 8))
+        spec = ExpansionSpec(d, fi, m)
+        out = expand_diagram(spec)
+        if obj == "u":
+            w = f"w{m - 1}"
+            swap = {(a, w): (b, w) for a, b in swap.items()} if m > 1 else swap
+            atom = (v, w) if m > 1 else v
+        else:
+            atom = (v, "w0") if m > 1 else v
+        bad = _relabelled(out, obj, swap)
+        assert oracles.slice_clause(d, bad, spec) == (atom, first)
+        assert not _slices_agree(d, bad, spec)
+        with pytest.raises(VerificationError, match=_slice_message(atom, first)):
+            verify_expansion(d, bad, spec)
+        # listed in another order, the first changed slice comes later
+        reordered = _reversed_reload(bad)
+        named = oracles.slice_clause(d, reordered, spec)
+        assert named is not None and not _slices_agree(d, reordered, spec)
+        with pytest.raises(VerificationError, match=_slice_message(*named)):
+            verify_expansion(d, reordered, spec)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_random_relabellings(self, data):
+        name = data.draw(st.sampled_from(["two_fan", "lambda3"]))
+        m = data.draw(st.integers(1, 3))
+        d, fi = DIGEST_FIXTURES[name]()
+        spec = ExpansionSpec(d, fi, m)
+        out = expand_diagram(spec)
+        obj = data.draw(st.sampled_from(out.category.objects))
+        atoms = out.spaces[obj].atoms
+        order = data.draw(st.permutations(range(len(atoms))))
+        pairs = data.draw(st.integers(1, len(atoms) // 2))
+        swap = {}
+        for a, b in zip(order[:2 * pairs:2], order[1:2 * pairs:2]):
+            swap.update({atoms[a]: atoms[b], atoms[b]: atoms[a]})
+        bad = _relabelled(out, obj, swap)
+        if data.draw(st.booleans()):
+            bad = _reversed_reload(bad)
+        named = oracles.slice_clause(d, bad, spec)
+        assert _slices_agree(d, bad, spec) == (named is None)
+        if named is not None:
+            with pytest.raises(VerificationError, match=_slice_message(*named)):
+                verify_expansion(d, bad, spec)
+
+
+class TestExactSliceMasses:
+    """The slice clause on masses whose cross products pass 2^63: a two-fan
+    whose top has masses K, K + 1, K + 1, K over 4K + 2.  Its feet are
+    uniform on two atoms and jointly injective, so the fan is minimal but
+    not reduced.  At K = 2^60 the masses fit in int64 and their products do
+    not; at K = 2^64 neither does."""
+
+    @pytest.fixture(params=[2 ** 60, 2 ** 64], ids=["K=2^60", "K=2^64"])
+    def setup(self, request):
+        k = request.param
+        cat = standard_category("two_fan")
+        top = ProbSpace(["t1", "t2", "t3", "t4"], [k, k + 1, k + 1, k], denom=4 * k + 2)
+        left, right = ProbSpace(["b1", "b2"], [1, 1], denom=2), ProbSpace(["r1", "r2"], [1, 1],
+                                                                           denom=2)
+        d = make_diagram(cat, {"top": top, "left": left, "right": right}, {
+            ("top", "left"): {"t1": "b1", "t2": "b2", "t3": "b1", "t4": "b2"},
+            ("top", "right"): {"t1": "r1", "t2": "r1", "t3": "r2", "t4": "r2"}})
+        spec = _Unchecked(d, FanIndices(x_obj="left", z_obj="top", u_obj="right"), 2)
+        out = expand_diagram(spec)
+        assert d.initial_space.denom * out.initial_space.denom > 2 ** 120
+        return d, spec, out
+
+    def test_untampered_passes(self, setup):
+        d, spec, out = setup
+        assert oracles.slice_clause(d, out, spec) is None
+        assert _slices_agree(d, out, spec)
+        assert verify_expansion(d, out, spec).recovered_exactly
+
+    def test_one_unit_of_mass_fails(self, setup):
+        # at W point w0, t1 and t2 trade their x-atoms, and so do t3 and t4:
+        # every space keeps its masses, and every slice its support, but
+        # the slice over (r1, w0) weighs b1 K + 1 and b2 K, one unit off,
+        # a relative change that a float cannot hold at either K
+        d, spec, out = setup
+        moved = {("t1", "w0"): "b2", ("t2", "w0"): "b1", ("t3", "w0"): "b2",
+                 ("t4", "w0"): "b1"}
+        old = out.prime_maps[("top", "left")].mapping
+        cover = Reduction(out.spaces["top"], out.spaces["left"],
+                          {a: moved.get(a, b) for a, b in old.items()})
+        bad = Diagram(out.category, out.spaces, {**out.prime_maps, ("top", "left"): cover})
+        assert oracles.slice_clause(d, bad, spec) == (("r1", "w0"), "left")
+        assert not _slices_agree(d, bad, spec)
+        with pytest.raises(VerificationError, match=_slice_message(("r1", "w0"), "left")):
             verify_expansion(d, bad, spec)
 
 
