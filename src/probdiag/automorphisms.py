@@ -29,22 +29,25 @@ def find_diagram_morphism(d1: Diagram, d2: Diagram, fixed=None,
                           step_cap: int = DEFAULT_STEP_CAP) -> dict | None:
     """One isomorphism d1 -> d2 respecting `fixed` constraints, or None.
 
-    fixed maps (obj, atom_of_d1) -> atom_of_d2.  Returns per-object atom
-    bijections when a full isomorphism exists.
+    fixed maps (obj, atom_of_d1) -> atom_of_d2; an object outside the
+    category raises MapError, and an atom outside its space leaves no
+    isomorphism.  The search runs on lifts and positions, and returns
+    per-object atom bijections when a full isomorphism exists.
     """
     if d1.category != d2.category:
         raise ShapeMismatchError("morphism search needs equal categories")
     cat = d1.category
     objects = cat.objects
     init = cat.initial
-    comp1, comp2 = ({o: d.composite_mapping(init, o) for o in objects} for d in (d1, d2))
+    lift1 = {o: d1._lift(o).tolist() for o in objects}
+    lift2 = lift1 if d2 is d1 else {o: d2._lift(o).tolist() for o in objects}
+    masses1, masses2 = ({o: d.spaces[o].masses for o in objects} for d in (d1, d2))
 
     fwd = {o: {} for o in objects}
     bwd = {o: {} for o in objects}
 
-    atoms1 = d1.initial_space.atoms
-    atoms2 = d2.initial_space.atoms
-    if len(atoms1) != len(atoms2):
+    size = len(d1.initial_space)
+    if size != len(d2.initial_space):
         return None
     # weight-preserving bijections keep the canonical denominator, so masses
     # over it compare weights exactly
@@ -56,14 +59,14 @@ def find_diagram_morphism(d1: Diagram, d2: Diagram, fixed=None,
         """Propagate z -> w through every object; return an undo trail or None."""
         trail = []
         for o in objects:
-            a = comp1[o][z]
-            b = comp2[o][w]
+            a = lift1[o][z]
+            b = lift2[o][w]
             cur = fwd[o].get(a)
             if cur is not None:
                 if cur != b:
                     break
                 continue
-            if b in bwd[o] or d1.spaces[o].mass(a) != d2.spaces[o].mass(b):
+            if b in bwd[o] or masses1[o][a] != masses2[o][b]:
                 break
             fwd[o][a] = b
             bwd[o][b] = a
@@ -80,17 +83,23 @@ def find_diagram_morphism(d1: Diagram, d2: Diagram, fixed=None,
 
     if fixed:
         # non-initial constraints are recorded first and checked during
-        # propagation; initial-object constraints propagate immediately
+        # propagation; initial-object constraints propagate after them
+        pinned = []
         for (obj, a), b in fixed.items():
-            if obj == init:
-                continue
-            if (fwd[obj].get(a, b) != b or bwd[obj].get(b, a) != a
-                    or d1.spaces[obj].mass(a) != d2.spaces[obj].mass(b)):
+            # Diagram.space raises MapError for an unknown object
+            a, b = d1.space(obj).frame.index.get(a), d2.spaces[obj].frame.index.get(b)
+            if a is None or b is None:
                 return None
-            fwd[obj][a], bwd[obj][b] = b, a
-        for (obj, a), b in fixed.items():
+            if obj == init:
+                pinned.append((a, b))
+            elif (fwd[obj].get(a, b) != b or bwd[obj].get(b, a) != a
+                    or masses1[obj][a] != masses2[obj][b]):
+                return None
+            else:
+                fwd[obj][a], bwd[obj][b] = b, a
+        for a, b in pinned:
             # assign compares the masses at the initial object too
-            if obj == init and fwd[init].get(a) != b and assign(a, b) is None:
+            if fwd[init].get(a) != b and assign(a, b) is None:
                 return None
 
     # An explicit stack holds one level per initial atom of d1 left free by
@@ -98,20 +107,20 @@ def find_diagram_morphism(d1: Diagram, d2: Diagram, fixed=None,
     # circular doubly linked list in d2's atom order, unlinked while assigned
     # and relinked on backtracking: a level visits only free candidates of
     # its mass, and each visit is a step.
-    heads = {m: object() for m in {*d1.initial_space.masses, *d2.initial_space.masses}}
+    heads = {m: object() for m in {*masses1[init], *masses2[init]}}
     nxt = {head: head for head in heads.values()}
     prv = dict(nxt)
-    for w in atoms2:
+    for w in range(size):
         if w not in bwd[init]:
-            head = heads[d2.initial_space.mass(w)]
+            head = heads[masses2[init][w]]
             nxt[prv[head]], prv[w], nxt[w], prv[head] = w, prv[head], head, w
-    order = [z for z in atoms1 if z not in fwd[init]]
+    order = [z for z in range(size) if z not in fwd[init]]
 
     frames: list = []  # (candidate, trail) of each assigned level
     fresh = w = object()  # w: the candidate last tried at the current level
     while len(frames) < len(order):
         z = order[len(frames)]
-        head = heads[d1.initial_space.mass(z)]
+        head = heads[masses1[init][z]]
         w = nxt[head if w is fresh else w]
         while w is not head:
             steps += 1
@@ -130,25 +139,28 @@ def find_diagram_morphism(d1: Diagram, d2: Diagram, fixed=None,
             w, trail = frames.pop()
             undo(trail)
             nxt[prv[w]] = prv[nxt[w]] = w
-    return {o: dict(fwd[o]) for o in objects}
+    atoms1, atoms2 = ({o: d.spaces[o].atoms for o in objects} for d in (d1, d2))
+    return {o: {atoms1[o][a]: atoms2[o][b] for a, b in fwd[o].items()} for o in objects}
 
 
 def verify_explicit_iso(d1: Diagram, d2: Diagram, maps: dict) -> bool:
-    """Check that explicit per-object maps form an isomorphism d1 -> d2."""
+    """Check that explicit per-object maps, atom dicts, form an isomorphism
+    d1 -> d2; False when one lacks an object or an atom."""
     if d1.category != d2.category:
         return False
+    positions = {}
     for o in d1.category.objects:
-        m = maps[o]
         sp1, sp2 = d1.spaces[o], d2.spaces[o]
-        if len(sp1) != len(sp2) or sp1.denom != sp2.denom:
+        index = sp2.frame.index
+        try:
+            m = maps[o]
+            images = positions[o] = [index[m[a]] for a in sp1.atoms]
+        except KeyError:  # unmapped, or mapped outside sp2
             return False
-        seen = set()
-        for a, mass in zip(sp1.atoms, sp1.masses):
-            b = m.get(a)
-            if b is None or b in seen or sp2.mass(b) != mass:
-                return False
-            seen.add(b)
-    return _unnatural_at(d1, d2, maps) is None
+        if (len(images) != len(sp2) or sp1.denom != sp2.denom or len(set(images)) < len(images)
+                or any(sp2.masses[q] != mass for q, mass in zip(images, sp1.masses))):
+            return False
+    return _unnatural_at(d1, d2, positions) is None
 
 
 def diagram_isomorphic(d1: Diagram, d2: Diagram, *, support_cap: int = DEFAULT_SUPPORT_CAP,

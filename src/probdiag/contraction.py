@@ -41,6 +41,7 @@ from .diagrams import (
     constant_diagram,
     joint_space,
     sub_diagram,
+    _induced_positions,
     _joint_size,
     _pair_fan,
     _restricted,
@@ -155,41 +156,32 @@ class ExtendedFan:
         for row, atoms in enumerate(fiber_atoms):
             bits[atoms, row // 63] |= 1 << (row % 63)
         keys = bits.view(np.dtype((np.void, bits.itemsize * bits.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        distinct, ids = _first_appearance(keys)
         # the smallest unsigned ids: |x0| of them are kept
-        relabel = np.empty(first.size, dtype=np.min_scalar_type(first.size))
-        relabel[np.argsort(first)] = np.arange(first.size)
-        atom_pattern = relabel[inverse]
-        pattern = np.zeros((u_card, first.size), dtype=np.int64)
+        atom_pattern = ids.astype(np.min_scalar_type(distinct.size))
+        pattern = np.zeros((u_card, distinct.size), dtype=np.int64)
         pattern[np.arange(u_card)[:, None], atom_pattern[fiber_atoms]] = 1
-        sizes = np.bincount(atom_pattern, minlength=first.size)
+        sizes = np.bincount(atom_pattern, minlength=distinct.size)
         return _FiberPatterns(pattern, sizes, atom_pattern)
 
     @cached_property
-    def _x_side_tables(self) -> tuple[dict, dict]:
-        """The x-side ideal against the fiber patterns: at each object the
-        frame of its atoms in first-appearance order over the x0 atoms,
-        which every covering run's conditioned x-side shares, the index
-        among them of each x0 atom's image, and the integer incidence
-        (atoms x P) counting each pattern's atoms over each atom; on each
-        cover, the map between the lifts' images, keyed in the source's
-        order."""
-        x0_atoms = self.x0_space.atoms
+    def _x_side_tables(self) -> dict:
+        """The x-side ideal against the fiber patterns, read off its lifts:
+        at each object the frame of its atoms in first-appearance order over
+        the x0 atoms, which every covering run's conditioned x-side shares,
+        the index among them of each x0 atom's image, and the integer
+        incidence (atoms x P) counting each pattern's atoms over each atom."""
         atom_pattern = self._patterns.atom_pattern
         n_patterns = self._patterns.sizes.size
-        images: dict = {}
         objects: dict = {}
         for o in self.shape.objects:
-            images[o] = list(map(self.xdiag.composite_mapping(self.x0, o).__getitem__, x0_atoms))
-            position = dict(zip(dict.fromkeys(images[o]), itertools.count()))
-            image = np.fromiter(map(position.__getitem__, images[o]), dtype=np.int64,
-                                count=len(x0_atoms))
+            order, image = _first_appearance(self.xdiag._lift(o))
             incidence = np.bincount(image * n_patterns + atom_pattern,
-                                    minlength=len(position) * n_patterns)
-            objects[o] = (Frame(tuple(position)), image,
-                          incidence.reshape(len(position), n_patterns))
-        covers = {(i, j): dict(zip(images[i], images[j])) for (i, j) in self.shape.covers}
-        return objects, covers
+                                    minlength=order.size * n_patterns)
+            atoms = self.xdiag.spaces[o].atoms
+            objects[o] = (Frame(tuple(map(atoms.__getitem__, order.tolist()))), image,
+                          incidence.reshape(order.size, n_patterns))
+        return objects
 
     @property
     def size_h(self) -> int:
@@ -364,12 +356,6 @@ class ContractionRun:
         return {x: Fraction(c, n) for x, c in self.counts.items()}
 
     @property
-    def p_b0(self) -> dict:
-        """x0 atom -> exact conditioned weight count / (N f)."""
-        nf = self.params.N * self.fiber_size
-        return {x: Fraction(c, nf) for x, c in self.counts.items()}
-
-    @property
     def _total_count(self) -> int:
         """The counts summed over all x0 atoms, exactly, group by group."""
         sizes = self._ext.fiber_patterns[1].tolist()
@@ -382,13 +368,6 @@ class ContractionRun:
     @property
     def total_mass(self) -> Fraction:
         return Fraction(self._total_count, self.params.N * self.fiber_size)
-
-    def height_two_ways(self) -> tuple[float, float]:
-        """Mean log fiber count vs the entropy difference of the fan arrow."""
-        via_fibers = self.height
-        via_difference = (math.log(self.params.N * self.fiber_size)
-                          - self.xprime.initial_space.entropy)
-        return via_fibers, via_difference
 
     def height_thresholds(self) -> tuple[float, float]:
         """ln(N rho) + t, and 4 ln ln |x0|."""
@@ -462,6 +441,13 @@ def _first_counted(ext: ExtendedFan, rows: np.ndarray) -> np.ndarray:
                            for k, fiber in zip(leaders, ext._fiber_positions[rows[leaders]])])
 
 
+def _first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values in order of first appearance, and the index
+    among them of each value."""
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    return values[np.sort(first)], np.argsort(np.argsort(first))[inverse]
+
+
 def _deviation_sum(counts, sizes, card: int, nf: int):
     """sum_p w_p |c_p |x0| - N f| over the pattern groups, for counts c
     (one sample, or one sample per row) and group sizes w: 2 N f |x0| times
@@ -475,26 +461,24 @@ def _conditioned_xprime(ext: ExtendedFan, counts: np.ndarray, nf: int) -> Diagra
     """The x-side under the conditioned x0 law count / (N f): at each object
     the masses are its incidence times the pattern counts, over its atoms in
     first-appearance order over the counted x0 atoms (all of them, in x0
-    order, when the sample covers x0), as pushing the law forward gives.
+    order, when the sample covers x0), as pushing the law forward gives,
+    and each map is read off the counted atoms' positions at its two ends.
     When the sample covers x0, each space is on the frame the fan's tables
     hold."""
-    objects, covers = ext._x_side_tables
     covered = None if counts.all() else counts[ext._patterns.atom_pattern] > 0
     spaces: dict = {}
-    for o, (frame, image, incidence) in objects.items():
+    lifts: dict = {}
+    for o, (frame, image, incidence) in ext._x_side_tables.items():
         masses = incidence @ counts
+        lifts[o] = image
         if covered is not None:
-            seen = image[covered]
-            _, first = np.unique(seen, return_index=True)
-            order = seen[np.sort(first)]
+            order, lifts[o] = _first_appearance(image[covered])
             frame = Frame(tuple(map(frame.atoms.__getitem__, order.tolist())))
             masses = masses[order]
         spaces[o] = ProbSpace(frame, masses.tolist(), denom=nf)
-    maps: dict = {}
-    for (i, j), mapping in covers.items():
-        if covered is not None:
-            mapping = {a: mapping[a] for a in spaces[i].atoms}
-        maps[(i, j)] = Reduction._trusted(spaces[i], spaces[j], mapping)
+    maps = {(i, j): Reduction._trusted(spaces[i], spaces[j], positions=_induced_positions(
+                lifts[i], lifts[j], len(spaces[i])))
+            for (i, j) in ext.shape.covers}
     return Diagram._trusted(ext.shape, spaces, maps)
 
 

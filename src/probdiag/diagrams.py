@@ -2,22 +2,21 @@
 
 A diagram assigns a ProbSpace to every object and a measure-preserving
 surjection to every cover of its indexing category; all paths commute.
-Maps are target positions: a `Reduction` holds the index in its target's
-atoms of each domain atom's image, and its atom dict is a view (see
-`Reduction`).  Every space is a quotient of the initial one, so a diagram's
-maps compose through its lifts, the composites out of the initial object,
-held as read-only int64 arrays of positions aligned with the initial atoms:
-the lift of an object is its first parent's cover array indexed by that
-parent's lift, and any other composite is read off two lifts
-(`Diagram.composite_mapping` builds its atom dict only when asked).  All
-paths agree exactly when every cover carries its source's lift onto its
-target's, because lifts are onto; the check compares int64 arrays and
-hashes no atoms.  The checked constructor
-re-keys a map whose domain or target is an equal space listed in another
-order, so positions are always taken in the diagram's own spaces.  A
-measure on the initial atoms pushed through a skeleton (a restriction, a
-coupling of two diagrams) is built by `_from_initial_measure` from one int
-key per initial atom at each object; a coupling keys (p, q) as p |Y| + q.
+Maps are target positions only (see `Reduction`); atom dicts are views
+for public readers, with the target's own atoms as images.  Every space is
+a quotient of the initial one, so a diagram's maps compose through its
+lifts, the composites out of the initial object, held as read-only int64
+arrays of positions aligned with the initial atoms: the lift of an object
+is its first parent's cover array indexed by that parent's lift, and any
+other composite is read off two lifts.  All paths agree exactly when every
+cover carries its source's lift onto its target's, because lifts are onto;
+the check compares int64 arrays and hashes no atoms, and so do the
+naturality checks of fans and explicit isomorphisms.  The checked
+`Diagram(...)` and `FanOfDiagrams(...)` take a map on an equal space
+listed in another order into their own spaces (`Reduction._in_spaces`).
+A measure on the initial atoms pushed through a skeleton (a restriction,
+a coupling, a joint space) is built by `_from_initial_measure` from one int
+key per initial atom at each object; a pair (p, q) is keyed p |Y| + q.
 
 Checks sit where data enters: the public `Reduction(...)`, `make_diagram`,
 `Diagram(...)`, `FanOfDiagrams(...)` (and so JSON loading) and
@@ -33,7 +32,6 @@ caller and can disagree.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Mapping
@@ -102,12 +100,9 @@ class Diagram:
         for (i, j), red in prime_maps.items():
             if red.domain != spaces[i] or red.target != spaces[j]:
                 raise MapError(f"map on cover {(i, j)!r} does not match the declared spaces")
-            if red.domain is not spaces[i] or red.target is not spaces[j]:
-                # an equal space may list its atoms in another order, and
-                # positions are taken in the diagram's own spaces
-                m = red.mapping
-                red = Reduction._trusted(spaces[i], spaces[j], {a: m[a] for a in spaces[i]})
-            maps[(i, j)] = red
+            # an equal space may list its atoms in another order, and
+            # positions are taken in the diagram's own spaces
+            maps[(i, j)] = red._in_spaces(spaces[i], spaces[j])
         self._store(category, dict(spaces), maps)
         self._check_commutativity()
 
@@ -134,9 +129,10 @@ class Diagram:
     # -- composites -----------------------------------------------------
 
     def composite_mapping(self, src: str, dst: str) -> dict:
-        """The composed atom map src -> dst, keyed in src's atom order: on
-        a cover the prime map's own mapping, and otherwise built from the
-        lifts (`_composite_positions`), with dst's own atoms as images.
+        """The composed atom map src -> dst, keyed in src's atom order, with
+        dst's own atoms as images, for public readers: on a cover the prime
+        map's own `mapping` view, and otherwise built from the lifts
+        (`_composite_positions`).  The package itself reads positions.
         Cached and shared; callers must not mutate it."""
         key = (src, dst)
         cached = self._composites.get(key)
@@ -408,35 +404,28 @@ def _joint_size(diagram: Diagram, objs) -> int:
 
 def _unnatural_at(source: Diagram, target: Diagram, maps: Mapping) -> str | None:
     """The first object o where maps[o] after source's lift to o differs from
-    target's lift after maps[initial], for two diagrams of one shape; else
-    None, and then every cover square commutes, since source's lifts are
-    onto (and conversely, as squares compose along paths)."""
+    target's lift after maps[initial], for two diagrams of one shape, where
+    maps[o] is positions in target's space at o in the order of source's;
+    else None, and then every cover square commutes, since source's lifts
+    are onto (and conversely, as squares compose along paths)."""
     init = source.initial
-    base = maps[init]
+    base = np.asarray(maps[init])
     for o in source.category.objects:
-        if o == init:
-            continue
-        m = maps[o]
-        target_lift = target.composite_mapping(init, o)
-        for z, a in source.composite_mapping(init, o).items():
-            if m[a] != target_lift[base[z]]:
-                return o
+        if o != init and not np.array_equal(np.asarray(maps[o])[source._lift(o)],
+                                            target._lift(o)[base]):
+            return o
     return None
 
 
 def _first_change(old: Diagram, new: Diagram) -> str | None:
     """The first object whose space differs in two diagrams of one shape, else
     the source of the first cover whose map does, else None.  Maps compare as
-    positions when every space lists its atoms in one order in both."""
-    same_order = True
+    positions in old's spaces."""
     for o, space in old.spaces.items():
         if new.spaces[o] != space:
             return o
-        same_order &= new.spaces[o].atoms == space.atoms
     for (i, j), red in old.prime_maps.items():
-        other = new.prime_maps[(i, j)]
-        if (any(map(operator.ne, red.positions, other.positions)) if same_order
-                else red.mapping != other.mapping):
+        if not red._same_map(new.prime_maps[(i, j)]):
             return i
     return None
 
@@ -541,14 +530,19 @@ def joint_space(diagram: Diagram, i: str, j: str) -> tuple[ProbSpace, Reduction,
     """Joint distribution of the spaces at i and j, with its two projections.
 
     The joint is the pushforward of the initial measure under the pair of
-    composite maps, so the fan (i <- joint -> j) is minimal by construction.
+    lifts, so the fan (i <- joint -> j) is minimal by construction.  It is
+    built by `_from_initial_measure` on one object, each pair of positions
+    (p, q) keyed p |j| + q and projected back by // and %.
     """
-    ci = diagram.composite_mapping(diagram.initial, i)
-    cj = diagram.composite_mapping(diagram.initial, j)
-    pair = {z: (ci[z], cj[z]) for z in diagram.initial_space.atoms}
-    joint = pushforward(diagram.initial_space, pair)
-    to_i = Reduction._trusted(joint, diagram.spaces[i], {(a, b): a for (a, b) in joint.atoms})
-    to_j = Reduction._trusted(joint, diagram.spaces[j], {(a, b): b for (a, b) in joint.atoms})
+    width = diagram._size(j)
+    init = diagram.initial_space
+    top, atom_keys = _from_initial_measure(
+        IndexingCategory(["joint"], []), init.masses, init.denom,
+        {"joint": (diagram._lift(i) * width + diagram._lift(j)).tolist()},
+        {"joint": partial(_pair_atom, diagram._atoms(i), diagram._atoms(j), width)})
+    joint, keys = top.spaces["joint"], atom_keys["joint"]
+    to_i = Reduction._trusted(joint, diagram.spaces[i], positions=[k // width for k in keys])
+    to_j = Reduction._trusted(joint, diagram.spaces[j], positions=[k % width for k in keys])
     return joint, to_i, to_j
 
 
@@ -605,13 +599,17 @@ class FanOfDiagrams:
         shape = top.category
         if left.category != shape or right.category != shape:
             raise ShapeMismatchError("fan requires three diagrams of the same shape")
+        projections = []
         for name, projs, foot in (("left", proj_left, left), ("right", proj_right, right)):
             if set(projs) != set(shape.objects):
                 raise MapError(f"{name} projections must cover every object")
             for obj, red in projs.items():
                 if red.domain != top.spaces[obj] or red.target != foot.spaces[obj]:
                     raise MapError(f"{name} projection at {obj!r} mismatches the spaces")
-        self._store(top, left, right, dict(proj_left), dict(proj_right))
+            # positions are taken in the fan's own spaces, as in Diagram(...)
+            projections.append({o: r._in_spaces(top.spaces[o], foot.spaces[o])
+                                for o, r in projs.items()})
+        self._store(top, left, right, *projections)
         self._check_natural()
 
     @classmethod
@@ -634,7 +632,7 @@ class FanOfDiagrams:
     def _check_natural(self) -> None:
         for projs, foot, name in ((self.proj_left, self.left, "left"),
                                   (self.proj_right, self.right, "right")):
-            obj = _unnatural_at(self.top, foot, {o: r.mapping for o, r in projs.items()})
+            obj = _unnatural_at(self.top, foot, {o: r._array() for o, r in projs.items()})
             if obj is not None:
                 raise CommutativityError(f"{name} projections not natural at {obj!r}")
 

@@ -630,7 +630,7 @@ def ikd_bounds(left: Diagram, right: Diagram) -> IkdBounds:
         if len(x) * len(y) <= DEFAULT_COUPLING_CAP:
             candidates.append(min_entropy_coupling(x, y))
     same_sets = all(set(left.spaces[o]) == set(right.spaces[o]) for o in left.category.objects)
-    if same_sets and all(left.prime_maps[c].mapping == right.prime_maps[c].mapping
+    if same_sets and all(left.prime_maps[c]._same_map(right.prime_maps[c])
                          for c in left.category.covers):
         # one skeleton means equal supports, so the measures overlap
         candidates.append(_mixture_witness(left, right))

@@ -156,10 +156,6 @@ def strip_expansion(expanded: Diagram, spec: ExpansionSpec) -> Diagram:
     return Diagram._trusted(expanded.category, spaces, maps)
 
 
-def _same_order(old: ProbSpace, new: ProbSpace) -> bool:
-    return new.frame is old.frame or new.atoms == old.atoms
-
-
 def _x_table(diagram: Diagram, u: str, lift_x: np.ndarray, size_x: int, masses: np.ndarray):
     """The joint table of u and x under the initial masses, grouped by one
     sort as `_joint_size` counts it: its rows' (u position, x position)
@@ -181,17 +177,16 @@ def _slices_agree(original: Diagram, expanded: Diagram, spec: ExpansionSpec) -> 
     checked before, so the x-ideal's spaces are the original's, maybe in
     another order, and each u-atom's head v is an atom of u.
 
-    First, every cover map inside the x-ideal is compared once, whole: as
-    positions when both ends list their atoms in one order, else as atom
-    maps.  Every atom has positive mass, so it lies in some slice, and the
-    whole maps are equal exactly when every slice's restricted maps are,
-    given equal supports.  Then only the conditioned laws at x are
-    compared: each other object's is x's pushed through those equal maps.
-    The (u, x) joint tables are grouped by one sort each.  The expansion's
-    u positions go to the original's through the head index, as
-    `strip_expansion` strips them, and its x positions through the
-    original's frame index when the orders differ.  Every row must match
-    its head's row at the same x-atom, with equal conditional masses, cross-
+    First, every cover map inside the x-ideal is compared once, whole, as
+    positions in the original's spaces (`Reduction._same_map`).  Every
+    atom has positive mass, so it lies in some slice, and the whole maps
+    are equal exactly when every slice's restricted maps are, given equal
+    supports.  Then only the conditioned laws at x are compared: each other
+    object's is x's pushed through those equal maps.  The (u, x) joint
+    tables are grouped by one sort each.  The expansion's u positions go to
+    the original's through the head index, as `strip_expansion` strips
+    them, and its x positions to the original's.  Every row must match its
+    head's row at the same x-atom, with equal conditional masses, cross-
     multiplied by the u-atoms' totals; summed over a u-atom's rows, those
     products give its head's whole total, so the supports are equal too.
     Masses are int64 only when every product, at most the product of the
@@ -202,19 +197,15 @@ def _slices_agree(original: Diagram, expanded: Diagram, spec: ExpansionSpec) -> 
         other = expanded.prime_maps[(i, j)]
         if i not in x_ideal or other is red:
             continue
-        if _same_order(original.spaces[i], expanded.spaces[i]) and _same_order(
-                original.spaces[j], expanded.spaces[j]):
-            if not np.array_equal(red._array(), other._array()):
-                return False
-        elif red.mapping != other.mapping:
+        if not red._same_map(other):
             return False
 
     old_x, new_x = original.spaces[x], expanded.spaces[x]
     size_x = len(old_x)
     lift_x = expanded._lift(x)
-    if not _same_order(old_x, new_x):
-        lift_x = np.fromiter(map(old_x.frame.index.__getitem__, new_x.atoms),
-                             np.int64, size_x)[lift_x]
+    if new_x is not old_x:
+        # the position in old_x of each of new_x's atoms
+        lift_x = Reduction.identity(new_x)._in_spaces(new_x, old_x)._array()[lift_x]
     u_atoms = expanded.spaces[u].atoms
     heads = (a[0] for a in u_atoms) if spec.m > 1 else u_atoms
     head = np.fromiter(map(original.spaces[u].frame.index.__getitem__, heads),

@@ -150,8 +150,14 @@ def _mapping_to_obj(mapping: dict) -> dict:
 def _reduction_from_obj(obj, domain: ProbSpace, target: ProbSpace, path: str) -> Reduction:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path} must be a JSON object, got {type(obj).__name__}")
+    mapping, keys = {}, {}
     try:
-        mapping = {atom_from_key(k): decode_atom(v) for k, v in obj.items()}
+        for key, value in obj.items():
+            atom = atom_from_key(key)
+            if keys.setdefault(atom, key) != key:  # as "0" and "0.0", or "1" and "true"
+                raise ConfigError(f"keys {keys[atom]!r} and {key!r} both stand for atom "
+                                  f"{atom_from_key(keys[atom])!r}")
+            mapping[atom] = decode_atom(value)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     missing = [a for a in domain.atoms if a not in mapping]

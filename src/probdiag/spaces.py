@@ -352,19 +352,13 @@ class Reduction:
     """A measure-preserving surjection between finite probability spaces.
 
     The pushforward of the domain weights must equal the target weights
-    exactly.  The map is stored in one of three forms, and the others are
-    views built on first read and cached, as a space's Fraction weights are
-    a view of its integer masses: the int64 array of the index in
-    `target.atoms` of each domain atom's image, in domain order, which the
-    package's array work reads (`_array`); `positions`, the same indices as
-    a list of Python ints (a range for an identity); and `mapping`, the atom
-    dict keyed in domain order.  The checked constructors, `from_map`,
-    `joint_space` and the contraction's x' store the dict; the builders
-    that compute positions with numpy (from lifts, bit projections or
-    gathered tables) store the array, the others a list, and then the
-    dict's images are the target's own atoms.  All are shared, unchanged, by everything
-    that reads them (a diagram's composite on a cover is this mapping, and
-    its lifts index this array, which is read-only): treat them as
+    exactly.  The map is stored as positions only: the index in
+    `target.atoms` of each domain atom's image, in domain order, as the list
+    of Python ints (a range for an identity) or the read-only int64 array
+    its builder computed; the other form is built on first read
+    (`positions`, `_array`).  `mapping`, the atom dict keyed in domain
+    order, is a view built only when read, with the target's own atoms as
+    images.  All are shared by everything that reads them: treat them as
     read-only.  The constructor checks the map; the package's own builders,
     whose maps hold by construction, use `_trusted` instead.
     """
@@ -372,40 +366,37 @@ class Reduction:
     __slots__ = ("domain", "target", "_mapping", "_positions", "_positions_array")
 
     def __init__(self, domain: ProbSpace, target: ProbSpace, mapping: Mapping):
-        # One pass copies the map and sums the image masses over the
-        # domain's denominator.  The image equals the target exactly when
-        # both have the same atoms and every image mass is the target mass
-        # scaled by domain.denom / target.denom, which must be an integer:
-        # the target's denominator is canonical, so it divides that of any
-        # measure equal to it.
-        own: dict = {}
-        image: dict = {}
-        for atom, mass in zip(domain.atoms, domain.masses):
-            try:
-                b = mapping[atom]
-            except KeyError:
-                raise UnknownAtomError(f"map undefined on atom {atom!r}") from None
-            own[atom] = b
-            image[b] = image.get(b, 0) + mass
+        # The target position of each image (-1 outside the target), then the
+        # image masses over the domain's denominator.  The image equals the
+        # target exactly when every image is a target atom and every image
+        # mass is the target mass scaled by domain.denom / target.denom,
+        # which must be an integer: the target's denominator is canonical,
+        # so it divides that of any measure equal to it.
+        index = target.frame.index
+        try:
+            positions = [index.get(mapping[a], -1) for a in domain.atoms]
+        except KeyError:
+            missing = next(a for a in domain.atoms if a not in mapping)
+            raise UnknownAtomError(f"map undefined on atom {missing!r}") from None
+        sums = [0] * len(target)
+        for p, mass in zip(positions, domain.masses):
+            sums[p] += mass
         scale, remainder = divmod(domain.denom, target.denom)
-        expected = dict(zip(target.atoms, (m * scale for m in target.masses)))
-        if remainder or image != expected:
+        if remainder or -1 in positions or any(s != m * scale
+                                               for s, m in zip(sums, target.masses)):
             raise NotSurjectiveError(
                 "pushforward of the domain does not equal the declared target"
             )
-        self.domain, self.target, self._mapping = domain, target, own
-        self._positions = self._positions_array = None
+        self.domain, self.target, self._mapping = domain, target, None
+        self._positions, self._positions_array = positions, None
 
     @classmethod
-    def _trusted(cls, domain: ProbSpace, target: ProbSpace, mapping: dict | None = None, *,
-                 positions=None) -> "Reduction":
+    def _trusted(cls, domain: ProbSpace, target: ProbSpace, positions) -> "Reduction":
         """A reduction measure-preserving by construction, stored unchecked
-        and uncopied in the form given: `mapping` with exactly the domain's
-        atoms, in domain order, as the checked constructor stores it, or
-        `positions`, a list, a range or an int64 array, which is then made
-        read-only."""
+        and uncopied: `positions` is a list, a range or an int64 array,
+        which is then made read-only."""
         red = cls.__new__(cls)
-        red.domain, red.target, red._mapping = domain, target, mapping
+        red.domain, red.target, red._mapping = domain, target, None
         red._positions = red._positions_array = None
         if isinstance(positions, np.ndarray):
             positions.setflags(write=False)
@@ -416,7 +407,7 @@ class Reduction:
 
     @property
     def mapping(self) -> dict:
-        """Domain atom -> image atom, keyed in domain order."""
+        """Domain atom -> image atom, keyed in domain order: a view."""
         if self._mapping is None:
             images = map(self.target.atoms.__getitem__, self.positions)
             self._mapping = dict(zip(self.domain.atoms, images))
@@ -427,17 +418,13 @@ class Reduction:
         """The index in `target.atoms` of each domain atom's image, in domain
         order: a list of Python ints, or a range for an identity."""
         if self._positions is None:
-            if self._positions_array is not None:
-                self._positions = self._positions_array.tolist()
-            else:
-                index = self.target.frame.index
-                self._positions = list(map(index.__getitem__, self._mapping.values()))
+            self._positions = self._positions_array.tolist()
         return self._positions
 
     def _array(self) -> np.ndarray:
         """`positions` as a read-only int64 array, built on first read."""
         if self._positions_array is None:
-            array = np.fromiter(self.positions, dtype=np.int64, count=len(self.domain))
+            array = np.fromiter(self._positions, dtype=np.int64, count=len(self.domain))
             array.setflags(write=False)
             self._positions_array = array
         return self._positions_array
@@ -454,16 +441,20 @@ class Reduction:
             missing = [a for a in target_atoms if a not in target]
             if missing:
                 raise NotSurjectiveError(f"target atoms {missing!r} receive no mass")
-        return cls._trusted(domain, target, {a: mapping[a] for a in domain.atoms})
+        index = target.frame.index
+        return cls._trusted(domain, target, positions=[index[mapping[a]] for a in domain.atoms])
 
     @classmethod
     def identity(cls, space: ProbSpace) -> "Reduction":
         return cls._trusted(space, space, positions=range(len(space)))
 
     def preimage(self, atom) -> tuple:
-        if atom not in self.target:
+        """The domain atoms mapped to a target atom, in domain order."""
+        position = self.target.frame.index.get(atom)
+        if position is None:
             raise UnknownAtomError(f"atom {atom!r} not in target support")
-        return tuple(a for a in self.domain.atoms if self.mapping[a] == atom)
+        fiber = np.flatnonzero(self._array() == position).tolist()
+        return tuple(map(self.domain.atoms.__getitem__, fiber))
 
     def fiber(self, atom) -> ProbSpace:
         """The conditioned space over a target atom, renormalized exactly:
@@ -475,17 +466,33 @@ class Reduction:
     def is_isomorphism(self) -> bool:
         return len(self.domain) == len(self.target)
 
+    def _in_spaces(self, domain: ProbSpace, target: ProbSpace) -> "Reduction":
+        """This map between `domain` and `target`, which list its spaces'
+        atoms, maybe in another order: the one place where a map crosses
+        between two orders of its atoms, by frame indexes."""
+        if domain is self.domain and target is self.target:
+            return self
+        positions = self.positions
+        if domain.frame is not self.domain.frame and domain.atoms != self.domain.atoms:
+            index = self.domain.frame.index
+            positions = [positions[index[a]] for a in domain.atoms]
+        if target.frame is not self.target.frame and target.atoms != self.target.atoms:
+            atoms, index = self.target.atoms, target.frame.index
+            positions = [index[atoms[p]] for p in positions]
+        return Reduction._trusted(domain, target, positions=positions)
+
+    def _same_map(self, other: "Reduction") -> bool:
+        """Whether other, on this map's atoms, sends each where this does."""
+        return list(self.positions) == list(other._in_spaces(self.domain, self.target).positions)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Reduction):
             return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.target == other.target
-            and self.mapping == other.mapping
-        )
+        return (self.domain == other.domain and self.target == other.target
+                and self._same_map(other))
 
     def __hash__(self):
-        return hash((self.domain, self.target, frozenset(self.mapping.items())))
+        return hash((self.domain, self.target))
 
     def __repr__(self) -> str:
         return f"Reduction(|{len(self.domain)}| -> |{len(self.target)}|)"

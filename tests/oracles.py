@@ -31,8 +31,14 @@ them, through the coupling fan of every sampled pair,
 `dict_strip_expansion` marginalizes W out of an expansion through
 `pushforward` and the checked constructors, `slice_clause` compares an
 expansion's conditioned x-sides slice by slice as the library once did,
-through `conditioned_slices` and `_first_change`, and
-`translation_iso_by_dicts` runs `verify_explicit_iso` on its dicts."""
+through `conditioned_slices` and `dict_first_change`, and
+`translation_iso_by_dicts` runs `verify_explicit_iso` on its dicts.
+
+The atom-dict forms of the map readers that now run on positions are kept
+as the library once ran them: `dict_first_change`, `dict_unnatural_at`,
+`dict_joint_space`, `dict_conditioned_xprime` and
+`dict_find_diagram_morphism` read the public atom-dict views (`mapping`
+and `composite_mapping`) and store maps through `dict_reduction`."""
 from __future__ import annotations
 
 import itertools
@@ -524,13 +530,23 @@ def dict_lift_diagram(category, measure, lifts):
     space at obj the pushforward under it, and the map on a cover (i, j)
     the dict sending lifts[i][a] to lifts[j][a], keyed in domain order."""
     from probdiag.diagrams import Diagram
-    from probdiag.spaces import Reduction, pushforward
+    from probdiag.spaces import pushforward
 
     spaces = {o: pushforward(measure, lifts[o]) for o in category.objects}
-    maps = {(i, j): Reduction._trusted(spaces[i], spaces[j],
-                                       {lifts[i][a]: lifts[j][a] for a in measure.atoms})
+    maps = {(i, j): dict_reduction(spaces[i], spaces[j],
+                                   {lifts[i][a]: lifts[j][a] for a in measure.atoms})
             for (i, j) in category.covers}
     return Diagram._trusted(category, spaces, maps)
+
+
+def dict_reduction(domain, target, mapping):
+    """An unchecked reduction given as an atom dict: each image looked up in
+    the target's frame index."""
+    from probdiag.spaces import Reduction
+
+    index = target.frame.index
+    return Reduction._trusted(domain, target,
+                              positions=[index[mapping[a]] for a in domain.atoms])
 
 
 def dict_lifts(source) -> dict:
@@ -554,13 +570,12 @@ def dict_pair_fan(coupling, first, second, first_on_left=True):
     shape: the coupling pushed through the pairs of atom dicts, each pair
     atom a tuple, and projected back to each coordinate by atom dicts."""
     from probdiag.diagrams import FanOfDiagrams
-    from probdiag.spaces import Reduction
 
     lift1, lift2 = dict_lifts(first), dict_lifts(second)
     lifts = {o: {p: (lift1[o][p[0]], lift2[o][p[1]]) for p in coupling.atoms}
              for o in first.category.objects}
     top = dict_lift_diagram(first.category, coupling, lifts)
-    proj1, proj2 = ({o: Reduction._trusted(s, foot.spaces[o], {p: p[k] for p in s.atoms})
+    proj1, proj2 = ({o: dict_reduction(s, foot.spaces[o], {p: p[k] for p in s.atoms})
                      for o, s in top.spaces.items()} for k, foot in enumerate((first, second)))
     if first_on_left:
         return FanOfDiagrams._trusted(top, first, second, proj1, proj2)
@@ -617,14 +632,14 @@ def slice_clause(original, expanded, spec):
     conditioned on a u-atom (v, w) (on v when m = 1), differs from the
     original's conditioned on v, in the expansion's u order; None when no
     slice differs.  The per-slice loop `verify_expansion` once ran: one
-    diagram per u-atom of each, each pair compared by `_first_change`."""
-    from probdiag.diagrams import _first_change, conditioned_slices
+    diagram per u-atom of each, each pair compared by `dict_first_change`."""
+    from probdiag.diagrams import conditioned_slices
 
     fan = spec.fan
     x_ideal = original.category.descendants(fan.x_obj)
     old_slices = dict(conditioned_slices(original, fan.u_obj, x_ideal))
     for atom, cond_new in conditioned_slices(expanded, fan.u_obj, x_ideal):
-        obj = _first_change(old_slices[atom[0] if spec.m > 1 else atom], cond_new)
+        obj = dict_first_change(old_slices[atom[0] if spec.m > 1 else atom], cond_new)
         if obj is not None:
             return atom, obj
     return None
@@ -731,3 +746,190 @@ def translation_iso_by_dicts(ext, u_atom, u_ref) -> bool:
     maps = {o: {a: a ^ meta.extract(o, table) for a in cond_u.spaces[o].atoms}
             for o in ext.shape.objects}
     return verify_explicit_iso(cond_u, cond_ref, maps)
+
+
+def dict_first_change(old, new):
+    """The first object whose space differs in two diagrams of one shape,
+    else the source of the first cover whose atom dict does, else None."""
+    for o, space in old.spaces.items():
+        if new.spaces[o] != space:
+            return o
+    for (i, j), red in old.prime_maps.items():
+        if red.mapping != new.prime_maps[(i, j)].mapping:
+            return i
+    return None
+
+
+def dict_unnatural_at(source, target, maps):
+    """The first object o where the atom dict maps[o] after source's
+    composite out of the initial object differs from target's composite
+    after maps[initial], atom by atom; else None."""
+    init = source.initial
+    base = maps[init]
+    for o in source.category.objects:
+        if o == init:
+            continue
+        m = maps[o]
+        target_lift = target.composite_mapping(init, o)
+        for z, a in source.composite_mapping(init, o).items():
+            if m[a] != target_lift[base[z]]:
+                return o
+    return None
+
+
+def dict_joint_space(diagram, i, j):
+    """The joint of the spaces at i and j: the initial measure pushed
+    forward under the pair of composite atom dicts, with its two
+    projections as atom dicts."""
+    from probdiag.spaces import pushforward
+
+    ci = diagram.composite_mapping(diagram.initial, i)
+    cj = diagram.composite_mapping(diagram.initial, j)
+    pair = {z: (ci[z], cj[z]) for z in diagram.initial_space.atoms}
+    joint = pushforward(diagram.initial_space, pair)
+    to_i = dict_reduction(joint, diagram.spaces[i], {(a, b): a for (a, b) in joint.atoms})
+    to_j = dict_reduction(joint, diagram.spaces[j], {(a, b): b for (a, b) in joint.atoms})
+    return joint, to_i, to_j
+
+
+def dict_conditioned_xprime(ext, counts, nf):
+    """A contraction's conditioned x-side from its pattern counts, through
+    atom dicts: at each object the composite images of the x0 atoms, its
+    atoms in first-appearance order among them (among the counted atoms'
+    images when the counts leave atoms uncovered), its masses the
+    incidence of the patterns times the counts, and on each cover the dict
+    between the two objects' images."""
+    from probdiag.diagrams import Diagram
+    from probdiag.spaces import Frame, ProbSpace
+
+    x0_atoms = ext.x0_space.atoms
+    atom_pattern = ext._patterns.atom_pattern
+    n_patterns = ext._patterns.sizes.size
+    covered = None if counts.all() else counts[atom_pattern] > 0
+    images, spaces = {}, {}
+    for o in ext.shape.objects:
+        images[o] = list(map(ext.xdiag.composite_mapping(ext.x0, o).__getitem__, x0_atoms))
+        position = dict(zip(dict.fromkeys(images[o]), itertools.count()))
+        image = np.fromiter(map(position.__getitem__, images[o]), dtype=np.int64,
+                            count=len(x0_atoms))
+        incidence = np.bincount(image * n_patterns + atom_pattern,
+                                minlength=len(position) * n_patterns)
+        masses = incidence.reshape(len(position), n_patterns) @ counts
+        atoms = tuple(position)
+        if covered is not None:
+            seen = image[covered]
+            _, first = np.unique(seen, return_index=True)
+            order = seen[np.sort(first)]
+            atoms = tuple(map(atoms.__getitem__, order.tolist()))
+            masses = masses[order]
+        spaces[o] = ProbSpace(Frame(atoms), masses.tolist(), denom=nf)
+    maps = {}
+    for (i, j) in ext.shape.covers:
+        mapping = dict(zip(images[i], images[j]))
+        maps[(i, j)] = dict_reduction(spaces[i], spaces[j],
+                                      {a: mapping[a] for a in spaces[i].atoms})
+    return Diagram._trusted(ext.shape, spaces, maps)
+
+
+def dict_find_diagram_morphism(d1, d2, fixed=None, step_cap=2_000_000):
+    """`find_diagram_morphism` as the library once ran it, on one composite
+    atom dict per object of each diagram and atom-keyed partial bijections:
+    the same candidate order, so the same witness and step count."""
+    from probdiag.errors import TooLargeError
+
+    objects = d1.category.objects
+    init = d1.category.initial
+    comp1, comp2 = ({o: d.composite_mapping(init, o) for o in objects} for d in (d1, d2))
+    fwd = {o: {} for o in objects}
+    bwd = {o: {} for o in objects}
+    atoms1 = d1.initial_space.atoms
+    atoms2 = d2.initial_space.atoms
+    if len(atoms1) != len(atoms2):
+        return None
+    if any(d1.spaces[o].denom != d2.spaces[o].denom for o in objects):
+        return None
+    steps = 0
+
+    def assign(z, w):
+        trail = []
+        for o in objects:
+            a = comp1[o][z]
+            b = comp2[o][w]
+            cur = fwd[o].get(a)
+            if cur is not None:
+                if cur != b:
+                    break
+                continue
+            if b in bwd[o] or d1.spaces[o].mass(a) != d2.spaces[o].mass(b):
+                break
+            fwd[o][a] = b
+            bwd[o][b] = a
+            trail.append((o, a, b))
+        else:
+            return trail
+        undo(trail)
+        return None
+
+    def undo(trail):
+        for o, a, b in trail:
+            del fwd[o][a]
+            del bwd[o][b]
+
+    if fixed:
+        for (obj, a), b in fixed.items():
+            if obj == init:
+                continue
+            if (fwd[obj].get(a, b) != b or bwd[obj].get(b, a) != a
+                    or d1.spaces[obj].mass(a) != d2.spaces[obj].mass(b)):
+                return None
+            fwd[obj][a], bwd[obj][b] = b, a
+        for (obj, a), b in fixed.items():
+            if obj == init and fwd[init].get(a) != b and assign(a, b) is None:
+                return None
+
+    heads = {m: object() for m in {*d1.initial_space.masses, *d2.initial_space.masses}}
+    nxt = {head: head for head in heads.values()}
+    prv = dict(nxt)
+    for w in atoms2:
+        if w not in bwd[init]:
+            head = heads[d2.initial_space.mass(w)]
+            nxt[prv[head]], prv[w], nxt[w], prv[head] = w, prv[head], head, w
+    order = [z for z in atoms1 if z not in fwd[init]]
+    frames = []
+    fresh = w = object()
+    while len(frames) < len(order):
+        z = order[len(frames)]
+        head = heads[d1.initial_space.mass(z)]
+        w = nxt[head if w is fresh else w]
+        while w is not head:
+            steps += 1
+            if steps > step_cap:
+                raise TooLargeError("isomorphism search exceeded the step cap")
+            trail = assign(z, w)
+            if trail is not None:
+                nxt[prv[w]], prv[nxt[w]] = nxt[w], prv[w]
+                frames.append((w, trail))
+                w = fresh
+                break
+            w = nxt[w]
+        else:
+            if not frames:
+                return None
+            w, trail = frames.pop()
+            undo(trail)
+            nxt[prv[w]] = prv[nxt[w]] = w
+    return {o: dict(fwd[o]) for o in objects}
+
+
+def p_b0(run) -> dict:
+    """A contraction run's conditioned x0 law: x0 atom -> exact weight
+    count / (N f), over the atoms counted."""
+    nf = run.params.N * run.fiber_size
+    return {x: Fraction(c, nf) for x, c in run.counts.items()}
+
+
+def height_two_ways(run) -> tuple[float, float]:
+    """A run's height as its mean log fiber count, and as the entropy
+    difference of the conditioned fan's arrow, ln(N f) - H(x'0)."""
+    return run.height, (math.log(run.params.N * run.fiber_size)
+                        - run.xprime.initial_space.entropy)

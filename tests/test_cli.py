@@ -282,6 +282,9 @@ def _bad_weight(obj):
     ([1, 2], "the document"),
     (_malformed(lambda o: {**o, "spaces": []}), "spaces"),
     (_malformed(lambda o: {**o, "maps": {"top->left": {"{": 0}}}), 'maps["top->left"]'),
+    # a second key for atom 0, sending it elsewhere
+    (_malformed(lambda o: o["maps"]["top->left"].update({"0.0": 1}) or o),
+     """maps["top->left"]: keys '0' and '0.0' both stand for atom 0"""),
 ])
 def test_malformed_diagram_json_is_config_error(tmp_path, capsys, payload, path):
     bad = tmp_path / "bad.json"

@@ -190,7 +190,7 @@ class TestContractOnce:
             assert run.sum_nu == ext.rho * ext.x0_card
             assert run.total_mass == 1
             assert run.fiber_iso_ok
-            via_fibers, via_difference = run.height_two_ways()
+            via_fibers, via_difference = oracles.height_two_ways(run)
             assert via_fibers == pytest.approx(via_difference, abs=1e-9)
 
     def test_lambda3_run(self):
@@ -216,7 +216,7 @@ class TestContractOnce:
         assert run.coverage
         sd = SetDiagram.from_diagram(ext.xdiag)
         uniform_pi = {x: Fraction(1, ext.x0_card) for x in ext.x0_space.atoms}
-        est = local_estimate_witness(sd, run.p_b0, uniform_pi)
+        est = local_estimate_witness(sd, oracles.p_b0(run), uniform_pi)
         assert est.alpha == run.alpha
         assert est.bound == pytest.approx(run.ikd_upper, abs=1e-12)
         assert est.witness.kd_value <= run.ikd_upper + 1e-9
@@ -628,8 +628,8 @@ class TestPerPatternAgainstPerAtomOracle:
                 assert list(run.counts.items()) == list(want.counts.items())
                 assert list(run.nu.items()) == [(x, Fraction(c, n))
                                                 for x, c in want.counts.items()]
-                assert list(run.p_b0.items()) == [(x, Fraction(c, n * f))
-                                                  for x, c in want.counts.items()]
+                assert list(oracles.p_b0(run).items()) == [(x, Fraction(c, n * f))
+                                                           for x, c in want.counts.items()]
                 assert run.sum_nu == Fraction(sum(want.counts.values()), n)
                 assert run.total_mass == Fraction(sum(want.counts.values()), n * f)
                 assert run.alpha == want.alpha

@@ -33,6 +33,7 @@ from probdiag import (
 )
 from probdiag.errors import (
     CommutativityError,
+    MapError,
     NotIsoError,
     NotMonotoneError,
     ShapeMismatchError,
@@ -41,7 +42,7 @@ from probdiag.errors import (
 )
 from probdiag.diagrams import MAX_COORDINATE_BITS, conditioned_slices, _joint_size
 from probdiag.fixtures import coord_lambda3, coord_two_fan, reduced_lambda3, reduced_two_fan
-from probdiag.automorphisms import verify_explicit_iso
+from probdiag.automorphisms import find_diagram_morphism, verify_explicit_iso
 from probdiag.diagrams import FanOfDiagrams, Reduction
 from probdiag.distances import SetDiagram, single_space_diagram
 from conftest import random_category, random_diagram, random_set_diagram
@@ -503,6 +504,34 @@ class TestDiagramIsomorphic:
         d2 = make_diagram(cat, {"w": lambda_space(Fraction(1, 4))}, {})
         ok, iso = diagram_isomorphic(d1, d2)
         assert not ok and iso is None
+
+    @pytest.mark.parametrize("fixed", [
+        {("top", 99): 0}, {("top", 0): 99}, {("left", 99): 0}, {("left", 0): 99},
+        {("left", 99): 99}, {("top", 0): 0, ("right", 0): 99},
+    ], ids=["initial-d1", "initial-d2", "other-d1", "other-d2", "other-both", "mixed"])
+    def test_constraint_on_an_unknown_atom_leaves_no_isomorphism(self, fixed):
+        d, _ = coord_two_fan(3, (1, 2), (2, 3))
+        assert find_diagram_morphism(d, d, fixed={("top", 0): 0}) is not None
+        assert find_diagram_morphism(d, d, fixed=fixed) is None
+
+    def test_constraint_on_an_unknown_object_is_a_map_error(self):
+        d, _ = coord_two_fan(3, (1, 2), (2, 3))
+        with pytest.raises(MapError, match="unknown object 'nope'"):
+            find_diagram_morphism(d, d, fixed={("nope", 0): 0})
+
+    def test_explicit_maps_missing_an_object_are_no_isomorphism(self):
+        d, _ = coord_two_fan(3, (1, 2), (2, 3))
+        maps = {o: {a: a for a in s.atoms} for o, s in d.spaces.items()}
+        assert verify_explicit_iso(d, d, maps)
+        del maps["left"]
+        assert verify_explicit_iso(d, d, maps) is False
+
+    def test_explicit_maps_that_merge_atoms_are_no_isomorphism(self):
+        # two atoms of equal mass sent to one: masses and squares hold
+        cat = build_category(["w"], [])
+        d = make_diagram(cat, {"w": uniform(2)}, {})
+        assert verify_explicit_iso(d, d, {"w": {"u0": "u1", "u1": "u0"}})
+        assert not verify_explicit_iso(d, d, {"w": {"u0": "u0", "u1": "u0"}})
 
 
 class TestJointSpace:

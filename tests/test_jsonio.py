@@ -147,3 +147,19 @@ def test_atom_depth_cap():
         encode_atom((atom,))
     with pytest.raises(ConfigError, match="1.5 is not JSON-serializable"):
         encode_atom((1, (2, 1.5)))
+
+
+@pytest.mark.parametrize("first, second, atom", [
+    ("0", "0.0", "0"), ("1", "true", "1"), ('"a"', ' "a"', "'a'"), ("[0,1]", "[0, 1.0]", "(0, 1)"),
+], ids=["int-float", "int-bool", "whitespace", "tuple"])
+@pytest.mark.parametrize("agree", [True, False], ids=["same-image", "other-image"])
+def test_map_keys_standing_for_one_atom_are_refused(first, second, atom, agree):
+    # two keys of one map decode to the same atom: refused whether or not
+    # their images agree, naming the field path and the atom
+    obj = {"category": {"objects": ["a", "b"], "covers": [["a", "b"]]},
+           "spaces": {"a": {"atoms": [json.loads(first), "z"], "weights": ["1/2", "1/2"]},
+                      "b": {"atoms": ["p", "q"], "weights": ["1/2", "1/2"]}},
+           "maps": {"a->b": {first: "p", '"z"': "q", second: "p" if agree else "q"}}}
+    with pytest.raises(ConfigError, match=re.escape(f'maps["a->b"]: keys {first!r} and '
+                                                    f'{second!r} both stand for atom {atom}')):
+        diagram_from_obj(obj)

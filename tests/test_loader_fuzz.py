@@ -2,11 +2,12 @@
 
 Each input is a valid fixture, mutated: atoms listed in another order,
 map keys in another order, images swapped or redirected, weight moved
-between atoms or replaced by a bad literal, a map entry dropped.  Every
-input must give a valid object or a `ProbdiagError`, and it gives an object
-exactly when the brute-force oracles (`tests/oracles.py`: Fraction
-pushforwards and the composite of every path, atom by atom) find every
-space a measure, every map total and measure-preserving, every path equal
+between atoms or replaced by a bad literal, a map entry dropped, a second
+key standing for an atom already keyed.  Every input must give a valid
+object or a `ProbdiagError`, and it gives an object exactly when the
+brute-force oracles (`tests/oracles.py`: Fraction pushforwards and the
+composite of every path, atom by atom) find every space a measure, every
+map total and measure-preserving, no atom keyed twice, every path equal
 and, for a fan, every square natural.  An accepted diagram's composites
 must equal the oracle's, key order included.
 """
@@ -97,6 +98,23 @@ def drop_entry(rng, obj):
         del m[rng.choice(sorted(m))]
 
 
+def duplicate_key(rng, obj):
+    """A second key of one map that decodes to an atom already keyed: the
+    key with a leading space, or an int atom written as a float, or 0 and 1
+    as JSON booleans; its image is that key's or another of the map's."""
+    maps = [m for m in _maps(obj) if m]
+    if maps:
+        m = rng.choice(maps)
+        key = rng.choice(sorted(m))
+        atom = json.loads(key)
+        others = [" " + key]
+        if type(atom) is int:
+            others.append(f"{atom}.0")
+            if atom in (0, 1):
+                others.append("true" if atom else "false")
+        m[rng.choice(others)] = rng.choice([m[key], *m.values()])
+
+
 def move_weight(rng, obj):
     """Half of one atom's weight moved to another atom: still a measure."""
     spaces = [s for s in _spaces(obj) if len(s["atoms"]) > 1]
@@ -116,7 +134,7 @@ def bad_weight(rng, obj):
 
 
 MUTATIONS = [shuffle_space, shuffle_map, swap_images, redirect_image, unknown_image,
-             drop_entry, move_weight, bad_weight]
+             drop_entry, duplicate_key, move_weight, bad_weight]
 
 
 # -- brute-force verdicts -------------------------------------------------------
@@ -138,13 +156,15 @@ def _measure(space) -> dict | None:
     return {a: w for a, w in zip(atoms, weights) if w}
 
 
-def _decoded(m) -> dict:
-    return {_atom(json.loads(k)): _atom(v) for k, v in m.items()}
+def _decoded(m) -> dict | None:
+    """The decoded map, or None when two of its keys decode to one atom."""
+    mapping = {_atom(json.loads(k)): _atom(v) for k, v in m.items()}
+    return mapping if len(mapping) == len(m) else None
 
 
 def _map(m, domain: dict, target: dict) -> dict | None:
     mapping = _decoded(m)
-    if any(a not in mapping for a in domain):
+    if mapping is None or any(a not in mapping for a in domain):
         return None
     return mapping if oracles.reduction_accepts(domain, target, mapping) else None
 

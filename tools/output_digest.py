@@ -223,6 +223,75 @@ for d, fan in ((jsonio.load_diagram(tmp / "r3.json"), loaded[1]), coord_lambda3(
     for u in ext.u_space.atoms:
         show(jsonio.diagram_to_obj(ext.conditioned_x_side(u)))
 """,
+    "reordered": """
+from probdiag import (Diagram, FanOfDiagrams, ProbSpace, build_category, ikd_bounds,
+                      joint_space, make_diagram, tensor_fan)
+from probdiag.expansion import ExpansionSpec, expand_diagram, verify_expansion
+from probdiag.fixtures import coord_two_fan, reduced_lambda3, reduced_two_fan
+from workloads import DistanceBounds
+def show(obj):
+    print(json.dumps(obj))
+def reversed_obj(obj):
+    obj = json.loads(json.dumps(obj))
+    for space in obj["spaces"].values():
+        space["atoms"].reverse()
+        space["weights"].reverse()
+    return obj
+def reversed_reload(d):
+    return jsonio.diagram_from_obj(reversed_obj(jsonio.diagram_to_obj(d)))
+def verdict(run):
+    try:
+        print(run())
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+# the expansion fixtures, saved, reloaded with every space's atoms reversed
+for d, fan in (reduced_two_fan(4, range(3, 5)), reduced_lambda3(2, 4, (3, 4)),
+               reduced_lambda3(3, 7, range(6, 8))):
+    jsonio.save_diagram(d, tmp / "d.json")
+    back = reversed_reload(jsonio.load_diagram(tmp / "d.json"))
+    show(jsonio.diagram_to_obj(back))
+    rekeyed = Diagram(d.category, d.spaces, back.prime_maps)
+    show(jsonio.diagram_to_obj(rekeyed))
+    print(rekeyed == d, back == d, d == back)
+    for i in d.category.objects:
+        for j in d.category.objects:
+            joint, to_i, to_j = joint_space(back, i, j)
+            show([jsonio.space_to_obj(joint), list(to_i.positions), list(to_j.positions)])
+    bounds = ikd_bounds(d, back)
+    print(bounds.lower, bounds.upper, bounds.witness.method)
+    for m in (1, 2, 3):
+        spec = ExpansionSpec(d, fan, m)
+        out = expand_diagram(spec)
+        for original, expanded in ((back, out), (d, reversed_reload(out)), (back, back)):
+            verdict(lambda: verify_expansion(original, expanded, spec))
+# a coupling fan, saved and reloaded reversed, and the original fan checked
+# with the reloaded projections, whose spaces list their atoms in another
+# order; their atom maps are printed as sorted pairs, since the checked fan
+# keys them in its own spaces' order where the parent kept the given order
+left, right = coord_two_fan(3, [1, 2], [2, 3])[0], coord_two_fan(3, [1], [1, 2, 3])[0]
+fan = tensor_fan(left, right)
+obj = json.loads(json.dumps(jsonio.fan_to_obj(fan)))
+for key in ("top", "left", "right"):
+    obj[key] = reversed_obj(obj[key])
+loaded = jsonio.fan_from_obj(obj)
+show(jsonio.fan_to_obj(loaded))
+checked = FanOfDiagrams(fan.top, fan.left, fan.right, loaded.proj_left, loaded.proj_right)
+for projs in (checked.proj_left, checked.proj_right):
+    show({o: sorted([jsonio.atom_key(a), jsonio.encode_atom(b)] for a, b in r.mapping.items())
+          for o, r in projs.items()})
+bounds = ikd_bounds(loaded.left, loaded.right)
+print(bounds.lower, bounds.upper, bounds.witness.method)
+# pairs on one skeleton, one side reloaded reversed
+for k in range(12):
+    inst = DistanceBounds().prepare({"seed": 7}, "run", k)
+    cat = build_category(inst["objects"], inst["covers"])
+    first, second = (make_diagram(cat, {o: ProbSpace(*side[o]) for o in inst["objects"]},
+                                  inst["maps"]) for side in inst["sides"])
+    for a, b in ((first, reversed_reload(second)), (reversed_reload(first), first)):
+        bounds = ikd_bounds(a, b)
+        print(bounds.lower, bounds.upper, bounds.witness.method)
+        show(jsonio.fan_to_obj(bounds.witness.fan))
+""",
 }
 
 
