@@ -18,7 +18,6 @@ patterns and incidences are computed once per extended fan.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import random
@@ -294,14 +293,14 @@ class ContractionRun:
     from the integer fiber counts, which the run keeps per fiber pattern
     (`ExtendedFan.fiber_patterns`); `counts` is the per-atom view of them.
     The conditioned x-side xprime is built on first read, from the pattern
-    counts and N f, and so is fan_prime, from the sampled u atoms the run
-    keeps, and only when N f is at most DEFAULT_MATERIALIZE_CAP (else it
-    reads None); reading fan_prime, or recovering a diagram from the run,
-    builds xprime too.  So a run whose conditioned fan is never read, as in
-    CLI `contract`, costs O(N + |x0|).  xprime is a function of the counts
-    and the fan, and not a field: `==` on runs compares the statistics.
-    The sample is kept as positions into the u atoms; the sampled atoms
-    themselves are built only when fan_prime reads them.
+    counts and N f, and so is fan_prime, from the sample the run keeps and
+    xprime's lifts, and only when N f is at most DEFAULT_MATERIALIZE_CAP
+    (else it reads None); reading fan_prime, or recovering a diagram from
+    the run, builds xprime too.  So a run whose conditioned fan is never
+    read, as in CLI `contract`, costs O(N + |x0|).  xprime is a function of
+    the counts and the fan, and not a field: `==` on runs compares the
+    statistics.  The sample is kept as positions into the u atoms, and no
+    sampled atom is ever read.
     """
 
     params: ContractionParams
@@ -321,11 +320,6 @@ class ContractionRun:
     _u_pos: np.ndarray = field(repr=False, compare=False)  # the N sampled u positions
 
     @cached_property
-    def _u_bar(self) -> tuple:
-        """The N sampled u atoms, in sample order."""
-        return tuple(map(self._ext.u_space.atoms.__getitem__, self._u_pos.tolist()))
-
-    @cached_property
     def xprime(self) -> Diagram:
         """The x-side ideal conditioned on the sample (`_conditioned_xprime`)."""
         counts = np.array(self.pattern_counts, dtype=np.int64)
@@ -337,7 +331,7 @@ class ContractionRun:
         DEFAULT_MATERIALIZE_CAP."""
         if self.params.N * self.fiber_size > DEFAULT_MATERIALIZE_CAP:
             return None
-        return _materialize_fan(self._ext, self._u_bar, self.xprime, self.vspace)
+        return _materialize_fan(self._ext, self._u_pos, self.xprime, self.vspace)
 
     @cached_property
     def counts(self) -> dict:
@@ -494,8 +488,10 @@ def contract_once(ext: ExtendedFan, params: ContractionParams) -> ContractionRun
     summed in the order the atoms are first counted.  The conditioned
     x-side is left to the run's first read of xprime.  The fiber
     isomorphism with the unconditioned slices is verified for every
-    distinct sampled atom.  So the op is O(N + |x0|).
+    distinct sampled atom.  So the op is O(N + |x0|).  N must be a positive
+    integer.
     """
+    _require_positive_int("N", params.N)
     if params.N > MAX_SAMPLE_SIZE:
         raise TooLargeError(f"N = {params.N} draws is over the cap of {MAX_SAMPLE_SIZE}")
     rng = random.Random(params.seed)
@@ -548,77 +544,68 @@ def _sample_space(n: int) -> ProbSpace:
     return ProbSpace(range(1, n + 1), [1] * n, denom=n)
 
 
-def _materialize_fan(ext: ExtendedFan, u_bar: tuple, xprime: Diagram,
+def _materialize_fan(ext: ExtendedFan, u_pos: np.ndarray, xprime: Diagram,
                      vspace: ProbSpace) -> FanOfDiagrams:
     """The conditioned two-fan (x' <- y' -> V) with y' built explicitly.
 
     y' is the tagged union of the sampled fibers: y'0 is uniform on the
-    pairs (x, k) with x in the fiber over the k-th sampled u atom u_k, a
-    coupling of x'0 and V.  So at each object y' holds the atoms (a, k) of
-    the x-side conditioned on u_k, in sample order, each a's weight there
-    over N; each map sends (a, k) to (its image under the conditioned
-    x-side's map, k), and the projections send (a, k) to a and to k.  Each
-    distinct sampled u's conditioned x-side, its piece, is built once.  At
-    each object the pieces' masses over N f (each at most f), their atoms'
-    positions in x' and, on each cover, their map positions are laid end to
-    end in one int64 table per list, in order of first draw; y' gathers
-    each table in sample order, the k-th block being the piece of u_k,
-    through one index array, `np.repeat` of each block's piece offset less
-    its start.  A map's positions are the piece's own plus its block's start
-    in the target, likewise repeated.  Masses are handed out as Python ints,
-    the maps' and projections' positions as the int64 arrays gathered.  y'
-    at an object is on a frame whose atoms (a, k) are built only
-    if something reads them (`_tagged_atoms`): its masses, maps and
-    projections are integers and positions, and so are the checks,
-    recovery and classification that read them."""
-    drawn = {u: k for k, u in enumerate(dict.fromkeys(u_bar))}
-    pieces = list(map(ext.conditioned_x_side, drawn))
-    order = list(map(drawn.__getitem__, u_bar))  # each sample's piece
-    which = np.array(order, dtype=np.int64)
-    f, n = ext.fiber_size, len(u_bar)
-
-    def table(rows) -> np.ndarray:
-        """The pieces' rows end to end, as int64."""
-        return np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64)
+    pairs (x, k) with x in the fiber over the k-th sampled u atom u_k.  At
+    each object o it holds the atoms (a, k) of the x-side conditioned on
+    u_k, in sample order; its maps send (a, k) to (a's image, k) and its
+    projections to a and to k.  All of it is read off x''s lifts on the
+    D x f block of the distinct sampled fibers, in order of first draw, as
+    x'0 positions (x'0 lists the counted x0 atoms in x0 order):
+    `_first_appearance` of the keys block * |x'_o| + lift_o gives each
+    block's atoms in the order its fiber reaches them, their positions in
+    x' and the index among them of every fiber entry, whose counts are the
+    masses over N f and which induce the cover maps.  y' gathers each block
+    once per draw, in sample order, through one index array, `np.repeat`
+    of each block's offset less its start.  Its atoms (a, k) are built only
+    if something reads them (`_tagged_atoms`)."""
+    drawn, which = _first_appearance(u_pos)  # which: each sample's block
+    fibers = ext._fiber_positions[drawn]
+    fibers = np.unique(fibers, return_inverse=True)[1].reshape(fibers.shape)
+    f, n = ext.fiber_size, u_pos.size
 
     spaces: dict = {}
+    ids: dict = {}
     gather: dict = {}
-    sizes: dict = {}
-    starts: dict = {}
+    tags: dict = {}
+    shift: dict = {}
     proj_left: dict = {}
     proj_right: dict = {}
     for o in ext.shape.objects:
-        own = [d.spaces[o] for d in pieces]
-        piece_size = np.array([len(sp) for sp in own], dtype=np.int64)
-        size = sizes[o] = piece_size[which]
-        start = starts[o] = np.cumsum(size) - size
-        offset = np.cumsum(piece_size) - piece_size
-        gather[o] = np.arange(size.sum()) + np.repeat(offset[which] - start, size)
+        target = xprime.spaces[o]
+        keys = np.arange(drawn.size)[:, None] * len(target) + xprime._lift(o)[fibers]
+        distinct, ids[o] = _first_appearance(keys.ravel())
+        block_size = np.bincount(distinct // len(target), minlength=drawn.size)
+        size = block_size[which]
+        offset = np.cumsum(block_size) - block_size
+        shift[o] = np.cumsum(size) - size - offset[which]
+        gather[o] = np.arange(size.sum()) - np.repeat(shift[o], size)
+        left = (distinct % len(target))[gather[o]]
         # the k-th block is the (k-1)-th atom of V, k itself
-        tags = np.repeat(np.arange(n), size)
-        frame = Frame(build=partial(_tagged_atoms, list(map(own.__getitem__, order)),
-                                    tags, vspace))
-        # a piece's masses over f: its weights are masses / denom, denom | f
-        masses = table(map((f // sp.denom).__mul__, sp.masses) for sp in own)
-        space = spaces[o] = ProbSpace(frame, masses[gather[o]].tolist(), denom=n * f)
-        index = xprime.spaces[o].frame.index
-        left = table(map(index.__getitem__, sp.atoms) for sp in own)
-        proj_left[o] = Reduction._trusted(space, xprime.spaces[o], positions=left[gather[o]])
-        proj_right[o] = Reduction._trusted(space, vspace, positions=tags)
+        tags[o] = np.repeat(np.arange(n), size)
+        frame = Frame(build=partial(_tagged_atoms, target, left, tags[o], vspace))
+        masses = np.bincount(ids[o])[gather[o]]
+        space = spaces[o] = ProbSpace(frame, masses.tolist(), denom=n * f)
+        proj_left[o] = Reduction._trusted(space, target, positions=left)
+        proj_right[o] = Reduction._trusted(space, vspace, positions=tags[o])
     maps: dict = {}
     for (i, j) in ext.shape.covers:
-        local = np.concatenate([d.prime_maps[(i, j)]._array() for d in pieces])
-        positions = local[gather[i]] + np.repeat(starts[j], sizes[i])
+        local = _induced_positions(ids[i], ids[j], int(ids[i].max()) + 1)
+        positions = local[gather[i]] + shift[j][tags[i]]
         maps[(i, j)] = Reduction._trusted(spaces[i], spaces[j], positions=positions)
     top = Diagram._trusted(ext.shape, spaces, maps)
     return FanOfDiagrams._trusted(top, xprime, constant_diagram(ext.shape, vspace),
                                   proj_left, proj_right)
 
 
-def _tagged_atoms(pieces: list, tags: np.ndarray, vspace: ProbSpace):
-    """The atoms of y' at one object: (a, k) for each atom a of the piece
-    drawn k-th, pieces in sample order, k being the k-th atom of V."""
-    return zip(itertools.chain.from_iterable(pieces),
+def _tagged_atoms(xprime_space: ProbSpace, left: np.ndarray, tags: np.ndarray,
+                  vspace: ProbSpace):
+    """The atoms of y' at one object: (a, k) for each of its positions, a
+    being x''s atom at its proj_left position and k V's atom at its tag."""
+    return zip(map(xprime_space.atoms.__getitem__, left.tolist()),
                map(vspace.atoms.__getitem__, tags.tolist()))
 
 
@@ -712,7 +699,12 @@ def tail_bounds(kind: str, n: int, rho, t: float, *, x0_card: int | None = None,
     totalvar: the binomial_i bound times |x0|, event 2 alpha > t.
     ikd: same bound, event bound-value > t * 2 * size * ln|x0|.
     height: |x0| exp(-N rho t^2 / 12), event height > ln(N rho) + t.
+    n, x0_card and size are positive integers; ikd needs x0_card >= 2.
     """
+    _require_positive_int("n", n)
+    for name, value in (("x0_card", x0_card), ("size", size)):
+        if value is not None:
+            _require_positive_int(name, value)
     rho = float(Fraction(rho) if not isinstance(rho, float) else rho)
     if not 0 < rho <= 1:
         raise OutOfRangeError(f"rho must lie in (0, 1], got {rho}")
@@ -737,6 +729,8 @@ def tail_bounds(kind: str, n: int, rho, t: float, *, x0_card: int | None = None,
             raise OutOfRangeError(f"ikd needs t in [0, 1], got {t}")
         if x0_card is None or size is None:
             raise OutOfRangeError("ikd bound needs x0_card and size")
+        if x0_card < 2:
+            raise OutOfRangeError(f"ikd needs x0_card >= 2, got {x0_card}")
         if t < 10.0 / math.log(x0_card):
             warnings.warn("t below 10/ln|x0|: outside the stated regime",
                           RuntimeWarning, stacklevel=2)

@@ -53,7 +53,7 @@ class ExpansionSpec:
     m: int
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
+        if isinstance(self.m, bool) or not isinstance(self.m, int) or self.m < 1:
             raise BadParamError(f"W size must be a positive int, got {self.m!r}")
         cls = classify_fan(self.base, self.fan)
         if not cls.reduced:

@@ -1,4 +1,5 @@
-"""Shared randomized generators; everything is seeded and deterministic."""
+"""Shared randomized generators, everything seeded and deterministic, and
+a reordering reload."""
 from __future__ import annotations
 
 import random
@@ -13,6 +14,7 @@ from probdiag import (
     Reduction,
     build_category,
 )
+from probdiag import jsonio
 from probdiag.errors import LcaViolationError, NoInitialObjectError
 from probdiag.spaces import pushforward
 
@@ -166,6 +168,16 @@ def random_distribution(rng: random.Random, atoms) -> dict:
         weights = random_weights(rng, len(atoms))
         if any(weights):
             return dict(zip(atoms, weights))
+
+
+def reversed_reload(diagram: Diagram) -> Diagram:
+    """The diagram saved as JSON with every space's atoms reversed, and
+    loaded again."""
+    obj = jsonio.diagram_to_obj(diagram)
+    for space in obj["spaces"].values():
+        space["atoms"].reverse()
+        space["weights"].reverse()
+    return jsonio.diagram_from_obj(obj)
 
 
 @pytest.fixture

@@ -582,14 +582,16 @@ def dict_pair_fan(coupling, first, second, first_on_left=True):
     return FanOfDiagrams._trusted(top, second, first, proj2, proj1)
 
 
-def materialized_fan(ext, u_bar, xprime, vspace):
+def materialized_fan(ext, u_pos, xprime, vspace):
     """The conditioned two-fan (x' <- y' -> V) of a contraction run, with y'0
     the uniform law on every pair (x, k), x in the fiber over the k-th
-    sampled u atom, pushed through the coupling fan of x' and the constant
-    diagram on V (`dict_pair_fan`)."""
+    sampled u atom (u_pos holds the sampled positions into u's atoms),
+    pushed through the coupling fan of x' and the constant diagram on V
+    (`dict_pair_fan`)."""
     from probdiag.diagrams import constant_diagram
     from probdiag.spaces import ProbSpace
 
+    u_bar = map(ext.u_space.atoms.__getitem__, u_pos.tolist())
     y0_atoms = [(x, k) for k, u in enumerate(u_bar, 1) for x in ext.fibers[u]]
     y0 = ProbSpace(y0_atoms, [1] * len(y0_atoms), denom=len(y0_atoms))
     return dict_pair_fan(y0, xprime, constant_diagram(ext.shape, vspace))

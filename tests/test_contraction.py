@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import reversed_reload
 from probdiag import (
     ContractionParams,
     Diagram,
@@ -87,7 +88,8 @@ class TestExtendAdmissibleFan:
             want[to_u[z]][to_x0[z]] = None
         assert ext.fibers == {u: tuple(xs) for u, xs in want.items()}
         assert {len(xs) for xs in ext.fibers.values()} == {ext.fiber_size}
-        drawn = {x for u in run._u_bar for x in ext.fibers[u]}
+        u_atoms = ext.u_space.atoms
+        drawn = {x for p in run._u_pos.tolist() for x in ext.fibers[u_atoms[p]]}
         assert set(run.counts) == drawn
 
     def test_not_admissible(self):
@@ -180,6 +182,14 @@ class TestContractOnce:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True, "4"])
+    def test_bad_n_is_refused_before_any_draw(self, n):
+        d, fi = coord_two_fan(6, range(1, 5), range(3, 7))
+        ext = extend_admissible_fan(d, fi)
+        params = ContractionParams(N=n, t=0.5, rho=ext.rho, seed=0)
+        with pytest.raises(OutOfRangeError, match="N must be a positive integer"):
+            contract_once(ext, params)
 
     def test_exact_identities_over_seeds(self):
         d, fi = coord_two_fan(7, range(1, 6), range(5, 8))
@@ -394,6 +404,20 @@ class TestTailBounds:
             tail_bounds("binomial_ii", 100, 0.5, 2.5)
         with pytest.raises(UnknownKindError):
             tail_bounds("sideways", 100, 0.5, 0.5)
+
+    @pytest.mark.parametrize("kind, n, sizes, message", [
+        ("height", 0, {"x0_card": 16}, "n must be a positive integer"),
+        ("binomial_i", -10 ** 6, {}, "n must be a positive integer"),
+        ("binomial_ii", 2.5, {}, "n must be a positive integer"),
+        ("totalvar", True, {"x0_card": 16}, "n must be a positive integer"),
+        ("totalvar", 100, {"x0_card": 0}, "x0_card must be a positive integer"),
+        ("height", 100, {"x0_card": 1.5}, "x0_card must be a positive integer"),
+        ("ikd", 100, {"x0_card": 1, "size": 3}, "ikd needs x0_card >= 2"),
+        ("ikd", 100, {"x0_card": 16, "size": 0}, "size must be a positive integer"),
+    ])
+    def test_bad_sizes_are_refused(self, kind, n, sizes, message):
+        with pytest.raises(OutOfRangeError, match=f"^{message}, got"):
+            tail_bounds(kind, n, 0.25, 0.5, **sizes)
 
     def test_height_threshold_matches_size_cap(self):
         # with N rho = ln^3|x0| the run threshold ln(N rho) + t stays below
@@ -673,19 +697,22 @@ class TestMaterializedFan:
     @pytest.mark.parametrize("build, runs", [
         (lambda: _loaded(lambda: reduced_lambda3(3, 7, range(6, 8))), [(None, 0), (None, 1)]),
         (lambda: _loaded(coord_lambda3), [(1, 0), (1, 5), (3, 6), (3, 0)]),
+        # x0 reversed, so not in coordinate order
+        (lambda: (reversed_reload(coord_lambda3()[0]), coord_lambda3()[1]),
+         [(None, 0), (1, 2), (2, 5), (3, 6)]),
         (lambda: coord_two_fan(7, range(1, 6), range(5, 8)), [(1, 2), (40, 5)]),
         (_shuffled_chain, [(1, 3), (2, 1), (12, 4)]),
-    ], ids=["loaded_reduced_lambda3", "loaded_coord_lambda3", "coord_two_fan",
-            "shuffled_chain"])
+    ], ids=["loaded_reduced_lambda3", "loaded_coord_lambda3", "reversed_coord_lambda3",
+            "coord_two_fan", "shuffled_chain"])
     def test_tagged_union_equals_the_pair_fan(self, build, runs):
-        # the fan built per sampled fiber equals the coupling fan of every
-        # sampled pair (x, k), field by field and in key order; N = None is
-        # the default N, which covers x0
+        # the fan read off x''s lifts on the sampled fibers equals the
+        # coupling fan of every sampled pair (x, k), field by field and in
+        # key order; N = None is the default N, which covers x0
         ext = extend_admissible_fan(*build())
         for n, seed in runs:
             n = quiet_default_parameters(ext, seed=0).N if n is None else n
             run = contract_once(ext, ContractionParams(N=n, t=0.5, rho=ext.rho, seed=seed))
-            if n == 1 or (n, seed) == (3, 6):
+            if n == 1 or (n, seed) in ((2, 5), (3, 6)):
                 assert not run.coverage
             fan = run.fan_prime
             # y' stores every map as target positions; the atom dicts are
@@ -693,7 +720,7 @@ class TestMaterializedFan:
             reductions = [*fan.top.prime_maps.values(), *fan.proj_left.values(),
                           *fan.proj_right.values()]
             assert all(r._mapping is None for r in reductions)
-            want = oracles.materialized_fan(ext, run._u_bar, run.xprime, run.vspace)
+            want = oracles.materialized_fan(ext, run._u_pos, run.xprime, run.vspace)
             assert _fan_fields(fan) == _fan_fields(want)
             for r in reductions:
                 assert all(r.mapping[a] is r.target.atoms[p]
@@ -800,6 +827,35 @@ class TestLazyFan:
     def test_one_sample_space_per_n(self):
         assert self._run().vspace is self._run().vspace
         assert self._run(19).vspace == ProbSpace(range(1, 20), [1] * 19, denom=19)
+
+
+@pytest.mark.parametrize("n", [None, 3], ids=["default_n", "n3"])
+@pytest.mark.parametrize("build", [
+    lambda: _loaded(lambda: reduced_lambda3(3, 7, range(6, 8))), coord_lambda3,
+], ids=["loaded_reduced_lambda3", "coord_lambda3"])
+def test_fan_prime_builds_no_piece_and_joins_no_atom(monkeypatch, build, n):
+    # y' is read off x''s lifts on the sampled fibers: reading fan_prime
+    # conditions the x-side on no sampled u, builds no diagram from an
+    # initial measure and indexes no atom of x'
+    ext = extend_admissible_fan(*build())
+    n = quiet_default_parameters(ext, seed=0).N if n is None else n
+    run = contract_once(ext, ContractionParams(N=n, t=0.5, rho=ext.rho, seed=1))
+    calls = []
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(contraction.ExtendedFan, "conditioned_x_side")
+    count(diagrams, "_from_initial_measure")
+    assert run.fan_prime is not None
+    assert calls == []
+    assert all(space.frame._index is None for space in run.xprime.spaces.values())
 
 
 class TestLazyXprime:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import reversed_reload
 from probdiag import (
     Diagram,
     ExpansionSpec,
@@ -19,7 +20,7 @@ from probdiag import (
     strip_expansion,
     verify_expansion,
 )
-from probdiag import expansion, jsonio
+from probdiag import expansion
 from probdiag.diagrams import FanClassification, FanIndices
 from probdiag.errors import (
     BadParamError,
@@ -42,6 +43,13 @@ class TestExpansionSpec:
         d, fi = reduced_two_fan(4, (3, 4))
         with pytest.raises(BadParamError):
             ExpansionSpec(d, fi, 0)
+
+    @pytest.mark.parametrize("m", [-2, True, 2.5, "2"])
+    def test_refuses_m_that_is_not_a_positive_int(self, m):
+        # True is an int to isinstance, but not a W size
+        d, fi = reduced_two_fan(4, (3, 4))
+        with pytest.raises(BadParamError, match="W size must be a positive int"):
+            ExpansionSpec(d, fi, m)
 
     def test_caps_the_expanded_support(self):
         # the u-side (top, 16 atoms, and u, 4 atoms) holds 20 atoms, so the
@@ -185,16 +193,6 @@ def _relabelled(diagram: Diagram, obj: str, swap: dict) -> Diagram:
     return Diagram(diagram.category, diagram.spaces, maps)
 
 
-def _reversed_reload(diagram: Diagram) -> Diagram:
-    """The diagram saved as JSON with every space's atoms reversed, and
-    loaded again."""
-    obj = jsonio.diagram_to_obj(diagram)
-    for space in obj["spaces"].values():
-        space["atoms"].reverse()
-        space["weights"].reverse()
-    return jsonio.diagram_from_obj(obj)
-
-
 class _Unchecked(ExpansionSpec):
     """An expansion spec that skips the reduced-fan checks, to expand a fan
     the clauses behind them judge."""
@@ -240,7 +238,7 @@ class TestVerifyExpansionClauses:
         # the expansion reloaded with every space's atoms reversed: its
         # slices list their atoms in another order, and compare as atom maps
         d, spec, out = setup
-        reordered = _reversed_reload(out)
+        reordered = reversed_reload(out)
         assert reordered.spaces["x"].atoms != out.spaces["x"].atoms
         assert verify_expansion(d, reordered, spec).recovered_exactly
 
@@ -325,8 +323,8 @@ class TestGroupedSliceClause:
         d, fi = DIGEST_FIXTURES[name]()
         spec = ExpansionSpec(d, fi, m)
         out = expand_diagram(spec)
-        for original, expanded in ((d, out), (d, _reversed_reload(out)),
-                                   (_reversed_reload(d), out)):
+        for original, expanded in ((d, out), (d, reversed_reload(out)),
+                                   (reversed_reload(d), out)):
             assert oracles.slice_clause(original, expanded, spec) is None
             assert _slices_agree(original, expanded, spec)
             assert verify_expansion(original, expanded, spec).conditioned_slices_equal
@@ -359,7 +357,7 @@ class TestGroupedSliceClause:
         with pytest.raises(VerificationError, match=_slice_message(atom, first)):
             verify_expansion(d, bad, spec)
         # listed in another order, the first changed slice comes later
-        reordered = _reversed_reload(bad)
+        reordered = reversed_reload(bad)
         named = oracles.slice_clause(d, reordered, spec)
         assert named is not None and not _slices_agree(d, reordered, spec)
         with pytest.raises(VerificationError, match=_slice_message(*named)):
@@ -382,7 +380,7 @@ class TestGroupedSliceClause:
             swap.update({atoms[a]: atoms[b], atoms[b]: atoms[a]})
         bad = _relabelled(out, obj, swap)
         if data.draw(st.booleans()):
-            bad = _reversed_reload(bad)
+            bad = reversed_reload(bad)
         named = oracles.slice_clause(d, bad, spec)
         assert _slices_agree(d, bad, spec) == (named is None)
         if named is not None:
@@ -460,7 +458,7 @@ class TestStripExpansion:
     def test_reversed_reload_equals_the_dict_strip(self):
         d, fi = reduced_lambda3(2, 4, (2, 3))
         spec = ExpansionSpec(d, fi, 2)
-        reordered = _reversed_reload(expand_diagram(spec))
+        reordered = reversed_reload(expand_diagram(spec))
         stripped = strip_expansion(reordered, spec)
         assert _fields(stripped) == _fields(oracles.dict_strip_expansion(reordered, spec))
         assert stripped == d

@@ -122,6 +122,8 @@ def test_tagged_atoms_are_built_on_first_read_in_sample_order():
     run = contract_once(ext, ContractionParams(base.N, base.t, ext.rho, 5))
     x0 = run.fan_prime.top.spaces[ext.x0]
     assert len(x0) == base.N * ext.fiber_size and x0.frame._atoms is None
-    pieces = [ext.conditioned_x_side(u).spaces[ext.x0].atoms for u in run._u_bar]
+    u_atoms = ext.u_space.atoms
+    pieces = [ext.conditioned_x_side(u_atoms[p]).spaces[ext.x0].atoms
+              for p in run._u_pos.tolist()]
     want = tuple((a, k) for k, piece in enumerate(pieces, start=1) for a in piece)
     assert x0.atoms == want

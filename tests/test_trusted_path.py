@@ -504,7 +504,8 @@ def test_perfbench_tracer_entries_resolve():
     it must find every entry, and a traced contraction must record them.
     The contraction reads positions only, so the composite atom map, a
     public view, is read here as a caller would, twice: once built, once
-    from the cache."""
+    from the cache; and it builds no diagram from an initial measure, so a
+    diagram is conditioned here as a caller would."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer",
                                                   ROOT / "perfbench" / "tracer.py")
     tracer_module = importlib.util.module_from_spec(spec)
@@ -532,6 +533,7 @@ def test_perfbench_tracer_entries_resolve():
         assert run.fan_prime is not None
         for _ in range(2):
             diagram.composite_mapping(diagram.initial, fan.x_obj)
+        diagrams.condition_diagram(diagram, fan.u_obj, ext.u_space.atoms[0])
     finally:
         tracer.uninstall()
     for kind, module, attr, _name, _hook in tracer_module.ENTRIES:

@@ -20,8 +20,8 @@ only:
   it, `CategoricalSampler.draw_positions`;
 - xprime: building the conditioned x-side and the sample space V, that is
   every `ProbSpace` construction (on given atoms or on a frame),
-  `_from_initial_measure`, in each of `contraction` and `diagrams` that
-  binds it, and, where the checkout has it, `_conditioned_xprime`;
+  `diagrams._from_initial_measure` and, where the checkout has it,
+  `_conditioned_xprime`;
 - fiber_iso: `ExtendedFan.fiber_isomorphic_to_reference`;
 - counts: the rest of the op: counting, alpha, height, coverage.
 `precompute` is the first read of each cached pattern table the checkout
@@ -149,7 +149,6 @@ def regime_child(checkout: Path, ops: int) -> dict:
     wraps = [(sampling.CategoricalSampler, "draw_many", "sampling"),
              (sampling.CategoricalSampler, "draw_positions", "sampling"),
              (spaces.ProbSpace, "__init__", "xprime"),
-             (contraction, "_from_initial_measure", "xprime"),
              (diagrams, "_from_initial_measure", "xprime"),
              (contraction, "_conditioned_xprime", "xprime"),
              (contraction.ExtendedFan, "fiber_isomorphic_to_reference", "fiber_iso")]
